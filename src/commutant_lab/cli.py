@@ -28,6 +28,7 @@ from .discretize import (
     export_matrix_csv,
     nystrom_K,
     nystrom_K_pv,
+    pv_rowsum_error,
 )
 from .errors import CommutantError, ConfigError
 from .families import (
@@ -216,12 +217,12 @@ def _build_matrices(cfg: RunConfig, pair: CommutingPair):
     grid = build_grid(cfg.n, cfg.grid_kind)
     K = nystrom_K_pv(pair, grid) if pair.kernel.singular else nystrom_K(pair, grid)
     L = collocation_L(pair.op, grid)
-    return grid, K, L
+    return K, L
 
 
 def cmd_commutator(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary) -> dict:
     pair = make_pair(_require_params(cfg))
-    grid, K, L = _build_matrices(cfg, pair)
+    K, L = _build_matrices(cfg, pair)
     singular = pair.kernel.singular
     norm = commutator_norm(K, L, interior=singular)
     tol_name = "commutator_pv_rel" if singular else "commutator_rel"
@@ -234,15 +235,7 @@ def cmd_commutator(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.S
         "commutator_rel": norm,
     }
     if singular:
-        mask = grid.interior()
-        rowsum = (K.entries @ np.ones(grid.n))[mask]
-        target = pair.kernel.residue() * np.log((1 + grid.nodes[mask]) / (1 - grid.nodes[mask]))
-        # subtract the regular part's quadrature (exact row identity holds for the pole)
-        from .discretize import k_reg_values
-
-        Z = grid.nodes[mask][:, None] - grid.nodes[None, :]
-        reg = k_reg_values(pair, Z) @ grid.weights
-        err = float(np.max(np.abs(rowsum - reg - target)))
+        err = pv_rowsum_error(pair, K)
         summary.add("rowsum_abs", err, cfg.tol("rowsum_abs"))
         report["rowsum_abs"] = err
     if dump:
@@ -253,7 +246,7 @@ def cmd_commutator(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.S
 
 def cmd_spectrum(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary) -> dict:
     pair = make_pair(_require_params(cfg))
-    grid, K, L = _build_matrices(cfg, pair)
+    K, L = _build_matrices(cfg, pair)
     spec = joint_diagonalization(K, L, cfg.m, interior=pair.kernel.singular)
     summary.add("offdiag", spec.offdiag_energy, cfg.tol("offdiag"))
     ray = spec.rayleigh[np.argsort(-np.abs(spec.rayleigh))]

@@ -18,6 +18,7 @@ class, e.g. sqrt(1 - y^2) factors in normality fixtures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -204,7 +205,7 @@ class ExpPoly(Coefficient):
                 dp = _polyder(poly, order - j)
                 if not dp:
                     continue
-                acc = acc + _binom(order, j) * (rate**j) * _polyval(dp, arr)
+                acc = acc + math.comb(order, j) * (rate**j) * _polyval(dp, arr)
             if rate != 0:
                 acc = acc * np.exp(rate * arr)
             out = out + acc
@@ -227,13 +228,6 @@ class ExpPoly(Coefficient):
 
     def max_rate(self) -> float:
         return max((abs(r) for r, _ in self.terms), default=0.0)
-
-
-def _binom(n: int, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out = out * (n - i) / (i + 1)
-    return out
 
 
 @dataclass(frozen=True)

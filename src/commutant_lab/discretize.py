@@ -61,21 +61,37 @@ def build_grid(n: int, kind: str = LOBATTO) -> Grid:
     raise ValueError(f"unknown grid kind {kind!r}")
 
 
+def legendre_polys(x: np.ndarray, deg: int) -> np.ndarray:
+    """P_0..P_deg at x by the three-term recurrence, stacked along axis 0."""
+    P = np.empty((deg + 1,) + np.shape(x))
+    P[0] = 1.0
+    if deg >= 1:
+        P[1] = x
+    for k in range(1, deg):
+        P[k + 1] = ((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1)
+    return P
+
+
 def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """LGL nodes (+-1 and roots of P'_{n-1}) with weights 2/(n(n-1) P_{n-1}^2)."""
+    """LGL nodes (+-1 and roots of P'_N, N = n-1) with weights 2/(n N P_N^2).
+
+    Newton on P'_N, with (1-x^2) P'_N = N (P_{N-1} - x P_N) and P''_N from
+    the Legendre equation (1-x^2) P'' = 2x P' - N(N+1) P.
+    """
     if n == 2:
         return np.array([-1.0, 1.0]), np.array([1.0, 1.0])
-    Pn = npleg.Legendre.basis(n - 1)
-    dP = Pn.deriv()
-    d2P = dP.deriv()
-    x = np.cos(np.pi * np.arange(n - 2, 0, -1) / (n - 1))
+    N = n - 1
+    x = np.cos(np.pi * np.arange(n - 2, 0, -1) / N)
     for _ in range(60):
-        dx = dP(x) / d2P(x)
+        P = legendre_polys(x, N)
+        dP = N * (P[N - 1] - x * P[N]) / (1.0 - x**2)
+        d2P = (2.0 * x * dP - N * (N + 1) * P[N]) / (1.0 - x**2)
+        dx = dP / d2P
         x = x - dx
         if np.max(np.abs(dx)) < 1e-15:
             break
     nodes = np.concatenate(([-1.0], x, [1.0]))
-    weights = 2.0 / (n * (n - 1) * Pn(nodes) ** 2)
+    weights = 2.0 / (n * N * legendre_polys(nodes, N)[N] ** 2)
     return nodes, weights
 
 
@@ -86,13 +102,10 @@ def differentiation_matrices(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     second-order matrix comes from the standard recurrence rather than
     squaring the first-order one.
     """
-    n = nodes.size
-    w = np.ones(n)
-    for j in range(n):
-        d = 2.0 * (nodes[j] - nodes)
-        d[j] = 1.0
-        w[j] = 1.0 / np.prod(d)
     dx = nodes[:, None] - nodes[None, :]
+    d = 2.0 * dx
+    np.fill_diagonal(d, 1.0)
+    w = 1.0 / np.prod(d, axis=1)
     np.fill_diagonal(dx, 1.0)
     dxi = 1.0 / dx
     ratio = w[None, :] / w[:, None]
@@ -160,20 +173,27 @@ def nystrom_K_pv(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     entries = np.zeros((n, n), dtype=complex)
     (kv,) = kernel_values(pair.kernel, Z[off], orders=(0,))
     entries[off] = kv * np.broadcast_to(w[None, :], (n, n))[off]
-    kreg0 = pair.kernel.series[1]
-    dropped = []
-    idx = np.arange(n)
-    for i in range(n):
-        sel = idx != i
-        s = np.sum(w[sel] / (x[i] - x[sel]))
-        diag = w[i] * kreg0 - r * s
-        if abs(abs(x[i]) - 1.0) < 1e-14:
-            dropped.append(i)
-        else:
-            diag = diag + r * pv_log_weight(x[i])
-        entries[i, i] = diag
-    meta = {"pv": True, "endpoint_log_dropped": tuple(dropped)}
+    end = np.abs(np.abs(x) - 1.0) < 1e-14
+    log_w = np.zeros(n)
+    log_w[~end] = pv_log_weight(x[~end])
+    s = np.sum(np.divide(w[None, :], Z, out=np.zeros((n, n)), where=off), axis=1)
+    np.fill_diagonal(entries, w * pair.kernel.series[1] - r * s + r * log_w)
+    meta = {"pv": True, "endpoint_log_dropped": tuple(np.flatnonzero(end).tolist())}
     return OperatorMatrix(entries=entries, grid=grid, role="K", meta=meta)
+
+
+def pv_rowsum_error(pair: CommutingPair, K: OperatorMatrix) -> float:
+    """Max interior error of K's row sums against the pv integral of k(x - y).
+
+    For u = 1 the pole contributes r*log((1+x)/(1-x)) exactly; the regular
+    remainder k - r/z is integrated with the grid's own quadrature.
+    """
+    grid = K.grid
+    mask = grid.interior()
+    x = grid.nodes[mask]
+    rowsum = (K.entries @ np.ones(grid.n))[mask]
+    reg = k_reg_values(pair, x[:, None] - grid.nodes[None, :]) @ grid.weights
+    return float(np.max(np.abs(rowsum - reg - pair.kernel.residue() * pv_log_weight(x))))
 
 
 def collocation_L(op: DiffOp, grid: Grid) -> OperatorMatrix:

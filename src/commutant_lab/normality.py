@@ -253,16 +253,11 @@ def selfadjoint_matrix_defect(op: DiffOp, n: int = 48, kmax: int = 16) -> float:
     operator's own boundary conditions) and returns the relative
     anti-Hermitian part of B.
     """
-    from .discretize import LOBATTO, build_grid, collocation_L
+    from .discretize import LOBATTO, build_grid, collocation_L, legendre_polys
 
     grid = build_grid(n, LOBATTO)
     x, w = grid.nodes, grid.weights
-    P = np.zeros((n, kmax + 1))
-    P[:, 0] = 1.0
-    if kmax >= 1:
-        P[:, 1] = x
-    for k in range(1, kmax):
-        P[:, k + 1] = ((2 * k + 1) * x * P[:, k] - k * P[:, k - 1]) / (k + 1)
+    P = legendre_polys(x, kmax).T
     nrm = np.sqrt(2.0 / (2.0 * np.arange(kmax + 1) + 1.0))
     Phi = P / nrm[None, :]
     Lm = collocation_L(op, grid).entries

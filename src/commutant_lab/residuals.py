@@ -58,23 +58,16 @@ class ResidualReport:
         }
 
 
-def chebyshev_points(n: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-    """Chebyshev-Lobatto points, ascending, mapped to [lo, hi]."""
+def chebyshev_points(
+    n: int, lo: float | np.ndarray = -1.0, hi: float | np.ndarray = 1.0
+) -> np.ndarray:
+    """Chebyshev-Lobatto points, ascending, mapped to [lo, hi].
+
+    Array-valued ``lo``/``hi`` broadcast against the n points, giving one
+    mapped row per interval.
+    """
     t = np.cos(np.pi * np.arange(n - 1, -1, -1) / (n - 1))
     return lo + (hi - lo) * (t + 1.0) / 2.0
-
-
-def _residual_grid(ny: int, nz: int, z_exclusion: float):
-    """Rows (y, z-array) of the standard tensor grid."""
-    ys = chebyshev_points(ny)
-    rows = []
-    for y in ys:
-        z = chebyshev_points(nz, -1.0 - y, 1.0 - y)
-        if z_exclusion > 0:
-            z = z[np.abs(z) > z_exclusion]
-        if z.size:
-            rows.append((y, z))
-    return rows
 
 
 def _mixed_residual(
@@ -90,38 +83,37 @@ def _mixed_residual(
     if z_exclusion is None:
         z_exclusion = DEFAULT_Z_EXCLUSION if kernel.singular else 0.0
 
+    # tensor grid: row i holds y_i and nz points z with y_i + z in [-1, 1];
+    # the kept points are flattened in row-major order
+    ys = chebyshev_points(ny)
+    Z = chebyshev_points(nz, -1.0 - ys[:, None], 1.0 - ys[:, None])
+    keep = np.abs(Z) > z_exclusion if z_exclusion > 0 else np.ones(Z.shape, dtype=bool)
+    row = np.nonzero(keep)[0]
+    z = Z[keep]
+    if z.size == 0:
+        return ResidualReport(max_abs=0.0, rms=0.0, argmax=(0.0, 0.0), n_points=0, scale=0.0)
+    yz = ys[row] + z
+
+    def at_y(coeff, order=0):
+        return np.asarray(coeff(ys, order=order))[row]
+
     a1, b1, c1 = opL.a, opL.b, opL.c
     a2, b2, c2 = opR.a, opR.b, opR.c
-    max_abs = 0.0
-    argmax = (0.0, 0.0)
-    sumsq = 0.0
-    count = 0
-    scale = 0.0
-    for y, z in _residual_grid(ny, nz, z_exclusion):
-        yz = y + z
-        k0, k1, k2 = kernel_values(kernel, z, orders=(0, 1, 2))
-        P = np.asarray(a2(yz)) - complex(a1(y))
-        Q = 2.0 * complex(a1(y, order=1)) + np.asarray(b2(yz)) - complex(b1(y))
-        R = (
-            np.asarray(c2(yz))
-            - complex(c1(y))
-            + complex(b1(y, order=1))
-            - complex(a1(y, order=2))
-        )
-        F = P * k2 + Q * k1 + R * k0
-        if kernel.singular:
-            F = F * z**3
-        mags = np.abs(F)
-        j = int(np.argmax(mags))
-        if mags[j] > max_abs:
-            max_abs = float(mags[j])
-            argmax = (float(y), float(z[j]))
-        sumsq += float(np.sum(mags**2))
-        count += z.size
-        scale = max(scale, float(np.max(np.abs(k0))))
-    rms = math.sqrt(sumsq / count) if count else 0.0
+    k0, k1, k2 = kernel_values(kernel, z, orders=(0, 1, 2))
+    P = np.asarray(a2(yz)) - at_y(a1)
+    Q = 2.0 * at_y(a1, 1) + np.asarray(b2(yz)) - at_y(b1)
+    R = np.asarray(c2(yz)) - at_y(c1) + at_y(b1, 1) - at_y(a1, 2)
+    F = P * k2 + Q * k1 + R * k0
+    if kernel.singular:
+        F = F * z**3
+    mags = np.abs(F)
+    j = int(np.argmax(mags))  # first maximum in row-major order
     return ResidualReport(
-        max_abs=max_abs, rms=rms, argmax=argmax, n_points=count, scale=scale
+        max_abs=float(mags[j]),
+        rms=math.sqrt(float(np.mean(mags**2))),
+        argmax=(float(ys[row[j]]), float(z[j])),
+        n_points=int(z.size),
+        scale=float(np.max(np.abs(k0))),
     )
 
 
@@ -149,13 +141,6 @@ def residual_R2(
 
 # ---------------------------------------------------------------------------
 # derivative-at-zero systems
-
-
-def _binom_row(n: int) -> list[float]:
-    row = [1.0]
-    for j in range(n):
-        row.append(row[-1] * (n - j) / (j + 1))
-    return row
 
 
 def derivative_coefficients(kernel: KernelSpec, upto: int) -> np.ndarray:
@@ -194,9 +179,8 @@ def taylor_relation_check(pair: CommutingPair, N: int, npts: int = 21) -> np.nda
     for n in range(N + 1):
         r = 2.0 * np.asarray(a(y, order=1)) * k[n + 1]
         r = r + (np.asarray(b(y, order=1)) - np.asarray(a(y, order=2))) * k[n]
-        C = _binom_row(n)
         for j in range(n):
-            r = r + C[j] * (
+            r = r + math.comb(n, j) * (
                 np.asarray(a(y, order=n - j)) * k[j + 2]
                 + np.asarray(b(y, order=n - j)) * k[j + 1]
                 + np.asarray(c(y, order=n - j)) * k[j]

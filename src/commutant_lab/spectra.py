@@ -22,31 +22,16 @@ from .errors import EigFailure, GridMismatchError
 from .discretize import OperatorMatrix
 
 _TINY = 1e-300
-_POWER_SEED = 20240201
 
 
-def spectral_norm(A: np.ndarray, iters: int = 50, tol: float = 1e-10) -> float:
-    """2-norm by power iteration on the Gram form A^H A (deterministic start)."""
-    n = A.shape[1]
-    if n == 0:
+def spectral_norm(A: np.ndarray) -> float:
+    """2-norm (largest singular value) by SVD; 0.0 for an empty matrix."""
+    if A.size == 0:
         return 0.0
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    sigma = 0.0
-    for _ in range(iters):
-        u = A @ v
-        v = A.conj().T @ u
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return 0.0
-        sigma = np.sqrt(norm)
-        v /= norm
-        if abs(sigma - prev) <= tol * max(sigma, 1.0):
-            break
-        prev = sigma
-    return float(sigma)
+    try:
+        return float(np.linalg.norm(A, 2))
+    except np.linalg.LinAlgError as exc:
+        raise EigFailure(str(exc)) from exc
 
 
 def _interior_slice(M: OperatorMatrix) -> np.ndarray:

@@ -52,8 +52,8 @@ def test_weights_sum_to_interval_length(n):
         assert np.all(g.weights > 0)
 
 
-def test_quadrature_exactness_degrees():
-    n = 9
+@pytest.mark.parametrize("n", [9, 64, 256])
+def test_quadrature_exactness_degrees(n):
     gg = build_grid(n, GAUSS)
     gl = build_grid(n, LOBATTO)
     for deg in range(2 * n - 1):  # gauss exact through 2n-1

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from commutant_lab import (
     singular_relation_check,
     taylor_relation_check,
 )
+from commutant_lab.kernels import kernel_values
+from commutant_lab.residuals import DEFAULT_Z_EXCLUSION, chebyshev_points
 
 
 def perturb_c(pair, extra: ExpPoly):
@@ -60,6 +63,43 @@ def test_argmax_in_domain(case2_pair):
     y, z = rep.argmax
     assert -1 <= y <= 1 and -1 <= y + z <= 1
     assert abs(z) > 1e-2  # exclusion zone respected
+
+
+def _reference_R1(pair, ny, nz):
+    """F(y, z) point by point over the tensor grid, rows in ascending y."""
+    a, b, c = pair.op.a, pair.op.b, pair.op.c
+    excl = DEFAULT_Z_EXCLUSION if pair.kernel.singular else 0.0
+    max_abs, argmax, sumsq, count = -1.0, None, 0.0, 0
+    for y in chebyshev_points(ny):
+        for z in chebyshev_points(nz, -1.0 - y, 1.0 - y):
+            if excl > 0 and abs(z) <= excl:
+                continue
+            ya, za = np.array([y]), np.array([z])
+            k0, k1, k2 = kernel_values(pair.kernel, za, orders=(0, 1, 2))
+            F = (
+                (a(ya + za) - a(ya)) * k2
+                + (2.0 * a(ya, order=1) + b(ya + za) - b(ya)) * k1
+                + (c(ya + za) - c(ya) + b(ya, order=1) - a(ya, order=2)) * k0
+            )
+            if pair.kernel.singular:
+                F = F * za**3
+            mag = float(np.abs(F[0]))
+            if mag > max_abs:  # strict: the first maximum in row-major order wins
+                max_abs, argmax = mag, (float(y), float(z))
+            sumsq += mag**2
+            count += 1
+    return max_abs, math.sqrt(sumsq / count), argmax, count
+
+
+@pytest.mark.parametrize("fixture", ["analytic_pair", "case2_pair"])
+def test_residual_matches_pointwise_reference(fixture, request):
+    pair = request.getfixturevalue(fixture)
+    max_abs, rms, argmax, count = _reference_R1(pair, 7, 7)
+    rep = residual_R1(pair, ny=7, nz=7)
+    assert rep.n_points == count
+    assert rep.max_abs == pytest.approx(max_abs, rel=1e-12)
+    assert rep.rms == pytest.approx(rms, rel=1e-12)
+    assert rep.argmax == argmax
 
 
 def test_report_json_fields(analytic_pair):

@@ -6,6 +6,7 @@ import pytest
 from commutant_lab import (
     LOBATTO,
     DiffOp,
+    EigFailure,
     ExpPoly,
     GridMismatchError,
     build_grid,
@@ -19,12 +20,25 @@ from commutant_lab import (
 
 
 def test_spectral_norm_against_svd():
-    # gapped spectrum: power iteration at 50 steps resolves the top value
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30)))
     s = np.array([10.0, 5.0] + list(np.linspace(1.0, 0.1, 28)))
     A = q @ np.diag(s) @ q.conj().T
     assert spectral_norm(A) == pytest.approx(10.0, rel=1e-9)
+
+
+def test_spectral_norm_exact_on_sinc_pair(sinc_pair):
+    g = build_grid(64, LOBATTO)
+    K = nystrom_K(sinc_pair, g).entries
+    L = collocation_L(sinc_pair.op, g).entries
+    for A in (L, K @ L - L @ K):
+        top = np.linalg.svd(A, compute_uv=False)[0]
+        assert spectral_norm(A) == pytest.approx(top, rel=1e-12)
+
+
+def test_spectral_norm_reports_failed_svd():
+    with pytest.raises(EigFailure):
+        spectral_norm(np.full((4, 4), np.nan))
 
 
 def identity_op():
