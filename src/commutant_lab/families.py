@@ -4,7 +4,8 @@ The classified kernels all have the shape
 
     k(z) = lambda / sinh(lambda z / 2) * (alpha1 sinh(mu z)/mu + alpha2 cosh(mu z)),
 
-with limits substituted when lambda or mu vanish, together with the
+with limits substituted when lambda or mu vanish (and Taylor polynomials
+in place of the exponential forms when they are small), together with the
 coefficient triple
 
     a(y) = (cosh(lambda y) - cosh lambda) / lambda^2,   b = a',
@@ -30,6 +31,10 @@ from .errors import AdmissibilityError, DegenerateError, InvalidPolynomialError
 from .kernels import KernelSpec, build_kernel, kernel_values
 
 DEGENERACY_THRESHOLD = 1e-6
+# Below this |rate| the quotients sinh(rate z)/rate and
+# (cosh(rate y) - cosh rate)/rate^2 are built from their Taylor polynomials:
+# the exponential forms cancel to within rounding/|rate|^2.
+SERIES_RATE = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +228,38 @@ def classify_trivial(params: FamilyParams) -> bool:
 # shared formula-level builders (no admissibility checks here)
 
 
+def _taylor_tail(rate: complex, first: int, scale: complex = 1.0) -> list[complex]:
+    """Coefficients of scale * sum_{n = first, first+2, ...} rate^(n-first) x^n / n!.
+
+    Terms stop once they fall below rounding for |x| <= 2, so with
+    |rate| < SERIES_RATE the polynomial is exact to rounding there.
+    """
+    coeffs = [0j] * first + [complex(scale / math.factorial(first))]
+    n, term = first, coeffs[-1]
+    while True:
+        term *= rate * rate / ((n + 1) * (n + 2))
+        n += 2
+        if abs(term) * 2.0**n < 1e-18:
+            return coeffs
+        coeffs += [0j, term]
+
+
+def _sinh_over_rate(rate: complex, scale: complex = 1.0) -> ExpPoly:
+    """scale * sinh(rate z)/rate, equal to scale * z at rate 0."""
+    if abs(rate) >= SERIES_RATE:
+        return ExpPoly.sinh(rate, scale / rate)
+    return ExpPoly.polynomial(_taylor_tail(rate, 1, scale))
+
+
 def _general_kernel_parts(lam: complex, mu: complex, a1: complex, a2: complex):
     """Numerator/denominator of the general kernel, limits substituted."""
     lam = _effective(lam)
     mu = _effective(mu)
-    if mu == 0:
-        bracket = ExpPoly.polynomial((a2, a1))  # alpha1*z + alpha2
-    else:
-        bracket = ExpPoly.sinh(mu, a1 / mu) + ExpPoly.cosh(mu, a2)
-    if lam == 0:
+    bracket = _sinh_over_rate(mu, a1) + ExpPoly.cosh(mu, a2)
+    if abs(lam / 2.0) < SERIES_RATE:
+        # lambda/sinh(lambda z/2) = 2/(sinh(lambda z/2)/(lambda/2))
         num = 2.0 * bracket
-        den = ExpPoly.polynomial((0.0, 1.0))  # z
+        den = _sinh_over_rate(lam / 2.0)
     else:
         num = lam * bracket
         den = ExpPoly.sinh(lam / 2.0)
@@ -243,8 +269,11 @@ def _general_kernel_parts(lam: complex, mu: complex, a1: complex, a2: complex):
 def _general_coeffs(lam: complex):
     """(a, b, c-factor-free a) for the general family; c = nu * a."""
     lam = _effective(lam)
-    if lam == 0:
-        a = ExpPoly.polynomial((-0.5, 0.0, 0.5))  # (y^2 - 1)/2
+    if abs(lam) < SERIES_RATE:
+        # sum_{k>=1} lam^(2k-2) (y^(2k) - 1)/(2k)!; (y^2 - 1)/2 at lam = 0
+        coeffs = _taylor_tail(lam, 2)
+        coeffs[0] = 0j - sum(coeffs)
+        a = ExpPoly.polynomial(coeffs)
     else:
         a = ExpPoly.cosh(lam, 1.0 / lam**2) + ExpPoly.constant(-cmath.cosh(lam) / lam**2)
     return a, a.derivative()

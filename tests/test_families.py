@@ -324,6 +324,38 @@ def test_random_admissible_pairs_commute(lam, mu, a1, a2):
     assert rep.max_abs <= 1e-9 * max(rep.scale, 1e-30)
 
 
+@pytest.mark.parametrize(
+    "lam, mu, a1, a2",
+    [
+        (1e-5j, 0j, 0j, 1j),
+        (6.1e-5j, 0j, 0j, 1j),
+        (0.0039, 0j, 0j, 1j),
+        (1e-5, 0j, 1.0, 0j),
+        (2e-6, 1e-5j, 0.3, 1.0),
+        (1e-3j, 0.5, 1.0, 1j),
+    ],
+)
+def test_small_rate_pairs_commute(lam, mu, a1, a2):
+    # exponential forms of (cosh(lam y) - cosh lam)/lam^2 and sinh(mu z)/mu
+    # lose rounding/|rate|^2 here; the boundary and R1 bounds are those of
+    # test_random_admissible_pairs_commute
+    pair = make_general_pair(General(lam=lam, mu=mu, alpha1=a1, alpha2=a2))
+    assert pair.op.boundary_residual() < 1e-12
+    rep = residual_R1(pair, ny=11, nz=11)
+    assert rep.max_abs <= 1e-9 * max(rep.scale, 1e-30)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.1j, 0.2, 0.2j])
+def test_small_rate_series_continuous_at_switch(rate):
+    # just below the switch the Taylor forms, at it the exponential forms
+    below = make_general_pair(General(lam=rate * (1 - 1e-12), mu=rate / 2, alpha1=1.0, alpha2=0.5))
+    at = make_general_pair(General(lam=rate, mu=rate / 2 * (1 + 1e-12), alpha1=1.0, alpha2=0.5))
+    y = np.linspace(-1, 1, 9)
+    np.testing.assert_allclose(below.op.a(y), at.op.a(y), rtol=0, atol=1e-12)
+    z = np.array([-1.9, -0.7, 0.3, 1.2, 2.0])
+    np.testing.assert_allclose(eval_kernel(below, z), eval_kernel(at, z), rtol=1e-11)
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     tau=st.floats(-0.5, 0.5, allow_nan=False),
