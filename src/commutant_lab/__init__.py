@@ -56,8 +56,6 @@ from .residuals import (
     taylor_relation_check,
 )
 from .discretize import (
-    GAUSS,
-    LOBATTO,
     Grid,
     OperatorMatrix,
     build_grid,
@@ -76,7 +74,6 @@ from .normality import (
     interior_points,
     is_normal,
     is_selfadjoint,
-    normality_matrix_defect,
     selfadjoint_matrix_defect,
 )
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import reportio
 from .discretize import (
-    LOBATTO,
     build_grid,
     collocation_L,
     export_matrix_csv,
@@ -81,7 +80,6 @@ class RunConfig:
     command: str
     params: FamilyParams | None
     n: int = 64
-    grid_kind: str = LOBATTO
     m: int = 8
     tolerances: dict = field(default_factory=dict)
     output_path: str = "out"
@@ -92,6 +90,16 @@ class RunConfig:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
 
+CONFIG_KEYS = frozenset({"params", "n", "m", "tolerances", "output_path", "seed", "count"})
+
+
+def _int_field(raw: dict, key: str, default: int, least: int) -> int:
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def load_config(path: str, command: str) -> RunConfig:
     try:
         with open(path) as fh:
@@ -100,28 +108,40 @@ def load_config(path: str, command: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(raw) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
     tolerances = raw.get("tolerances", {})
-    if any(float(v) <= 0 for v in tolerances.values()):
-        raise ConfigError("tolerances must be positive")
+    if not isinstance(tolerances, dict):
+        raise ConfigError("tolerances must be a JSON object")
+    unknown = sorted(set(tolerances) - set(DEFAULT_TOLERANCES))
+    if unknown:
+        raise ConfigError(f"unknown tolerances {unknown}")
+    for name, value in tolerances.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+            raise ConfigError(f"tolerance {name} must be a positive number, got {value!r}")
     params = None
     if "params" in raw:
         try:
             params = params_from_json(raw["params"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad params block: {exc}") from exc
-    n = int(raw.get("n", 64))
-    if n < 2:
-        raise ConfigError("n must be >= 2")
+    n = _int_field(raw, "n", 64, 2)
+    m = _int_field(raw, "m", 8, 1)
+    if command == "spectrum" and m > n:
+        raise ConfigError(f"m = {m} exceeds the grid size n = {n}")
+    output_path = raw.get("output_path", "out")
+    if not isinstance(output_path, str):
+        raise ConfigError("output_path must be a string")
     return RunConfig(
         command=command,
         params=params,
         n=n,
-        grid_kind=raw.get("grid_kind", LOBATTO),
-        m=int(raw.get("m", 8)),
+        m=m,
         tolerances=tolerances,
-        output_path=raw.get("output_path", "out"),
-        seed=int(raw.get("seed", 0)),
-        count=int(raw.get("count", 25)),
+        output_path=output_path,
+        seed=_int_field(raw, "seed", 0, 0),
+        count=_int_field(raw, "count", 25, 1),
     )
 
 
@@ -214,7 +234,7 @@ def cmd_verify(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summa
 
 
 def _build_matrices(cfg: RunConfig, pair: CommutingPair):
-    grid = build_grid(cfg.n, cfg.grid_kind)
+    grid = build_grid(cfg.n)
     K = nystrom_K_pv(pair, grid) if pair.kernel.singular else nystrom_K(pair, grid)
     L = collocation_L(pair.op, grid)
     return K, L
@@ -224,7 +244,7 @@ def cmd_commutator(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.S
     pair = make_pair(_require_params(cfg))
     K, L = _build_matrices(cfg, pair)
     singular = pair.kernel.singular
-    norm = commutator_norm(K, L, interior=singular)
+    norm = commutator_norm(K, L)
     tol_name = "commutator_pv_rel" if singular else "commutator_rel"
     summary.add(tol_name, norm, cfg.tol(tol_name))
     report = {
@@ -247,7 +267,7 @@ def cmd_commutator(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.S
 def cmd_spectrum(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary) -> dict:
     pair = make_pair(_require_params(cfg))
     K, L = _build_matrices(cfg, pair)
-    spec = joint_diagonalization(K, L, cfg.m, interior=pair.kernel.singular)
+    spec = joint_diagonalization(K, L, cfg.m)
     summary.add("offdiag", spec.offdiag_energy, cfg.tol("offdiag"))
     ray = spec.rayleigh[np.argsort(-np.abs(spec.rayleigh))]
     direct = spec.K_eigenvalues_direct

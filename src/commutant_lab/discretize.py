@@ -1,64 +1,65 @@
 """Matrix discretizations of the convolution operator and its commutant.
 
-K is discretized by Nystrom quadrature on the shared grid; simple-pole
-kernels get a singularity-subtraction treatment in the principal-value
-sense.  L is discretized by spectral collocation with barycentric
-differentiation matrices.  A single shared Legendre-Gauss-Lobatto grid
-keeps the commutator a plain matrix expression.
+Everything lives on one Legendre-Gauss-Lobatto grid, which carries its
+quadrature weights and its barycentric differentiation matrices D1, D2,
+so the commutator is a plain matrix expression.  K is discretized by
+Nystrom quadrature; simple-pole kernels get a singularity-subtraction
+treatment in the principal-value sense.  L is discretized by spectral
+collocation with the grid's D1 and D2.  Each matrix records what it
+discretizes (the kernel of K, the operator of L).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 
 from .errors import RegularKernelError, SingularKernelError
 from .families import CommutingPair, DiffOp
-from .kernels import kernel_values
-
-GAUSS = "gauss_legendre"
-LOBATTO = "legendre_gauss_lobatto"
+from .kernels import KernelSpec, kernel_values
 
 
 @dataclass(frozen=True, eq=False)
 class Grid:
+    """LGL nodes and weights on [-1, 1] with D1, D2 at the nodes."""
+
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
+    D1: np.ndarray
+    D2: np.ndarray
 
     @property
     def n(self) -> int:
         return self.nodes.size
 
     def same_as(self, other: "Grid") -> bool:
-        return self.kind == other.kind and np.array_equal(self.nodes, other.nodes)
+        return np.array_equal(self.nodes, other.nodes)
 
     def interior(self) -> np.ndarray:
         """Boolean mask of nodes strictly inside (-1, 1)."""
         return np.abs(self.nodes) < 1.0 - 1e-14
 
+    def log_weight(self) -> np.ndarray:
+        """pv log weight log((1+x)/(1-x)) on interior nodes, 0 at the endpoints.
+
+        The weight diverges at +-1; dropping it there is the one-sided
+        endpoint convention of the pv Nystrom rule.
+        """
+        mask = self.interior()
+        out = np.zeros(self.n)
+        out[mask] = pv_log_weight(self.nodes[mask])
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
+    """Matrix of K (``kernel`` set) or of L (``op`` set) on ``grid``."""
+
     entries: np.ndarray
     grid: Grid
-    role: str
-    meta: dict = field(default_factory=dict)
-
-
-def build_grid(n: int, kind: str = LOBATTO) -> Grid:
-    """Quadrature nodes/weights on [-1, 1] for the named rule."""
-    if n < 2:
-        raise ValueError("grid needs n >= 2 nodes")
-    if kind == GAUSS:
-        nodes, weights = npleg.leggauss(n)
-        return Grid(nodes=nodes, weights=weights, kind=kind)
-    if kind == LOBATTO:
-        nodes, weights = _lobatto(n)
-        return Grid(nodes=nodes, weights=weights, kind=kind)
-    raise ValueError(f"unknown grid kind {kind!r}")
+    kernel: KernelSpec | None = None
+    op: DiffOp | None = None
 
 
 def legendre_polys(x: np.ndarray, deg: int) -> np.ndarray:
@@ -72,14 +73,14 @@ def legendre_polys(x: np.ndarray, deg: int) -> np.ndarray:
     return P
 
 
-def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
+def build_grid(n: int) -> Grid:
     """LGL nodes (+-1 and roots of P'_N, N = n-1) with weights 2/(n N P_N^2).
 
     Newton on P'_N, with (1-x^2) P'_N = N (P_{N-1} - x P_N) and P''_N from
     the Legendre equation (1-x^2) P'' = 2x P' - N(N+1) P.
     """
-    if n == 2:
-        return np.array([-1.0, 1.0]), np.array([1.0, 1.0])
+    if n < 2:
+        raise ValueError("grid needs n >= 2 nodes")
     N = n - 1
     x = np.cos(np.pi * np.arange(n - 2, 0, -1) / N)
     for _ in range(60):
@@ -88,11 +89,12 @@ def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
         d2P = (2.0 * x * dP - N * (N + 1) * P[N]) / (1.0 - x**2)
         dx = dP / d2P
         x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
+        if np.max(np.abs(dx), initial=0.0) < 1e-15:
             break
     nodes = np.concatenate(([-1.0], x, [1.0]))
     weights = 2.0 / (n * N * legendre_polys(nodes, N)[N] ** 2)
-    return nodes, weights
+    D1, D2 = differentiation_matrices(nodes)
+    return Grid(nodes=nodes, weights=weights, D1=D1, D2=D2)
 
 
 def differentiation_matrices(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +128,7 @@ def nystrom_K(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     x, w = grid.nodes, grid.weights
     Z = x[:, None] - x[None, :]
     (kv,) = kernel_values(pair.kernel, Z, orders=(0,))
-    return OperatorMatrix(entries=kv * w[None, :], grid=grid, role="K")
+    return OperatorMatrix(entries=kv * w[None, :], grid=grid, kernel=pair.kernel)
 
 
 def k_reg_values(pair: CommutingPair, Z: np.ndarray) -> np.ndarray:
@@ -162,11 +164,9 @@ def nystrom_K_pv(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     limit -u'(x_i), so row i carries -r w_i (D1)_i besides the diagonal
     w_i k_reg(0) + r*(log((1+x_i)/(1-x_i)) - sum_{j != i} w_j/(x_i - x_j)).
     The rule is exact on polynomials the grid's quadrature integrates
-    exactly (pv of P_k/(x-y) is 2 Q_k by Neumann's formula).  At grid
-    endpoints the log weight diverges and is dropped (one-sided
-    convention).  ``meta`` records the residue and the log weight used on
-    the diagonal, K = r diag(log_weight) + S with S smooth, for the
-    split-log commutator.
+    exactly (pv of P_k/(x-y) is 2 Q_k by Neumann's formula).  The diagonal
+    log term is ``grid.log_weight()``, which drops the weight at the
+    endpoints, so K = r diag(grid.log_weight()) + S with S smooth.
     """
     if not pair.kernel.singular:
         raise RegularKernelError("kernel is analytic: use nystrom_K")
@@ -178,20 +178,10 @@ def nystrom_K_pv(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     entries = np.zeros((n, n), dtype=complex)
     (kv,) = kernel_values(pair.kernel, Z[off], orders=(0,))
     entries[off] = kv * np.broadcast_to(w[None, :], (n, n))[off]
-    end = np.abs(np.abs(x) - 1.0) < 1e-14
-    log_w = np.zeros(n)
-    log_w[~end] = pv_log_weight(x[~end])
     s = np.sum(np.divide(w[None, :], Z, out=np.zeros((n, n)), where=off), axis=1)
-    np.fill_diagonal(entries, w * pair.kernel.series[1] - r * s + r * log_w)
-    D1, _ = differentiation_matrices(x)
-    entries -= r * w[:, None] * D1
-    meta = {
-        "pv": True,
-        "endpoint_log_dropped": tuple(np.flatnonzero(end).tolist()),
-        "residue": r,
-        "log_weight": log_w,
-    }
-    return OperatorMatrix(entries=entries, grid=grid, role="K", meta=meta)
+    np.fill_diagonal(entries, w * pair.kernel.series[1] - r * s + r * grid.log_weight())
+    entries -= r * w[:, None] * grid.D1
+    return OperatorMatrix(entries=entries, grid=grid, kernel=pair.kernel)
 
 
 def pv_rowsum_error(pair: CommutingPair, K: OperatorMatrix) -> float:
@@ -209,23 +199,18 @@ def pv_rowsum_error(pair: CommutingPair, K: OperatorMatrix) -> float:
 
 
 def collocation_L(op: DiffOp, grid: Grid) -> OperatorMatrix:
-    """L = diag(a) D2 + diag(b) D + diag(c) on the LGL grid.
+    """L = diag(a) D2 + diag(b) D1 + diag(c) with the grid's D1, D2.
 
     No boundary rows are replaced: a(+-1) = 0 makes the operator
     degenerate at the endpoints, which is the operator's own boundary
-    structure.  ``meta`` records a, a', b at the nodes and D1, which the
-    split-log commutator of a pv K needs.
+    structure.
     """
-    if grid.kind != LOBATTO:
-        raise ValueError("collocation_L requires a legendre_gauss_lobatto grid")
-    D1, D2 = differentiation_matrices(grid.nodes)
     x = grid.nodes
     av = np.asarray(op.a(x))
     bv = np.asarray(op.b(x))
     cv = np.asarray(op.c(x))
-    entries = av[:, None] * D2 + bv[:, None] * D1 + np.diag(cv)
-    meta = {"a": av, "da": np.asarray(op.a(x, order=1)), "b": bv, "D1": D1}
-    return OperatorMatrix(entries=entries.astype(complex), grid=grid, role="L", meta=meta)
+    entries = av[:, None] * grid.D2 + bv[:, None] * grid.D1 + np.diag(cv)
+    return OperatorMatrix(entries=entries.astype(complex), grid=grid, op=op)
 
 
 def export_matrix_csv(matrix: OperatorMatrix, path) -> None:

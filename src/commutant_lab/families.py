@@ -570,7 +570,7 @@ def gauge_transform(
     )
     a, b, c = pair.op.a, pair.op.b, pair.op.c
     new_b = b + (-2.0 * tau) * a
-    new_c = c + (-tau) * b + (tau * tau) * a + _const_coeff(a, shift)
+    new_c = c + (-tau) * b + (tau * tau) * a + ExpPoly.constant(shift)
     old = pair.op.gauge
     record = GaugeRecord(tau=old.tau + tau, scale=old.scale * scale, shift=old.shift + shift)
     nu = pair.nu if (tau == 0 and shift == 0) else None
@@ -587,12 +587,6 @@ def gauge_transform(
         if rep.max_abs > 1e-7 * max(rep.scale, 1e-30):
             raise AssertionError("gauge transform broke the commutation identity")
     return out
-
-
-def _const_coeff(template: Coefficient, shift: complex) -> Coefficient:
-    if shift == 0:
-        return ExpPoly.zero()
-    return ExpPoly.constant(shift)
 
 
 # ---------------------------------------------------------------------------

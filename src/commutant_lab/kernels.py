@@ -46,7 +46,7 @@ def _series_div(num, den, nterms: int) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Evaluatable kernel with singularity metadata and Taylor data at 0.
+    """Evaluatable kernel with singularity flags and Taylor data at 0.
 
     ``series`` holds plain Taylor coefficients: of z*k(z) when ``singular``
     (so series[0] is the residue at 0), of k(z) otherwise (so series[n] is

@@ -110,25 +110,16 @@ class NormalityReport:
     selfadjoint: bool
     normal: bool
     condition_residuals: dict
-    matrix_check: float | None = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "selfadjoint": self.selfadjoint,
             "normal": self.normal,
             "condition_residuals": dict(self.condition_residuals),
         }
-        if self.matrix_check is not None:
-            out["matrix_check"] = self.matrix_check
-        return out
 
 
-def is_normal(
-    op: DiffOp,
-    tol: float = 1e-10,
-    npts: int = 21,
-    matrix_n: int | None = None,
-) -> NormalityReport:
+def is_normal(op: DiffOp, tol: float = 1e-10, npts: int = 21) -> NormalityReport:
     """Check the displayed normality conditions for L.
 
     A self-adjoint operator is reported normal immediately.  Otherwise the
@@ -145,10 +136,7 @@ def is_normal(
     if np.max(np.abs(av)) < 1e-13:
         report = dict(sa_res)
         report["a_nonzero"] = 0.0
-        return NormalityReport(
-            selfadjoint=sa_ok, normal=sa_ok, condition_residuals=report,
-            matrix_check=None,
-        )
+        return NormalityReport(selfadjoint=sa_ok, normal=sa_ok, condition_residuals=report)
 
     # Rescale so the leading coefficient is real and positive.  The
     # characterization's (1 - i*alpha) factor (from Im a = alpha Re a) is a
@@ -211,37 +199,12 @@ def is_normal(
     else:
         normal = amin > 0 and all(r <= tol for r in res.values())
 
-    matrix_check = None
-    if matrix_n is not None:
-        matrix_check = normality_matrix_defect(op, matrix_n)
-
     res.update({f"selfadjoint_{k}": v for k, v in sa_res.items()})
     return NormalityReport(
         selfadjoint=sa_ok,
         normal=bool(normal),
         condition_residuals=res,
-        matrix_check=matrix_check,
     )
-
-
-def normality_matrix_defect(op: DiffOp, n: int = 64) -> float:
-    """Relative defect ||L L* - L* L|| of the interior-collocated operator.
-
-    Composed on the interior nodes only: coefficients such as c1 =
-    (2 b0 - a')/sqrt(a) may blow up where a vanishes, so endpoint rows
-    are excluded before forming the products.
-    """
-    from .discretize import LOBATTO, build_grid, collocation_L
-    from .spectra import spectral_norm
-
-    grid = build_grid(n, LOBATTO)
-    mask = grid.interior()
-    sel = np.ix_(mask, mask)
-    with np.errstate(all="ignore"):
-        Li = collocation_L(op, grid).entries[sel]
-        Si = collocation_L(adjoint_coeffs(op), grid).entries[sel]
-    C = Li @ Si - Si @ Li
-    return spectral_norm(C) / (spectral_norm(Li) * spectral_norm(Si) + _TINY)
 
 
 def selfadjoint_matrix_defect(op: DiffOp, n: int = 48, kmax: int = 16) -> float:
@@ -253,9 +216,9 @@ def selfadjoint_matrix_defect(op: DiffOp, n: int = 48, kmax: int = 16) -> float:
     operator's own boundary conditions) and returns the relative
     anti-Hermitian part of B.
     """
-    from .discretize import LOBATTO, build_grid, collocation_L, legendre_polys
+    from .discretize import build_grid, collocation_L, legendre_polys
 
-    grid = build_grid(n, LOBATTO)
+    grid = build_grid(n)
     x, w = grid.nodes, grid.weights
     P = legendre_polys(x, kmax).T
     nrm = np.sqrt(2.0 / (2.0 * np.arange(kmax + 1) + 1.0))

@@ -9,7 +9,10 @@ K's dominant spectrum, and the projected K is diagonal up to commutator-
 sized off-diagonal energy.
 
 Inner products are quadrature-weighted (discrete L^2(-1,1)), matching
-where the operators live.
+where the operators live.  Both measures read what K discretizes from the
+matrix itself: for a pv K (``K.kernel.singular``) they are restricted to
+interior nodes, and the commutator takes the split-log form built from
+the grid's D1 and log weight and from L's own coefficients.
 """
 
 from __future__ import annotations
@@ -39,30 +42,25 @@ def _interior_slice(M: OperatorMatrix) -> np.ndarray:
     return M.entries[np.ix_(mask, mask)]
 
 
-def commutator_norm(K: OperatorMatrix, L: OperatorMatrix, interior: bool = False) -> float:
+def commutator_norm(K: OperatorMatrix, L: OperatorMatrix) -> float:
     """Relative commutator norm ||KL - LK|| / (||K|| ||L|| + tiny).
 
-    With ``interior`` the commutator and the normalizing factors are
-    restricted to nodes strictly inside (-1, 1).  A pv K (``meta["pv"]``)
-    requires ``interior``: its diagonal carries r*l with the endpoint log
-    l = log((1+x)/(1-x)), and L applied to l*u is not a polynomial, so
-    L.K would collocate it with O(1) error.  The commutator is formed
-    from the split K = r diag(l) + S instead (see ``_pv_commutator``).
+    For a pv K (``K.kernel.singular``) the commutator and the normalizing
+    factors are restricted to nodes strictly inside (-1, 1): K's diagonal
+    carries r*l with the endpoint log l = log((1+x)/(1-x)), and L applied
+    to l*u is not a polynomial, so L.K would collocate it with O(1)
+    error.  The commutator is formed from the split K = r diag(l) + S
+    instead (see ``_pv_commutator``).
     """
     if not K.grid.same_as(L.grid):
         raise GridMismatchError("K and L must share a grid")
-    pv = K.meta.get("pv", False)
-    if pv and not interior:
-        raise ValueError("the pv commutator is defined on interior rows only: pass interior=True")
-    C = _pv_commutator(K, L) if pv else K.entries @ L.entries - L.entries @ K.entries
-    if interior:
+    if K.kernel.singular:
         mask = K.grid.interior()
-        C = C[np.ix_(mask, mask)]
-        nK = spectral_norm(_interior_slice(K))
-        nL = spectral_norm(_interior_slice(L))
+        C = _pv_commutator(K, L)[np.ix_(mask, mask)]
+        nK, nL = spectral_norm(_interior_slice(K)), spectral_norm(_interior_slice(L))
     else:
-        nK = spectral_norm(K.entries)
-        nL = spectral_norm(L.entries)
+        C = K.entries @ L.entries - L.entries @ K.entries
+        nK, nL = spectral_norm(K.entries), spectral_norm(L.entries)
     return spectral_norm(C) / (nK * nL + _TINY)
 
 
@@ -76,15 +74,16 @@ def _pv_commutator(K: OperatorMatrix, L: OperatorMatrix) -> np.ndarray:
     by D1; (b - a') l' is only needed on interior rows.  Endpoint rows
     of the result are not meaningful.
     """
-    r = K.meta["residue"]
-    S = K.entries - r * np.diag(K.meta["log_weight"])
-    a, da, b, D1 = (L.meta[k] for k in ("a", "da", "b", "D1"))
-    x = K.grid.nodes
-    mask = K.grid.interior()
+    grid, op = K.grid, L.op
+    r = K.kernel.residue()
+    S = K.entries - r * np.diag(grid.log_weight())
+    x = grid.nodes
+    a, da, b = np.asarray(op.a(x)), np.asarray(op.a(x, order=1)), np.asarray(op.b(x))
+    mask = grid.interior()
     one_m_x2 = np.where(mask, 1.0 - x**2, 1.0)
     al = np.where(mask, 2.0 * a / one_m_x2, -np.sign(x) * da)
-    bracket = D1 @ al + np.where(mask, 2.0 * (b - da) / one_m_x2, 0.0)
-    return S @ L.entries - L.entries @ S - r * (2.0 * al[:, None] * D1 + np.diag(bracket))
+    bracket = grid.D1 @ al + np.where(mask, 2.0 * (b - da) / one_m_x2, 0.0)
+    return S @ L.entries - L.entries @ S - r * (2.0 * al[:, None] * grid.D1 + np.diag(bracket))
 
 
 @dataclass(frozen=True)
@@ -116,22 +115,15 @@ class SpectralReport:
         return out
 
 
-def joint_diagonalization(
-    K: OperatorMatrix,
-    L: OperatorMatrix,
-    m: int,
-    interior: bool = False,
-    sort_by: str = "abs",
-) -> SpectralReport:
+def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> SpectralReport:
     """Diagonalize L, project K onto the leading m L-modes, cross-check.
 
     Modes are the m smallest-|eigenvalue| L-eigenvectors (prolate-style
-    ordering; ``sort_by='real'`` sorts by real part instead).  Rayleigh
-    quotients, per-mode residuals and off-diagonal energy use quadrature-
-    weighted inner products; ``interior`` restricts those inner products
-    to interior nodes (pv convention).  L-eigenvalue clusters closer than
-    1e-8 (relative) set the degeneracy flag and are treated as blocks in
-    the off-diagonal measure.
+    ordering).  Rayleigh quotients, per-mode residuals and off-diagonal
+    energy use quadrature-weighted inner products, restricted to interior
+    nodes for a pv K (``K.kernel.singular``).  L-eigenvalue clusters
+    closer than 1e-8 (relative) set the degeneracy flag and are treated as
+    blocks in the off-diagonal measure.
     """
     if not K.grid.same_as(L.grid):
         raise GridMismatchError("K and L must share a grid")
@@ -143,15 +135,12 @@ def joint_diagonalization(
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
 
-    if sort_by == "real":
-        order = np.argsort(lam.real)
-    else:
-        order = np.argsort(np.abs(lam))
+    order = np.argsort(np.abs(lam))
     lam = lam[order][:m]
     V = V[:, order][:, :m]
 
     w = K.grid.weights
-    mask = K.grid.interior() if interior else np.ones(K.grid.n, dtype=bool)
+    mask = K.grid.interior() if K.kernel.singular else np.ones(K.grid.n, dtype=bool)
     wi = w[mask]
 
     Vm = V[mask, :]

@@ -45,7 +45,6 @@ from commutant_lab import (
     taylor_relation_check,
 )
 from commutant_lab.cli import main as cli_main
-from commutant_lab.discretize import LOBATTO
 
 SINC = General(lam=0.0, mu=1j * np.pi / 2, alpha1=1.0, alpha2=0.0)
 ANALYTIC = General(lam=1.0, mu=2.0, alpha1=1.0, alpha2=0.0)
@@ -149,7 +148,7 @@ def test_criterion_03_series_system():
 
 def _sinc_commutator(n: int) -> float:
     pair = make_general_pair(SINC)
-    grid = build_grid(n, LOBATTO)
+    grid = build_grid(n)
     return commutator_norm(nystrom_K(pair, grid), collocation_L(pair.op, grid))
 
 
@@ -191,7 +190,7 @@ def test_criterion_04b_commutator_decay_ratio():
 
 def test_criterion_05_joint_diagonalization():
     pair = make_general_pair(SINC)
-    grid = build_grid(128, LOBATTO)
+    grid = build_grid(128)
     spec = joint_diagonalization(
         nystrom_K(pair, grid), collocation_L(pair.op, grid), 8
     )
@@ -206,13 +205,13 @@ def test_criterion_05_joint_diagonalization():
 
 def test_criterion_06_pv_commutation():
     pair = make_special_pair(Case4(beta=0.0, p=(1.0, 0.0, 0.0)))
-    grid = build_grid(128, LOBATTO)
+    grid = build_grid(128)
     K = nystrom_K_pv(pair, grid)
     L = collocation_L(pair.op, grid)
     mask = grid.interior()
     rowsum = (K.entries @ np.ones(grid.n))[mask]
     rowsum_err = float(np.max(np.abs(rowsum - pv_log_weight(grid.nodes[mask]))))
-    comm = commutator_norm(K, L, interior=True)
+    comm = commutator_norm(K, L)
     ok = rowsum_err <= 1e-12 and comm <= 1e-3
     announce("06", ok, f"interior commutator {comm:.2e}; rowsum err {rowsum_err:.2e}")
     assert rowsum_err <= 1e-12

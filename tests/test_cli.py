@@ -123,6 +123,23 @@ def test_malformed_config(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o2"), "--quiet"]) == 2
     cfg2 = write_config(tmp_path / "cfg2.json")
     assert main(["verify", "--config", cfg2, "--out", str(tmp_path / "o3"), "--quiet"]) == 2
+    bad_inputs = [
+        ("verify", {"params": SINC, "tolerances": {"r1_rell": 1e-30}}),
+        ("verify", {"params": SINC, "tolerances": [1]}),
+        ("verify", {"params": SINC, "tolerances": {"r1_rel": "x"}}),
+        ("verify", {"params": SINC, "grid_kind": "gauss_legendre"}),
+        ("verify", {"params": SINC, "output_path": 5}),
+        ("commutator", {"params": SINC, "n": "abc"}),
+        ("commutator", {"params": SINC, "n": 16.5}),
+        ("spectrum", {"params": SINC, "m": 0}),
+        ("spectrum", {"params": SINC, "n": 8, "m": 9}),
+        ("sweep", {"count": 0}),
+        ("sweep", {"seed": -1}),
+    ]
+    for i, (command, raw) in enumerate(bad_inputs):
+        cfg = write_config(tmp_path / f"bad{i}.json", **raw)
+        out = tmp_path / f"bad{i}"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2, raw
 
 
 def test_inadmissible_params_error_status(tmp_path):

@@ -1,10 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from commutant_lab import (
-    GAUSS,
-    LOBATTO,
+    Case2,
+    Case4,
     DiffOp,
     ExpPoly,
     General,
@@ -14,6 +15,7 @@ from commutant_lab import (
     collocation_L,
     differentiation_matrices,
     make_general_pair,
+    make_pair,
     nystrom_K,
     nystrom_K_pv,
     pv_log_weight,
@@ -25,15 +27,9 @@ from commutant_lab.discretize import k_reg_values, legendre_polys
 # grids
 
 
-def test_gauss_two_point():
-    g = build_grid(2, GAUSS)
-    np.testing.assert_allclose(g.nodes, [-1 / np.sqrt(3), 1 / np.sqrt(3)])
-    np.testing.assert_allclose(g.weights, [1.0, 1.0])
-
-
 def test_lobatto_four_point():
     # independent construction: roots of P3' are +-1/sqrt(5); exactness on deg <= 5
-    g = build_grid(4, LOBATTO)
+    g = build_grid(4)
     np.testing.assert_allclose(g.nodes, [-1.0, -1 / np.sqrt(5), 1 / np.sqrt(5), 1.0], atol=1e-15)
     np.testing.assert_allclose(g.weights, [1 / 6, 5 / 6, 5 / 6, 1 / 6], atol=1e-15)
     for deg in range(6):
@@ -45,20 +41,15 @@ def test_lobatto_four_point():
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(2, 40))
 def test_weights_sum_to_interval_length(n):
-    for kind in (GAUSS, LOBATTO):
-        g = build_grid(n, kind)
-        assert np.sum(g.weights) == pytest.approx(2.0, abs=1e-12)
-        assert np.all(np.diff(g.nodes) > 0)
-        assert np.all(g.weights > 0)
+    g = build_grid(n)
+    assert np.sum(g.weights) == pytest.approx(2.0, abs=1e-12)
+    assert np.all(np.diff(g.nodes) > 0)
+    assert np.all(g.weights > 0)
 
 
 @pytest.mark.parametrize("n", [9, 64, 256])
 def test_quadrature_exactness_degrees(n):
-    gg = build_grid(n, GAUSS)
-    gl = build_grid(n, LOBATTO)
-    for deg in range(2 * n - 1):  # gauss exact through 2n-1
-        exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
-        assert np.sum(gg.weights * gg.nodes**deg) == pytest.approx(exact, abs=1e-13)
+    gl = build_grid(n)
     for deg in range(2 * n - 2):  # lobatto exact through 2n-3
         exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
         assert np.sum(gl.weights * gl.nodes**deg) == pytest.approx(exact, abs=1e-13)
@@ -66,9 +57,7 @@ def test_quadrature_exactness_degrees(n):
 
 def test_size_validation():
     with pytest.raises(ValueError):
-        build_grid(1, GAUSS)
-    with pytest.raises(ValueError):
-        build_grid(8, "chebyshev")
+        build_grid(1)
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +65,9 @@ def test_size_validation():
 
 
 def test_differentiation_polynomial_exactness():
-    g = build_grid(10, LOBATTO)
-    D1, D2 = differentiation_matrices(g.nodes)
+    g = build_grid(10)
+    D1, D2 = g.D1, g.D2
+    np.testing.assert_array_equal(D1, differentiation_matrices(g.nodes)[0])
     u = g.nodes**5 - 2 * g.nodes**2
     np.testing.assert_allclose(D1 @ u, 5 * g.nodes**4 - 4 * g.nodes, atol=1e-11)
     np.testing.assert_allclose(D2 @ u, 20 * g.nodes**3 - 4, atol=1e-10)
@@ -88,7 +78,7 @@ def test_differentiation_polynomial_exactness():
 
 
 def test_collocation_on_legendre_operator(case4_pair):
-    g = build_grid(12, LOBATTO)
+    g = build_grid(12)
     L = collocation_L(case4_pair.op, g)
     np.testing.assert_allclose(L.entries @ g.nodes, 2 * g.nodes, atol=1e-12)
     np.testing.assert_allclose(L.entries @ g.nodes**2, 6 * g.nodes**2 - 2, atol=1e-12)
@@ -96,20 +86,15 @@ def test_collocation_on_legendre_operator(case4_pair):
 
 def test_collocation_identity_operator():
     op = DiffOp(a=ExpPoly.zero(), b=ExpPoly.zero(), c=ExpPoly.constant(1.0))
-    g = build_grid(6, LOBATTO)
+    g = build_grid(6)
     L = collocation_L(op, g)
     np.testing.assert_allclose(L.entries, np.eye(6), atol=1e-15)
-
-
-def test_collocation_requires_lobatto(case4_pair):
-    with pytest.raises(ValueError):
-        collocation_L(case4_pair.op, build_grid(8, GAUSS))
 
 
 def test_collocation_exact_on_low_degrees(sinc_pair):
     # operator reproduction on polynomials up to degree n-3
     n = 14
-    g = build_grid(n, LOBATTO)
+    g = build_grid(n)
     L = collocation_L(sinc_pair.op, g)
     x = g.nodes
     for deg in range(n - 2):
@@ -126,13 +111,13 @@ def test_collocation_exact_on_low_degrees(sinc_pair):
 
 def test_constant_kernel_row_sums():
     pair = make_general_pair(General(lam=2.0, mu=1.0, alpha1=1.0, alpha2=0.0))  # k = 2
-    g = build_grid(16, LOBATTO)
+    g = build_grid(16)
     K = nystrom_K(pair, g)
     np.testing.assert_allclose(K.entries @ np.ones(16), 4.0, atol=1e-13)
 
 
 def test_symmetric_for_even_real_kernel(sinc_pair):
-    g = build_grid(64, LOBATTO)
+    g = build_grid(64)
     K = nystrom_K(sinc_pair, g)
     M = K.entries / g.weights[None, :]  # strip quadrature scaling
     assert np.max(np.abs(M - M.T)) <= 1e-12
@@ -140,7 +125,7 @@ def test_symmetric_for_even_real_kernel(sinc_pair):
 
 
 def test_top_eigenvalue_real_positive_simple(sinc_pair):
-    g = build_grid(64, LOBATTO)
+    g = build_grid(64)
     K = nystrom_K(sinc_pair, g)
     mu = np.linalg.eigvals(K.entries)
     mu = mu[np.argsort(-np.abs(mu))]
@@ -153,7 +138,7 @@ def test_nystrom_convergence_on_constant(sinc_pair):
     # row-wise quadrature of the analytic kernel converges spectrally
     errs = []
     for n in (8, 16, 32):
-        g = build_grid(n, LOBATTO)
+        g = build_grid(n)
         K = nystrom_K(sinc_pair, g)
         approx = K.entries @ np.ones(n)
         exact = np.array(
@@ -175,9 +160,9 @@ def _sinc_integral(x: float) -> float:
 
 def test_nystrom_rejects_singular(case4_pair, sinc_pair):
     with pytest.raises(SingularKernelError):
-        nystrom_K(case4_pair, build_grid(8, LOBATTO))
+        nystrom_K(case4_pair, build_grid(8))
     with pytest.raises(RegularKernelError):
-        nystrom_K_pv(sinc_pair, build_grid(8, LOBATTO))
+        nystrom_K_pv(sinc_pair, build_grid(8))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +170,7 @@ def test_nystrom_rejects_singular(case4_pair, sinc_pair):
 
 
 def test_pv_pole_row_sums(case4_pair):
-    g = build_grid(64, LOBATTO)
+    g = build_grid(64)
     K = nystrom_K_pv(case4_pair, g)
     mask = g.interior()
     rowsum = (K.entries @ np.ones(64))[mask]
@@ -200,7 +185,7 @@ def test_pv_pole_row_sums(case4_pair):
 def test_pv_exact_on_legendre_polynomials(case4_pair, n):
     # Neumann's formula: pv int P_k(y)/(x - y) dy = 2 Q_k(x), with the Ferrers
     # Q_k from Q_0 = log((1+x)/(1-x))/2, Q_1 = x Q_0 - 1 and the recurrence
-    g = build_grid(n, LOBATTO)
+    g = build_grid(n)
     K = nystrom_K_pv(case4_pair, g)
     mask = g.interior()
     x = g.nodes[mask]
@@ -213,15 +198,47 @@ def test_pv_exact_on_legendre_polynomials(case4_pair, n):
         np.testing.assert_allclose((K.entries @ P[k])[mask], 2.0 * Q[k], rtol=0, atol=1e-12)
 
 
+# kernel, its residue r and the closed form of k in mpmath
+PV_ORACLE_PAIRS = {
+    "case4": (Case4(beta=0.0, p=(1.0, 0.0, 0.0)), 1, lambda z: 1 / z),
+    "case2": (Case2(lam=2.0, alpha=1.0, beta=1.0), 1, lambda z: 1 / mpmath.sinh(z)),
+    "general_pole": (
+        General(lam=2.0, mu=1.0, alpha1=1.0, alpha2=1.0),
+        2,
+        lambda z: 2 * mpmath.exp(z) / mpmath.sinh(z),
+    ),
+}
+
+
+@pytest.mark.parametrize("pair_name", sorted(PV_ORACLE_PAIRS))
+@pytest.mark.parametrize(
+    "u, n", [(mpmath.exp, 32), (lambda y: 1 / (1 + 4 * y**2), 64)], ids=["exp", "runge"]
+)
+def test_pv_matches_mpmath_on_smooth_functions(pair_name, u, n):
+    # pv int k(x - y) u(y) dy = int [k(x - y) u(y) - r u(x)/(x - y)] dy
+    # + r u(x) log((1+x)/(1-x)); the bounded integrand is integrated by
+    # mp.quad split at y = x, on 8 interior nodes (max-norm relative error)
+    params, r, k = PV_ORACLE_PAIRS[pair_name]
+    g = build_grid(n)
+    K = nystrom_K_pv(make_pair(params), g)
+    Ku = K.entries @ np.array([complex(u(mpmath.mpf(y))) for y in g.nodes])
+    rows = np.linspace(1, n - 2, 8).astype(int)
+    with mpmath.workdps(30):
+        ref = []
+        for x in (mpmath.mpf(g.nodes[i]) for i in rows):
+            smooth = mpmath.quad(lambda y: k(x - y) * u(y) - r * u(x) / (x - y), [-1, x, 1])
+            ref.append(complex(smooth + r * u(x) * mpmath.log((1 + x) / (1 - x))))
+    ref = np.array(ref)
+    assert np.max(np.abs(Ku[rows] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_pv_closed_form_value():
     # pole-only kernel, u = 1, x = 0.5: pv integral is log(3)
-    import mpmath
-
     assert pv_log_weight(np.array([0.5]))[0] == pytest.approx(float(mpmath.log(3)))
 
 
 def test_pv_case3_row_sums(case3_pair):
-    g = build_grid(48, LOBATTO)
+    g = build_grid(48)
     K = nystrom_K_pv(case3_pair, g)
     mask = g.interior()
     rowsum = (K.entries @ np.ones(48))[mask]
@@ -230,9 +247,9 @@ def test_pv_case3_row_sums(case3_pair):
 
 
 def test_pv_endpoint_convention(case4_pair):
-    g = build_grid(16, LOBATTO)
+    g = build_grid(16)
     K = nystrom_K_pv(case4_pair, g)
-    assert K.meta["endpoint_log_dropped"] == (0, 15)
+    assert g.log_weight()[0] == g.log_weight()[-1] == 0.0
     assert np.all(np.isfinite(K.entries))
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from commutant_lab import (
-    LOBATTO,
     DiffOp,
     EigFailure,
     ExpPoly,
@@ -30,7 +29,7 @@ def test_spectral_norm_against_svd():
 
 
 def test_spectral_norm_exact_on_sinc_pair(sinc_pair):
-    g = build_grid(64, LOBATTO)
+    g = build_grid(64)
     K = nystrom_K(sinc_pair, g).entries
     L = collocation_L(sinc_pair.op, g).entries
     for A in (L, K @ L - L @ K):
@@ -48,14 +47,14 @@ def identity_op():
 
 
 def test_identity_commutes_exactly(sinc_pair):
-    g = build_grid(32, LOBATTO)
+    g = build_grid(32)
     K = nystrom_K(sinc_pair, g)
     L = collocation_L(identity_op(), g)
     assert commutator_norm(K, L) == 0.0
 
 
 def test_sinc_commutator_small(sinc_pair):
-    g = build_grid(64, LOBATTO)
+    g = build_grid(64)
     K = nystrom_K(sinc_pair, g)
     L = collocation_L(sinc_pair.op, g)
     assert commutator_norm(K, L) <= 1e-8
@@ -67,7 +66,7 @@ def test_perturbed_c_breaks_commutation(sinc_pair):
     # against the unperturbed floor
     op = sinc_pair.op
     bad = DiffOp(a=op.a, b=op.b, c=op.c + ExpPoly.polynomial((0.0, 0.1)))
-    g = build_grid(8, LOBATTO)
+    g = build_grid(8)
     K = nystrom_K(sinc_pair, g)
     base = commutator_norm(K, collocation_L(op, g))
     broken = commutator_norm(K, collocation_L(bad, g))
@@ -79,23 +78,16 @@ def test_perturbed_c_breaks_pv_commutation(case4_pair):
     # the split-log pv commutator of the criterion-06 pair sits at rounding;
     # perturbing c by eps*y must show up linearly in eps
     op = case4_pair.op
-    g = build_grid(8, LOBATTO)
+    g = build_grid(8)
     K = nystrom_K_pv(case4_pair, g)
-    base = commutator_norm(K, collocation_L(op, g), interior=True)
+    base = commutator_norm(K, collocation_L(op, g))
     assert base <= 1e-14
     broken = []
     for eps in (1e-2, 1e-4):
         bad = DiffOp(a=op.a, b=op.b, c=op.c + ExpPoly.polynomial((0.0, eps)))
-        broken.append(commutator_norm(K, collocation_L(bad, g), interior=True))
+        broken.append(commutator_norm(K, collocation_L(bad, g)))
     assert broken[0] >= 1e-5
     assert broken[0] / broken[1] == pytest.approx(100.0, rel=1e-3)
-
-
-def test_pv_commutator_requires_interior(case4_pair):
-    g = build_grid(8, LOBATTO)
-    K = nystrom_K_pv(case4_pair, g)
-    with pytest.raises(ValueError):
-        commutator_norm(K, collocation_L(case4_pair.op, g))
 
 
 @pytest.mark.parametrize("fixture", ["case1_pair", "case2_pair", "case3_pair", "case4_pair"])
@@ -103,7 +95,7 @@ def test_pv_split_commutator_exact_on_low_degrees(fixture, request):
     # the split-log form is exact calculus: on Legendre P_0..P_{n/2}, where
     # nothing aliases, the interior commutator is at rounding for every pole pair
     pair = request.getfixturevalue(fixture)
-    g = build_grid(64, LOBATTO)
+    g = build_grid(64)
     K = nystrom_K_pv(pair, g)
     L = collocation_L(pair.op, g)
     mask = g.interior()
@@ -118,7 +110,7 @@ def test_pv_split_commutator_exact_on_low_degrees(fixture, request):
 
 
 def test_commutator_scale_invariance(sinc_pair):
-    g = build_grid(32, LOBATTO)
+    g = build_grid(32)
     K = nystrom_K(sinc_pair, g)
     L = collocation_L(sinc_pair.op, g)
     base = commutator_norm(K, L)
@@ -128,14 +120,14 @@ def test_commutator_scale_invariance(sinc_pair):
 
 
 def test_grid_mismatch(sinc_pair):
-    K = nystrom_K(sinc_pair, build_grid(16, LOBATTO))
-    L = collocation_L(sinc_pair.op, build_grid(24, LOBATTO))
+    K = nystrom_K(sinc_pair, build_grid(16))
+    L = collocation_L(sinc_pair.op, build_grid(24))
     with pytest.raises(GridMismatchError):
         commutator_norm(K, L)
 
 
 def test_joint_diagonalization_sinc(sinc_pair):
-    g = build_grid(128, LOBATTO)
+    g = build_grid(128)
     K = nystrom_K(sinc_pair, g)
     L = collocation_L(sinc_pair.op, g)
     spec = joint_diagonalization(K, L, 8)
@@ -152,7 +144,7 @@ def test_joint_diagonalization_sinc(sinc_pair):
 
 
 def test_joint_diagonalization_degenerate_flag(sinc_pair):
-    g = build_grid(32, LOBATTO)
+    g = build_grid(32)
     K = nystrom_K(sinc_pair, g)
     L = collocation_L(identity_op(), g)
     spec = joint_diagonalization(K, L, 4)
@@ -162,7 +154,7 @@ def test_joint_diagonalization_degenerate_flag(sinc_pair):
 
 def test_mode_residual_bounded_by_commutator_over_gap(sinc_pair):
     # empirical constant in: residual_j <= C * comm / gap_j for separated modes
-    g = build_grid(96, LOBATTO)
+    g = build_grid(96)
     K = nystrom_K(sinc_pair, g)
     L = collocation_L(sinc_pair.op, g)
     comm = commutator_norm(K, L)
@@ -178,7 +170,7 @@ def test_mode_residual_bounded_by_commutator_over_gap(sinc_pair):
 
 def test_real_even_kernel_has_real_spectrum(sinc_pair):
     # real even kernel: symmetric matrix in the weighted metric, real spectrum
-    g = build_grid(48, LOBATTO)
+    g = build_grid(48)
     K = nystrom_K(sinc_pair, g)
     mu = np.linalg.eigvals(K.entries)
     assert np.max(np.abs(mu.imag)) <= 1e-10
@@ -187,24 +179,16 @@ def test_real_even_kernel_has_real_spectrum(sinc_pair):
 def test_singular_interior_report(case1_pair):
     # non-compact singular K: the report is produced with interior weighting,
     # no eigenfunction-quality assertion is mathematically available
-    g = build_grid(48, LOBATTO)
+    g = build_grid(48)
     K = nystrom_K_pv(case1_pair, g)
     L = collocation_L(case1_pair.op, g)
-    spec = joint_diagonalization(K, L, 4, interior=True)
+    spec = joint_diagonalization(K, L, 4)
     assert np.all(np.isfinite(spec.mode_residuals))
     assert len(spec.rayleigh) == 4
 
 
-def test_sort_by_real_part(sinc_pair):
-    g = build_grid(48, LOBATTO)
-    K = nystrom_K(sinc_pair, g)
-    L = collocation_L(sinc_pair.op, g)
-    spec = joint_diagonalization(K, L, 5, sort_by="real")
-    assert np.all(np.diff(spec.L_eigenvalues.real) >= -1e-9)
-
-
 def test_report_serialization(sinc_pair):
-    g = build_grid(24, LOBATTO)
+    g = build_grid(24)
     K = nystrom_K(sinc_pair, g)
     L = collocation_L(sinc_pair.op, g)
     spec = joint_diagonalization(K, L, 3)
