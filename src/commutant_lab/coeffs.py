@@ -9,7 +9,14 @@ polynomials multiplied by exponentials,
 which is closed under addition, scalar multiplication, differentiation,
 multiplication by an exponential factor and (on the real axis) complex
 conjugation.  :class:`ExpPoly` implements that algebra exactly, so all
-derivative evaluations are analytic rather than finite differences.
+derivative evaluations are analytic rather than finite differences:
+
+* ``f(y, order=m)`` folds the Leibniz sum of each term into one polynomial
+  Q = sum_j C(m,j) r^j P^(m-j) and evaluates it in one Horner pass;
+* ``f.taylor(z0, n)`` builds Taylor coefficients by series arithmetic (P
+  shifted to z0, times the exponential series), without evaluating f.
+
+Every array evaluation goes through ``ExpPoly.__call__``.
 
 :class:`FuncCoeff` wraps user-supplied callables (value plus explicit
 derivatives) for fixtures that fall outside the exponential-polynomial
@@ -18,6 +25,7 @@ class, e.g. sqrt(1 - y^2) factors in normality fixtures.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -57,18 +65,34 @@ class Coefficient:
         return _Scaled(self, -1.0)
 
 
-def _polyder(coeffs: tuple[complex, ...], order: int) -> tuple[complex, ...]:
-    c = list(coeffs)
+def polyder(coeffs, order: int = 1) -> tuple[complex, ...]:
+    """Ascending coefficients of the order-th derivative of a polynomial."""
+    c = tuple(coeffs)
     for _ in range(order):
-        c = [c[k] * k for k in range(1, len(c))]
-    return tuple(c)
+        c = tuple(c[k] * k for k in range(1, len(c)))
+    return c
 
 
-def _polyval(coeffs: tuple[complex, ...], y):
+def polyval(coeffs, y):
+    """Horner evaluation of ascending coefficients at (array of) y."""
     out = np.zeros_like(np.asarray(y, dtype=complex))
     for c in reversed(coeffs):
         out = out * y + c
     return out
+
+
+def exp_series_product(series, rate: complex, scale: complex, nterms: int) -> tuple[complex, ...]:
+    """First nterms Taylor coefficients of scale * e^{rate h} * sum_j series[j] h^j."""
+    exp_coeffs = [complex(scale)]
+    for j in range(1, nterms):
+        exp_coeffs.append(exp_coeffs[-1] * rate / j)
+    out = []
+    for k in range(nterms):
+        s = 0j
+        for j in range(min(k + 1, len(series))):
+            s += series[j] * exp_coeffs[k - j]
+        out.append(s)
+    return tuple(out)
 
 
 def _trim(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -168,7 +192,7 @@ class ExpPoly(Coefficient):
         for _ in range(order):
             out = ExpPoly(())
             for rate, poly in cur.terms:
-                dp = _polyder(poly, 1)
+                dp = polyder(poly)
                 out = out + ExpPoly.exponential(rate, dp)
                 if rate != 0:
                     out = out + ExpPoly.exponential(rate, tuple(rate * c for c in poly))
@@ -199,13 +223,20 @@ class ExpPoly(Coefficient):
         arr = np.asarray(y, dtype=complex)
         out = np.zeros_like(arr)
         for rate, poly in self.terms:
-            acc = np.zeros_like(arr)
-            # d^m/dy^m [P e^{ry}] = e^{ry} sum_j C(m,j) r^j P^{(m-j)}
-            for j in range(order + 1):
-                dp = _polyder(poly, order - j)
-                if not dp:
-                    continue
-                acc = acc + math.comb(order, j) * (rate**j) * _polyval(dp, arr)
+            # d^m/dy^m [P e^{ry}] = e^{ry} Q with Q = sum_j C(m,j) r^j P^{(m-j)};
+            # Q is assembled coefficient-wise, then evaluated in one Horner pass
+            derivs = [poly]
+            for _ in range(order):
+                derivs.append(polyder(derivs[-1]))
+            jmax = order if rate != 0 else 0  # at rate 0 only P^{(m)} is left
+            q = [0j] * len(derivs[order - jmax])
+            for j in range(jmax + 1):
+                w = math.comb(order, j) * rate**j
+                for k, c in enumerate(derivs[order - j]):
+                    q[k] += w * c
+            if not q:
+                continue
+            acc = polyval(q, arr)
             if rate != 0:
                 acc = acc * np.exp(rate * arr)
             out = out + acc
@@ -214,13 +245,22 @@ class ExpPoly(Coefficient):
         return out
 
     def taylor(self, z0: complex, nterms: int) -> tuple[complex, ...]:
-        """Taylor coefficients (f(z0), f'(z0), f''(z0)/2!, ...) of length nterms."""
-        fact = 1.0
-        out = []
-        for j in range(nterms):
-            if j > 1:
-                fact *= j
-            out.append(complex(self(complex(z0), order=j)) / fact)
+        """Taylor coefficients (f(z0), f'(z0), f''(z0)/2!, ...) of length nterms.
+
+        Computed by series arithmetic, without derivative evaluations: each
+        term P(y) e^{ry} becomes P shifted to z0 (binomial coefficients)
+        times e^{r z0} sum_k (r h)^k / k!, truncated at nterms.
+        """
+        z0 = complex(z0)
+        out = [0j] * nterms
+        for rate, poly in self.terms:
+            if z0 != 0:
+                poly = [
+                    sum(math.comb(i, k) * poly[i] * z0 ** (i - k) for i in range(k, len(poly)))
+                    for k in range(min(len(poly), nterms))
+                ]
+            for k, c in enumerate(exp_series_product(poly, rate, cmath.exp(rate * z0), nterms)):
+                out[k] += c
         return tuple(out)
 
     def is_zero(self) -> bool:

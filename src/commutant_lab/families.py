@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .coeffs import Coefficient, ExpPoly
+from .coeffs import Coefficient, ExpPoly, exp_series_product
 from .errors import AdmissibilityError, DegenerateError, InvalidPolynomialError
 from .kernels import KernelSpec, build_kernel, kernel_values
 
@@ -520,21 +520,6 @@ def kernel_derivs(pair: CommutingPair, z, orders=(0, 1, 2)):
     return kernel_values(pair.kernel, z, orders=orders)
 
 
-def _convolve_series(series, tau: complex, scale: complex, nterms: int):
-    """Taylor data of scale * e^{tau z} * (series function)."""
-    exp_coeffs = [complex(scale)]
-    for j in range(1, nterms):
-        exp_coeffs.append(exp_coeffs[-1] * tau / j)
-    out = []
-    for k in range(nterms):
-        s = 0j
-        for j in range(k + 1):
-            if j < len(series):
-                s += series[j] * exp_coeffs[k - j]
-        out.append(s)
-    return tuple(out)
-
-
 def gauge_transform(
     pair: CommutingPair,
     tau: complex = 0.0,
@@ -557,12 +542,12 @@ def gauge_transform(
         numerator=scale * spec.numerator.exp_shift(tau),
         denominator=spec.denominator,
         singular=spec.singular,
-        series=_convolve_series(spec.series, tau, scale, len(spec.series)),
+        series=exp_series_product(spec.series, tau, scale, len(spec.series)),
         trivial=spec.trivial,
         removable_zeros=spec.removable_zeros,
         switch_radius=spec.switch_radius,
         local_series={
-            z0: _convolve_series(
+            z0: exp_series_product(
                 loc, tau, scale * cmath.exp(tau * z0), len(loc)
             )
             for z0, loc in spec.local_series.items()

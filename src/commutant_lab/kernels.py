@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import ExpPoly
+from .coeffs import ExpPoly, polyder, polyval
 from .errors import PoleError
 
 SERIES_TERMS = 16
@@ -127,9 +127,11 @@ def _real_denominator_zeros(den: ExpPoly) -> list[float]:
     """Real zeros z != 0 of the denominator inside [-2, 2].
 
     For D built from sinh(rho*z)-type terms the zeros lie at i*pi*k/rho,
-    which are real exactly when rho is purely imaginary.
+    which are real exactly when rho is purely imaginary.  Each zero is kept
+    at full precision: the local series drops N(z0) and D(z0), and a centre
+    rounded by eps shifts k' by about k''*eps/2.
     """
-    zeros: set[float] = set()
+    zeros: list[float] = []
     for rate, _ in den.terms:
         if rate == 0:
             continue
@@ -142,8 +144,8 @@ def _real_denominator_zeros(den: ExpPoly) -> list[float]:
             if z0 > 2.0 + 1e-9:
                 break
             for s in (z0, -z0):
-                if abs(den(complex(s))) < 1e-9:
-                    zeros.add(round(float(s), 12))
+                if abs(den(complex(s))) < 1e-9 and all(abs(s - z) > 1e-12 for z in zeros):
+                    zeros.append(float(s))
             k += 1
     return sorted(zeros)
 
@@ -161,16 +163,6 @@ def _laurent_eval(series, z, order: int):
                 f *= p - i
             if f != 0.0:
                 out = out + c * f * z ** (p - order)
-    return out
-
-
-def _taylor_eval(series, z, order: int):
-    coeffs = list(series)
-    for _ in range(order):
-        coeffs = [coeffs[k] * k for k in range(1, len(coeffs))]
-    out = np.zeros_like(z)
-    for c in reversed(coeffs):
-        out = out * z + c
     return out
 
 
@@ -192,14 +184,14 @@ def kernel_values(spec: KernelSpec, z, orders: tuple[int, ...] = (0,)):
             if spec.singular:
                 out[i][near0] = _laurent_eval(spec.series, arr[near0], m)
             else:
-                out[i][near0] = _taylor_eval(spec.series, arr[near0], m)
+                out[i][near0] = polyval(polyder(spec.series, m), arr[near0])
 
     for z0 in spec.removable_zeros:
         mask = (np.abs(arr - z0) < spec.switch_radius) & ~handled
         if np.any(mask):
             delta = arr[mask] - z0
             for i, m in enumerate(orders):
-                out[i][mask] = _taylor_eval(spec.local_series[z0], delta, m)
+                out[i][mask] = polyval(polyder(spec.local_series[z0], m), delta)
             handled |= mask
 
     rest = ~handled

@@ -63,6 +63,62 @@ def test_taylor_coefficients():
     np.testing.assert_allclose(t, [2.0**n / math.factorial(n) for n in range(5)])
 
 
+# complex rates including rate 0; polynomial degrees 0..3 and 34, so both
+# below and above every nterms tested
+_HIGH_DEGREE = tuple((-0.4 + 0.3j) ** i / math.factorial(i) for i in range(35))
+ORACLE_F = (
+    ExpPoly.exponential(0.7 - 1.3j, (1.0, -0.5, 0.25j))
+    + ExpPoly.polynomial((0.3j, 0.0, 1.1, 2.0))
+    + ExpPoly.exponential(-1.1j, _HIGH_DEGREE)
+    + ExpPoly.exponential(-0.6 + 0.2j, (0.8,))
+)
+
+
+def _mp_closed_form(f):
+    mpmath = pytest.importorskip("mpmath")
+
+    def value(y):
+        return mpmath.fsum(
+            mpmath.polyval([mpmath.mpc(c) for c in reversed(poly)], y) * mpmath.exp(mpmath.mpc(rate) * y)
+            for rate, poly in f.terms
+        )
+
+    return mpmath, value
+
+
+@pytest.mark.parametrize("z0", [0.0, 0.7, 5.0 / 3.0, -2.0])
+@pytest.mark.parametrize("nterms", [1, 5, 18, 30])
+def test_taylor_matches_mpmath(z0, nterms):
+    mpmath, value = _mp_closed_form(ORACLE_F)
+    with mpmath.workdps(40):
+        want = mpmath.taylor(value, mpmath.mpf(z0), nterms - 1)
+        got = ORACLE_F.taylor(z0, nterms)
+        assert len(got) == nterms
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(mpmath.mpc(g) - w) <= 1e-13 * abs(w), (k, g, complex(w))
+
+
+def test_taylor_makes_no_derivative_calls(monkeypatch):
+    expected = ORACLE_F.taylor(0.7, 18)
+
+    def refuse(self, y, order=0):
+        raise AssertionError("taylor evaluated the function")
+
+    monkeypatch.setattr(ExpPoly, "__call__", refuse)
+    assert ORACLE_F.taylor(0.7, 18) == expected
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_derivatives_match_mpmath(order):
+    mpmath, value = _mp_closed_form(ORACLE_F)
+    y = np.array([-0.9, -0.2, 0.35, 1.0])
+    got = ORACLE_F(y, order=order)
+    with mpmath.workdps(40):
+        for g, yy in zip(got, y):
+            w = mpmath.diff(value, mpmath.mpf(float(yy)), order)
+            assert abs(mpmath.mpc(g) - w) <= 1e-13 * abs(w), (yy, g, complex(w))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     rate=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),

@@ -1,15 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
-from commutant_lab import General, eval_kernel, kernel_derivs, kernel_values, make_general_pair
+from commutant_lab import (
+    Case1,
+    General,
+    eval_kernel,
+    kernel_derivs,
+    kernel_values,
+    make_general_pair,
+    make_special_pair,
+)
+
+WIDE_LAMBDA = General(lam=1.2j * np.pi, mu=0.9j * np.pi, alpha1=0.0, alpha2=1.0)
 
 
 @pytest.fixture(scope="module")
 def wide_lambda_pair():
     # pi <= |lambda| < 2pi branch: denominator zeros at +-5/3 are removable
-    return make_general_pair(
-        General(lam=1.2j * np.pi, mu=0.9j * np.pi, alpha1=0.0, alpha2=1.0)
-    )
+    return make_general_pair(WIDE_LAMBDA)
 
 
 def test_kernel_finite_on_interval(wide_lambda_pair):
@@ -26,6 +36,49 @@ def test_removable_zero_is_continuous(wide_lambda_pair):
     for dz in (1e-2, 1e-4):
         assert eval_kernel(wide_lambda_pair, z0 + dz) == pytest.approx(limit, rel=2e-2)
     assert eval_kernel(wide_lambda_pair, z0 + 1e-7) == pytest.approx(limit, rel=1e-9)
+
+
+def _wide_lambda_closed_form(mpmath):
+    lam, mu = mpmath.mpc(WIDE_LAMBDA.lam), mpmath.mpc(WIDE_LAMBDA.mu)
+    return lambda z: lam * mpmath.cosh(mu * z) / mpmath.sinh(lam * z / 2)
+
+
+def _case1_closed_form(m):
+    # cos((2m+1) pi z/4) / sin(pi z/2), from the floats make_special_pair uses
+    def closed(mpmath):
+        a = mpmath.mpf((2 * m + 1) * math.pi / 4.0)
+        b = mpmath.mpf(math.pi / 2.0)
+        return lambda z: mpmath.cos(a * z) / mpmath.sin(b * z)
+
+    return closed
+
+
+@pytest.mark.parametrize(
+    "pair, closed, zeros",
+    [
+        (make_general_pair(WIDE_LAMBDA), _wide_lambda_closed_form, 5.0 / 3.0),
+        (make_special_pair(Case1(m=0, alpha=1.0, beta=1.0)), _case1_closed_form(0), 2.0),
+        (make_special_pair(Case1(m=1, alpha=1.0, beta=1.0)), _case1_closed_form(1), 2.0),
+    ],
+    ids=["wide-lambda", "case1-m0", "case1-m1"],
+)
+def test_removable_zero_series_matches_mpmath(pair, closed, zeros):
+    # local series inside the switch radius r, at r/4 <= |z - z0| < r: closer
+    # in, the float parameters leave a ~1e-16 residue of the removable zero
+    # that the closed form amplifies by 1/|z - z0|
+    mpmath = pytest.importorskip("mpmath")
+    spec = pair.kernel
+    np.testing.assert_allclose(spec.removable_zeros, (-zeros, zeros), rtol=1e-15)
+    r = spec.switch_radius
+    offsets = np.linspace(r / 4, 0.99 * r, 5)
+    z = np.concatenate([z0 + s * offsets for z0 in spec.removable_zeros for s in (-1, 1)])
+    got = kernel_values(spec, z, orders=(0, 1, 2))
+    with mpmath.workdps(40):
+        k = closed(mpmath)
+        for m in range(3):
+            for g, zz in zip(got[m], z):
+                w = mpmath.diff(k, mpmath.mpf(float(zz)), m)
+                assert abs(mpmath.mpc(g) - w) <= 1e-11 * abs(w), (m, zz, g, complex(w))
 
 
 def test_derivatives_match_finite_differences(analytic_pair, case2_pair):
