@@ -6,7 +6,7 @@ residuals, discretized commutators, joint diagonalization, admissibility
 screening and normality tests.
 """
 
-from .coeffs import Coefficient, ExpPoly, FuncCoeff
+from .coeffs import ExpPoly
 from .errors import (
     AdmissibilityError,
     CommutantError,

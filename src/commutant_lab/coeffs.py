@@ -1,4 +1,4 @@
-"""Coefficient functions with exact derivatives.
+"""Exponential polynomials: the one function type of the package.
 
 Every coefficient of the differential operators handled here (and every
 numerator/denominator of the classified kernels) is a finite sum of
@@ -17,10 +17,6 @@ derivative evaluations are analytic rather than finite differences:
   shifted to z0, times the exponential series), without evaluating f.
 
 Every array evaluation goes through ``ExpPoly.__call__``.
-
-:class:`FuncCoeff` wraps user-supplied callables (value plus explicit
-derivatives) for fixtures that fall outside the exponential-polynomial
-class, e.g. sqrt(1 - y^2) factors in normality fixtures.
 """
 
 from __future__ import annotations
@@ -28,41 +24,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-
-class Coefficient:
-    """A complex-valued function of a real variable with derivative access.
-
-    Subclasses implement ``__call__(y, order)``.  The generic algebra
-    (sums, scalar multiples, conjugation) is provided by small wrapper
-    classes so that arbitrary coefficients can be combined.
-    """
-
-    def __call__(self, y, order: int = 0):
-        raise NotImplementedError
-
-    def derivative(self, order: int = 1) -> "Coefficient":
-        return _Shifted(self, order)
-
-    def conjugate(self) -> "Coefficient":
-        return _Conjugated(self)
-
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        return _Sum((self, other))
-
-    def __sub__(self, other: "Coefficient") -> "Coefficient":
-        return _Sum((self, _Scaled(other, -1.0)))
-
-    def __mul__(self, scalar: complex) -> "Coefficient":
-        return _Scaled(self, complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Coefficient":
-        return _Scaled(self, -1.0)
 
 
 def polyder(coeffs, order: int = 1) -> tuple[complex, ...]:
@@ -103,7 +66,7 @@ def _trim(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
 
 
 @dataclass(frozen=True)
-class ExpPoly(Coefficient):
+class ExpPoly:
     """Finite sum of terms P(y) * exp(rate * y), stored as (rate, poly) pairs.
 
     Polynomials are ascending coefficient tuples; rate 0 holds the plain
@@ -154,9 +117,7 @@ class ExpPoly(Coefficient):
 
     # -- algebra -------------------------------------------------------
 
-    def __add__(self, other: Coefficient) -> Coefficient:
-        if not isinstance(other, ExpPoly):
-            return super().__add__(other)
+    def __add__(self, other: "ExpPoly") -> "ExpPoly":
         merged: dict[complex, list[complex]] = {}
         for rate, poly in self.terms + other.terms:
             acc = merged.setdefault(rate, [])
@@ -173,7 +134,7 @@ class ExpPoly(Coefficient):
         out.sort(key=lambda t: (t[0].real, t[0].imag))
         return ExpPoly(tuple(out))
 
-    def __mul__(self, scalar: complex) -> Coefficient:
+    def __mul__(self, scalar: complex) -> "ExpPoly":
         s = complex(scalar)
         if s == 0:
             return ExpPoly(())
@@ -181,10 +142,10 @@ class ExpPoly(Coefficient):
 
     __rmul__ = __mul__
 
-    def __sub__(self, other: Coefficient) -> Coefficient:
+    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + (other * (-1.0))
 
-    def __neg__(self) -> Coefficient:
+    def __neg__(self) -> "ExpPoly":
         return self * (-1.0)
 
     def derivative(self, order: int = 1) -> "ExpPoly":
@@ -268,69 +229,3 @@ class ExpPoly(Coefficient):
 
     def max_rate(self) -> float:
         return max((abs(r) for r, _ in self.terms), default=0.0)
-
-
-@dataclass(frozen=True)
-class FuncCoeff(Coefficient):
-    """Coefficient given by explicit callables for value and derivatives."""
-
-    derivs: tuple[Callable, ...]
-
-    def __call__(self, y, order: int = 0):
-        if order >= len(self.derivs):
-            raise ValueError(
-                f"derivative of order {order} not provided (have {len(self.derivs)})"
-            )
-        arr = np.asarray(y, dtype=complex)
-        out = np.asarray(self.derivs[order](arr), dtype=complex)
-        if np.isscalar(y):
-            return complex(out)
-        return out
-
-    def derivative(self, order: int = 1) -> Coefficient:
-        return _Shifted(self, order)
-
-
-@dataclass(frozen=True)
-class _Shifted(Coefficient):
-    base: Coefficient
-    shift: int
-
-    def __call__(self, y, order: int = 0):
-        return self.base(y, order=order + self.shift)
-
-    def derivative(self, order: int = 1) -> Coefficient:
-        return _Shifted(self.base, self.shift + order)
-
-
-@dataclass(frozen=True)
-class _Conjugated(Coefficient):
-    base: Coefficient
-
-    def __call__(self, y, order: int = 0):
-        val = self.base(y, order=order)
-        return np.conjugate(val) if not np.isscalar(val) else complex(val).conjugate()
-
-    def conjugate(self) -> Coefficient:
-        return self.base
-
-
-@dataclass(frozen=True)
-class _Sum(Coefficient):
-    parts: tuple[Coefficient, ...]
-
-    def __call__(self, y, order: int = 0):
-        vals = [p(y, order=order) for p in self.parts]
-        out = vals[0]
-        for v in vals[1:]:
-            out = out + v
-        return out
-
-
-@dataclass(frozen=True)
-class _Scaled(Coefficient):
-    base: Coefficient
-    factor: complex
-
-    def __call__(self, y, order: int = 0):
-        return self.factor * self.base(y, order=order)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coeffs import polyval
 from .errors import RegularKernelError, SingularKernelError
 from .families import CommutingPair, DiffOp
 from .kernels import KernelSpec, kernel_values
@@ -142,11 +143,7 @@ def k_reg_values(pair: CommutingPair, Z: np.ndarray) -> np.ndarray:
         (kv,) = kernel_values(pair.kernel, Z[far], orders=(0,))
         out[far] = kv - r / Z[far]
     if np.any(near):
-        zz = Z[near]
-        acc = np.zeros_like(zz)
-        for c in reversed(series[1:]):
-            acc = acc * zz + c
-        out[near] = acc
+        out[near] = polyval(series[1:], Z[near])
     return out
 
 

@@ -18,10 +18,14 @@ Evaluation strategy:
 The switch radius translates the fixed argument window 1e-3 through the
 denominator's fastest rate, matching the accuracy targets of 1e-12 away
 from a switch and 1e-10 at it.
+
+``build_kernel`` is the one constructor of a :class:`KernelSpec`; a gauge
+transform rebuilds its kernel through it from the shifted numerator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,9 +62,9 @@ class KernelSpec:
     singular: bool
     series: tuple[complex, ...]
     trivial: bool
-    removable_zeros: tuple[float, ...] = ()
-    switch_radius: float = SWITCH_ARG
-    local_series: dict = field(default_factory=dict, compare=False, repr=False)
+    removable_zeros: tuple[float, ...]
+    switch_radius: float
+    local_series: dict = field(compare=False, repr=False)
 
     def residue(self) -> complex:
         if not self.singular:
@@ -151,19 +155,12 @@ def _real_denominator_zeros(den: ExpPoly) -> list[float]:
 
 
 def _laurent_eval(series, z, order: int):
-    """Evaluate d^order/dz^order of (sum series[j] z^j)/z."""
-    out = np.zeros_like(z)
-    for j, c in enumerate(series):
-        p = j - 1  # power of z
-        if order == 0:
-            out = out + c * z**p
-        else:
-            f = 1.0
-            for i in range(order):
-                f *= p - i
-            if f != 0.0:
-                out = out + c * f * z ** (p - order)
-    return out
+    """Evaluate d^order/dz^order of (sum series[j] z^j)/z.
+
+    That is the pole term series[0]/z plus the Taylor series series[1:].
+    """
+    pole = series[0] * (-1) ** order * math.factorial(order) / z ** (order + 1)
+    return pole + polyval(polyder(series[1:], order), z)
 
 
 def kernel_values(spec: KernelSpec, z, orders: tuple[int, ...] = (0,)):

@@ -32,31 +32,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import Coefficient
 from .errors import DegenerateError
 from .families import DiffOp, GaugeRecord
 from .residuals import chebyshev_points
 
 INTERIOR_DELTA = 1e-2
+INTERIOR_POINTS = 21
+# grid size and top Legendre degree of selfadjoint_matrix_defect
+MATRIX_N = 48
+MATRIX_KMAX = 16
 _TINY = 1e-300
 
 
-def interior_points(npts: int = 21) -> np.ndarray:
-    return chebyshev_points(npts, -1.0 + INTERIOR_DELTA, 1.0 - INTERIOR_DELTA)
+def interior_points() -> np.ndarray:
+    return chebyshev_points(INTERIOR_POINTS, -1.0 + INTERIOR_DELTA, 1.0 - INTERIOR_DELTA)
 
 
 def adjoint_coeffs(op: DiffOp) -> DiffOp:
     """Coefficient triple of the formal adjoint L*."""
     a, b, c = op.a, op.b, op.c
-    astar: Coefficient = a.conjugate()
+    astar = a.conjugate()
     bstar = 2.0 * a.derivative().conjugate() - b.conjugate()
     cstar = a.derivative(2).conjugate() - b.derivative().conjugate() + c.conjugate()
     return DiffOp(a=astar, b=bstar, c=cstar, gauge=GaugeRecord())
 
 
-def is_selfadjoint(op: DiffOp, tol: float = 1e-10, npts: int = 21) -> tuple[bool, dict]:
+def is_selfadjoint(op: DiffOp, tol: float = 1e-10) -> tuple[bool, dict]:
     """Pointwise self-adjointness conditions; returns (verdict, residuals)."""
-    y = interior_points(npts)
+    y = interior_points()
     av = np.asarray(op.a(y))
     apv = np.asarray(op.a(y, order=1))
     bv = np.asarray(op.b(y))
@@ -71,7 +74,7 @@ def is_selfadjoint(op: DiffOp, tol: float = 1e-10, npts: int = 21) -> tuple[bool
     return ok, residuals
 
 
-def commute_conditions(L: DiffOp, D: DiffOp, npts: int = 21) -> dict:
+def commute_conditions(L: DiffOp, D: DiffOp) -> dict:
     """Residuals of the four identities equivalent to LD = DL.
 
         a A' = A a'
@@ -79,7 +82,7 @@ def commute_conditions(L: DiffOp, D: DiffOp, npts: int = 21) -> dict:
         a B'' + 2a C' + b B' = A b'' + 2A c' + B b'
         a C'' + b C' = A c'' + B c'
     """
-    y = interior_points(npts)
+    y = interior_points()
     a = np.asarray(L.a(y))
     if np.max(np.abs(a)) < 1e-13:
         raise DegenerateError("commutation conditions assume a != 0")
@@ -119,7 +122,7 @@ class NormalityReport:
         }
 
 
-def is_normal(op: DiffOp, tol: float = 1e-10, npts: int = 21) -> NormalityReport:
+def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
     """Check the displayed normality conditions for L.
 
     A self-adjoint operator is reported normal immediately.  Otherwise the
@@ -130,8 +133,8 @@ def is_normal(op: DiffOp, tol: float = 1e-10, npts: int = 21) -> NormalityReport
     self-adjoint conditions up to an imaginary constant shift of c, and
     the positivity/real-constant entries do not apply.
     """
-    sa_ok, sa_res = is_selfadjoint(op, tol=tol, npts=npts)
-    y = interior_points(npts)
+    sa_ok, sa_res = is_selfadjoint(op, tol=tol)
+    y = interior_points()
     av = np.asarray(op.a(y))
     if np.max(np.abs(av)) < 1e-13:
         report = dict(sa_res)
@@ -207,21 +210,21 @@ def is_normal(op: DiffOp, tol: float = 1e-10, npts: int = 21) -> NormalityReport
     )
 
 
-def selfadjoint_matrix_defect(op: DiffOp, n: int = 48, kmax: int = 16) -> float:
+def selfadjoint_matrix_defect(op: DiffOp) -> float:
     """Weighted-collocation symmetry defect of L on the low Legendre modes.
 
     Assembles B[p,q] = <L phi_q, phi_p> with quadrature-weighted inner
-    products over Legendre polynomials up to degree kmax (well inside the
-    rule's exactness range, so boundary terms vanish exactly through the
-    operator's own boundary conditions) and returns the relative
-    anti-Hermitian part of B.
+    products over Legendre polynomials up to degree MATRIX_KMAX on the
+    MATRIX_N-point grid (well inside the rule's exactness range, so
+    boundary terms vanish exactly through the operator's own boundary
+    conditions) and returns the relative anti-Hermitian part of B.
     """
     from .discretize import build_grid, collocation_L, legendre_polys
 
-    grid = build_grid(n)
+    grid = build_grid(MATRIX_N)
     x, w = grid.nodes, grid.weights
-    P = legendre_polys(x, kmax).T
-    nrm = np.sqrt(2.0 / (2.0 * np.arange(kmax + 1) + 1.0))
+    P = legendre_polys(x, MATRIX_KMAX).T
+    nrm = np.sqrt(2.0 / (2.0 * np.arange(MATRIX_KMAX + 1) + 1.0))
     Phi = P / nrm[None, :]
     Lm = collocation_L(op, grid).entries
     B = (Phi.conj().T * w[None, :]) @ (Lm @ Phi)

@@ -37,7 +37,10 @@ from .errors import (
 from .families import CommutingPair, DiffOp, gauge_transform
 from .kernels import KernelSpec, kernel_values
 
-DEFAULT_Z_EXCLUSION = 1e-2
+# pole kernels drop the samples with |z| <= Z_EXCLUSION
+Z_EXCLUSION = 1e-2
+# Chebyshev points on [-1, 1] for the derivative-at-zero checks
+CHECK_POINTS = 21
 
 
 @dataclass(frozen=True)
@@ -76,18 +79,15 @@ def _mixed_residual(
     opR: DiffOp,
     ny: int,
     nz: int,
-    z_exclusion: float | None,
 ) -> ResidualReport:
     if ny < 2 or nz < 2:
         raise GridError("residual grid needs ny >= 2 and nz >= 2")
-    if z_exclusion is None:
-        z_exclusion = DEFAULT_Z_EXCLUSION if kernel.singular else 0.0
 
     # tensor grid: row i holds y_i and nz points z with y_i + z in [-1, 1];
     # the kept points are flattened in row-major order
     ys = chebyshev_points(ny)
     Z = chebyshev_points(nz, -1.0 - ys[:, None], 1.0 - ys[:, None])
-    keep = np.abs(Z) > z_exclusion if z_exclusion > 0 else np.ones(Z.shape, dtype=bool)
+    keep = np.abs(Z) > Z_EXCLUSION if kernel.singular else np.ones(Z.shape, dtype=bool)
     row = np.nonzero(keep)[0]
     z = Z[keep]
     if z.size == 0:
@@ -117,14 +117,9 @@ def _mixed_residual(
     )
 
 
-def residual_R1(
-    pair: CommutingPair,
-    ny: int = 41,
-    nz: int = 41,
-    z_exclusion: float | None = None,
-) -> ResidualReport:
+def residual_R1(pair: CommutingPair, ny: int = 41, nz: int = 41) -> ResidualReport:
     """Residual of the defining identity F(y,z) = 0 for a single pair."""
-    return _mixed_residual(pair.kernel, pair.op, pair.op, ny, nz, z_exclusion)
+    return _mixed_residual(pair.kernel, pair.op, pair.op, ny, nz)
 
 
 def residual_R2(
@@ -133,10 +128,9 @@ def residual_R2(
     L2: DiffOp,
     ny: int = 41,
     nz: int = 41,
-    z_exclusion: float | None = None,
 ) -> ResidualReport:
     """Residual of the intertwining identity with L2 sampled at y+z, L1 at y."""
-    return _mixed_residual(kernel, L1, L2, ny, nz, z_exclusion)
+    return _mixed_residual(kernel, L1, L2, ny, nz)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +152,7 @@ def derivative_coefficients(kernel: KernelSpec, upto: int) -> np.ndarray:
     return out
 
 
-def taylor_relation_check(pair: CommutingPair, N: int, npts: int = 21) -> np.ndarray:
+def taylor_relation_check(pair: CommutingPair, N: int) -> np.ndarray:
     """Max-abs residual of the n-th derivative relation at z=0 for n = 0..N.
 
     The n-th relation reads
@@ -166,25 +160,27 @@ def taylor_relation_check(pair: CommutingPair, N: int, npts: int = 21) -> np.nda
         2a' k_{n+1} + (b' - a'') k_n
         + sum_{j<n} C(n,j) [a^(n-j) k_{j+2} + b^(n-j) k_{j+1} + c^(n-j) k_j] = 0
 
-    with k_n the n-th kernel derivative at 0.
+    with k_n the n-th kernel derivative at 0.  Each coefficient derivative
+    is evaluated once and reused by every relation that reads it.
     """
     if pair.kernel.singular:
         raise SingularKernelError("use singular_relation_check for pole kernels")
     if N > len(pair.kernel.series) - 2:
         raise ValueError("N exceeds stored series data")
     k = derivative_coefficients(pair.kernel, N + 1)
-    y = chebyshev_points(npts)
-    a, b, c = pair.op.a, pair.op.b, pair.op.c
+    y = chebyshev_points(CHECK_POINTS)
+    # derivative orders 1..max(N, 2) of a, b and c; index 0 is unused
+    orders = range(1, max(N, 2) + 1)
+    a, b, c = (
+        [None] + [np.asarray(f(y, order=m)) for m in orders]
+        for f in (pair.op.a, pair.op.b, pair.op.c)
+    )
     out = np.empty(N + 1)
     for n in range(N + 1):
-        r = 2.0 * np.asarray(a(y, order=1)) * k[n + 1]
-        r = r + (np.asarray(b(y, order=1)) - np.asarray(a(y, order=2))) * k[n]
+        r = 2.0 * a[1] * k[n + 1]
+        r = r + (b[1] - a[2]) * k[n]
         for j in range(n):
-            r = r + math.comb(n, j) * (
-                np.asarray(a(y, order=n - j)) * k[j + 2]
-                + np.asarray(b(y, order=n - j)) * k[j + 1]
-                + np.asarray(c(y, order=n - j)) * k[j]
-            )
+            r = r + math.comb(n, j) * (a[n - j] * k[j + 2] + b[n - j] * k[j + 1] + c[n - j] * k[j])
         out[n] = float(np.max(np.abs(r)))
     return out
 
@@ -196,7 +192,7 @@ def _fit_scalar(target: np.ndarray, basis: np.ndarray) -> complex:
     return complex(np.sum(np.conj(basis) * target) / denom)
 
 
-def lemma_coeff_check(pair: CommutingPair, npts: int = 21) -> dict:
+def lemma_coeff_check(pair: CommutingPair) -> dict:
     """Residuals of b = a', c = nu*a (nu = -3k2/k0) and a''' + alpha*a' = 0.
 
     The pair is gauge-normalised internally so that k'(0) = 0; alpha is
@@ -208,11 +204,11 @@ def lemma_coeff_check(pair: CommutingPair, npts: int = 21) -> dict:
     if abs(k[0]) < 1e-14:
         raise GaugeError("k(0) = 0: kernel cannot be gauge-normalised")
     if abs(k[1] / k[0]) > 1e-10:
-        pair = gauge_transform(pair, tau=-k[1] / k[0], check=False)
+        pair = gauge_transform(pair, tau=-k[1] / k[0])
         k = derivative_coefficients(pair.kernel, 3)
         if abs(k[1] / k[0]) > 1e-10:
             raise GaugeError("gauge normalisation k1 = 0 failed")
-    y = chebyshev_points(npts)
+    y = chebyshev_points(CHECK_POINTS)
     a, b, c = pair.op.a, pair.op.b, pair.op.c
     nu = -3.0 * k[2] / k[0]
     b_res = float(np.max(np.abs(np.asarray(b(y)) - np.asarray(a(y, order=1)))))
@@ -224,7 +220,7 @@ def lemma_coeff_check(pair: CommutingPair, npts: int = 21) -> dict:
     return {"b_eq_aprime": b_res, "c_eq_nu_a": c_res, "a_ode": ode_res, "nu": nu}
 
 
-def singular_relation_check(pair: CommutingPair, npts: int = 21) -> dict:
+def singular_relation_check(pair: CommutingPair) -> dict:
     """Residual of c + a''/3 + 2 k2 a - b'/2 = const for pole kernels.
 
     The kernel is normalised internally to residue 1 and k1 = 0 (both are
@@ -238,10 +234,10 @@ def singular_relation_check(pair: CommutingPair, npts: int = 21) -> dict:
         raise GaugeError("vanishing residue: kernel is not a simple pole")
     tau = -s[1] / k0
     if abs(tau) > 1e-12 or abs(k0 - 1.0) > 1e-12:
-        pair = gauge_transform(pair, tau=tau, scale=1.0 / k0, check=False)
+        pair = gauge_transform(pair, tau=tau, scale=1.0 / k0)
         s = pair.kernel.series
     k2 = s[2]
-    y = chebyshev_points(npts)
+    y = chebyshev_points(CHECK_POINTS)
     a, b, c = pair.op.a, pair.op.b, pair.op.c
     v = (
         np.asarray(c(y))

@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,25 @@ from commutant_lab import (
     make_general_pair,
     make_special_pair,
 )
+
+@dataclass(frozen=True)
+class CallableCoeff:
+    """Test-only coefficient from explicit callables (value, f', f'', ...).
+
+    For fixtures outside the exponential polynomials, such as sqrt(1 - y^2)
+    factors; it supports what ``is_normal`` reads: ``f(y, order)`` and
+    scalar multiples.
+    """
+
+    derivs: tuple[Callable, ...]
+
+    def __call__(self, y, order: int = 0):
+        out = np.asarray(self.derivs[order](np.asarray(y, dtype=complex)), dtype=complex)
+        return complex(out) if np.isscalar(y) else out
+
+    def __rmul__(self, scalar: complex) -> "CallableCoeff":
+        return CallableCoeff(tuple(lambda y, f=f: scalar * f(y) for f in self.derivs))
+
 
 SINC_PARAMS = General(lam=0.0, mu=1j * np.pi / 2, alpha1=1.0, alpha2=0.0)
 ANALYTIC_PARAMS = General(lam=1.0, mu=2.0, alpha1=1.0, alpha2=0.0)

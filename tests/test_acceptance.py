@@ -45,6 +45,7 @@ from commutant_lab import (
     taylor_relation_check,
 )
 from commutant_lab.cli import main as cli_main
+from conftest import CallableCoeff
 
 SINC = General(lam=0.0, mu=1j * np.pi / 2, alpha1=1.0, alpha2=0.0)
 ANALYTIC = General(lam=1.0, mu=2.0, alpha1=1.0, alpha2=0.0)
@@ -283,13 +284,11 @@ def _normality_instances():
 
 
 def _normal_not_selfadjoint_op() -> DiffOp:
-    from commutant_lab import FuncCoeff
-
     s = lambda y: np.sqrt(1 - y**2)
-    b = FuncCoeff(
+    b = CallableCoeff(
         (lambda y: -2 * y + s(y), lambda y: -2 - y / s(y), lambda y: -1 / s(y) ** 3)
     )
-    c = FuncCoeff(
+    c = CallableCoeff(
         (
             lambda y: -0.5 - y**2 / (2 * (1 - y**2)) - 2 * y / s(y),
             lambda y: -y / (1 - y**2) ** 2 - 2 / s(y) ** 3,

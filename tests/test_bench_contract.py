@@ -1,0 +1,42 @@
+"""The names the benchmark's tracer wraps must exist in the package.
+
+``bench/tracing.py`` wraps layers by (module, function) name, plus
+``ExpPoly.__call__`` and the CLI command table.  Deleting or renaming one
+of them breaks the benchmark; these tests make that fail in tier 1 too,
+not only in ``bench/tests``.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layers_are_callables(tracing):
+    for mod_name, fn_name in tracing.TARGETS:
+        module = importlib.import_module(f"{tracing.PACKAGE}.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+
+
+def test_exppoly_call_is_defined_on_the_class(tracing):
+    mod_name, cls_name, method = tracing.EXPPOLY_CALL.split(".")
+    cls = getattr(importlib.import_module(f"{tracing.PACKAGE}.{mod_name}"), cls_name)
+    # the tracer patches the class's own attribute, not an inherited one
+    assert callable(vars(cls).get(method))
+
+
+def test_cli_commands_hold_traced_commands(tracing):
+    from commutant_lab import cli
+
+    assert set(tracing.COMMAND_NAMES) <= set(cli.COMMANDS)

@@ -12,6 +12,7 @@ SINC = {
     "alpha1": [1.0, 0.0],
     "alpha2": [0.0, 0.0],
 }
+CASE1 = {"variant": "case1", "m": 0, "alpha": [1.0, 0.0], "beta": [1.0, 0.0]}
 CASE4 = {"variant": "case4", "beta": [0.0, 0.0], "p": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
 
 
@@ -135,6 +136,15 @@ def test_malformed_config(tmp_path):
         ("spectrum", {"params": SINC, "n": 8, "m": 9}),
         ("sweep", {"count": 0}),
         ("sweep", {"seed": -1}),
+        ("verify", {"params": [SINC]}),
+        ("verify", {"params": {**SINC, "lambda": [1]}}),
+        ("verify", {"params": {**SINC, "lambda": [float("nan"), 0.0]}}),
+        ("verify", {"params": {**SINC, "mu": [0.0, float("inf")]}}),
+        ("verify", {"params": {**SINC, "alpha1": [True, 0.0]}}),
+        ("verify", {"params": {**SINC, "alpha1": "1"}}),
+        ("verify", {"params": {**CASE4, "p": [[1.0, 0.0, 0.0]]}}),
+        ("verify", {"params": {**CASE1, "m": 1.7}}),
+        ("verify", {"params": {**CASE1, "m": True}}),
     ]
     for i, (command, raw) in enumerate(bad_inputs):
         cfg = write_config(tmp_path / f"bad{i}.json", **raw)

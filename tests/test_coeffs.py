@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commutant_lab.coeffs import ExpPoly, FuncCoeff
+from commutant_lab.coeffs import ExpPoly
 
 
 def fd2(f, y, h=1e-5):
@@ -128,14 +128,3 @@ def test_derivative_matches_finite_differences(rate, y):
     f = ExpPoly.exponential(rate, (0.3, -1.0, 0.5)) + ExpPoly.polynomial((1.0, 2.0))
     num = fd2(lambda t: f(t), y)
     assert abs(f(y, order=1) - num) < 1e-7 * (1 + abs(num))
-
-
-def test_funccoeff_orders_and_algebra():
-    f = FuncCoeff((np.sin, np.cos))
-    assert f(0.3) == pytest.approx(np.sin(0.3))
-    assert f(0.3, order=1) == pytest.approx(np.cos(0.3))
-    with pytest.raises(ValueError):
-        f(0.3, order=2)
-    g = 2.0 * f + ExpPoly.constant(1.0)
-    assert g(0.3) == pytest.approx(2 * np.sin(0.3) + 1)
-    assert g.derivative()(0.3) == pytest.approx(2 * np.cos(0.3))

@@ -5,8 +5,10 @@ import pytest
 
 from commutant_lab import (
     Case1,
+    Case2,
     General,
     eval_kernel,
+    gauge_transform,
     kernel_derivs,
     kernel_values,
     make_general_pair,
@@ -78,6 +80,60 @@ def test_removable_zero_series_matches_mpmath(pair, closed, zeros):
         for m in range(3):
             for g, zz in zip(got[m], z):
                 w = mpmath.diff(k, mpmath.mpf(float(zz)), m)
+                assert abs(mpmath.mpc(g) - w) <= 1e-11 * abs(w), (m, zz, g, complex(w))
+
+
+GENERAL_POLE = General(lam=1.1 + 0.6j, mu=0.5 - 0.3j, alpha1=0.4 + 0.2j, alpha2=1.0 - 0.5j)
+CASE2 = Case2(lam=1.5 + 0.7j, alpha=1.0, beta=1.0)
+
+
+def _general_pole_closed_form(mpmath):
+    lam, mu = mpmath.mpc(GENERAL_POLE.lam), mpmath.mpc(GENERAL_POLE.mu)
+    a1, a2 = mpmath.mpc(GENERAL_POLE.alpha1), mpmath.mpc(GENERAL_POLE.alpha2)
+    return lambda z: (
+        lam / mpmath.sinh(lam * z / 2) * (a1 * mpmath.sinh(mu * z) / mu + a2 * mpmath.cosh(mu * z))
+    )
+
+
+def _case2_closed_form(mpmath):
+    lam = mpmath.mpc(CASE2.lam)
+    return lambda z: 1 / mpmath.sinh(lam * z / 2)
+
+
+@pytest.mark.parametrize("tau, scale", [(0.0, 1.0), (0.35 - 0.2j, 0.8 + 0.6j)], ids=["plain", "gauged"])
+@pytest.mark.parametrize(
+    "pair, closed",
+    [
+        (make_general_pair(GENERAL_POLE), _general_pole_closed_form),
+        (make_special_pair(Case1(m=0, alpha=1.0, beta=1.0)), _case1_closed_form(0)),
+        (make_special_pair(CASE2), _case2_closed_form),
+    ],
+    ids=["general-pole", "case1", "case2"],
+)
+def test_pole_kernel_values_match_mpmath(pair, closed, tau, scale):
+    # scale * e^{tau z} * k(z) and its first two derivatives on all three
+    # evaluation paths: the Laurent series inside the switch radius r of the
+    # pole, the local series within r of a removable zero, the direct ratio
+    mpmath = pytest.importorskip("mpmath")
+    spec = gauge_transform(pair, tau=tau, scale=scale).kernel
+    r = spec.switch_radius
+    offsets = np.linspace(r / 4, 0.99 * r, 3)
+    centres = (0.0,) + spec.removable_zeros
+    z = np.concatenate(
+        [z0 + s * offsets for z0 in centres for s in (-1, 1)]
+        + [np.array([-1.7, -0.9, -0.35, 0.2, 0.75, 1.3, 1.85])]
+    )
+    got = kernel_values(spec, z, orders=(0, 1, 2))
+    with mpmath.workdps(40):
+        k = closed(mpmath)
+        t, c = mpmath.mpc(tau), mpmath.mpc(scale)
+
+        def gauged(x):
+            return c * mpmath.exp(t * x) * k(x)
+
+        for m in range(3):
+            for g, zz in zip(got[m], z):
+                w = mpmath.diff(gauged, mpmath.mpf(float(zz)), m)
                 assert abs(mpmath.mpc(g) - w) <= 1e-11 * abs(w), (m, zz, g, complex(w))
 
 

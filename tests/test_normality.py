@@ -8,7 +8,6 @@ from commutant_lab import (
     DegenerateError,
     DiffOp,
     ExpPoly,
-    FuncCoeff,
     adjoint_coeffs,
     commute_conditions,
     interior_points,
@@ -17,6 +16,7 @@ from commutant_lab import (
     make_special_pair,
     selfadjoint_matrix_defect,
 )
+from conftest import CallableCoeff
 
 
 def coeffs_close(f, g, tol=1e-12):
@@ -152,14 +152,14 @@ def normal_fixture() -> DiffOp:
     """a = 1-y^2, b0 = -2y, gamma = 1, b1 = sqrt(a), c1 = -2y/sqrt(a),
     c0 = -1/2 - y^2/(2(1-y^2)): satisfies every displayed condition."""
     s = lambda y: np.sqrt(1 - y**2)
-    b = FuncCoeff(
+    b = CallableCoeff(
         (
             lambda y: -2 * y + s(y),
             lambda y: -2 - y / s(y),
             lambda y: -1 / s(y) ** 3,
         )
     )
-    c = FuncCoeff(
+    c = CallableCoeff(
         (
             lambda y: -0.5 - y**2 / (2 * (1 - y**2)) - 2 * y / s(y),
             lambda y: -y / (1 - y**2) ** 2 - 2 / s(y) ** 3,

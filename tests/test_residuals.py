@@ -21,7 +21,7 @@ from commutant_lab import (
     taylor_relation_check,
 )
 from commutant_lab.kernels import kernel_values
-from commutant_lab.residuals import DEFAULT_Z_EXCLUSION, chebyshev_points
+from commutant_lab.residuals import Z_EXCLUSION, chebyshev_points
 
 
 def perturb_c(pair, extra: ExpPoly):
@@ -68,7 +68,7 @@ def test_argmax_in_domain(case2_pair):
 def _reference_R1(pair, ny, nz):
     """F(y, z) point by point over the tensor grid, rows in ascending y."""
     a, b, c = pair.op.a, pair.op.b, pair.op.c
-    excl = DEFAULT_Z_EXCLUSION if pair.kernel.singular else 0.0
+    excl = Z_EXCLUSION if pair.kernel.singular else 0.0
     max_abs, argmax, sumsq, count = -1.0, None, 0.0, 0
     for y in chebyshev_points(ny):
         for z in chebyshev_points(nz, -1.0 - y, 1.0 - y):
