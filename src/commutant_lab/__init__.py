@@ -30,16 +30,13 @@ from .families import (
     CommutingPair,
     DiffOp,
     FamilyParams,
-    GaugeRecord,
     General,
     check_admissibility,
     classify_trivial,
     eval_kernel,
     gauge_transform,
     kernel_derivs,
-    make_general_pair,
     make_pair,
-    make_special_pair,
     params_from_json,
     params_to_json,
 )

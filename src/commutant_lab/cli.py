@@ -75,6 +75,10 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# points of kernel_samples.csv, evenly spaced on [-2, 2]
+KERNEL_SAMPLES = 401
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -151,8 +155,8 @@ def _require_params(cfg: RunConfig) -> FamilyParams:
     return cfg.params
 
 
-def _sample_kernel(pair: CommutingPair, npts: int = 401):
-    z = np.linspace(-2.0, 2.0, npts)
+def _sample_kernel(pair: CommutingPair):
+    z = np.linspace(-2.0, 2.0, KERNEL_SAMPLES)
     if pair.kernel.singular:
         z = z[np.abs(z) > 1e-6]
     (kv,) = kernel_values(pair.kernel, z, orders=(0,))
@@ -428,7 +432,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CommutantError, ValueError, ZeroDivisionError) as exc:
+    except (CommutantError, ValueError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -12,16 +12,17 @@ coefficient triple
     c(y) = (lambda^2/4 - mu^2) a(y).
 
 Four special parameter choices admit strictly larger commuting operators;
-their constructors reproduce the corresponding closed forms verbatim and
-assert, at construction time, that the stated parameter specialisation
-collapses them back onto the general family.
+their parts reproduce the corresponding closed forms verbatim and assert,
+at construction time, that the stated parameter specialisation collapses
+them back onto the general family.  ``make_pair`` is the one constructor
+of a pair, whatever the variant.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -91,20 +92,12 @@ FamilyParams = Union[General, Case1, Case2, Case3, Case4]
 
 
 @dataclass(frozen=True)
-class GaugeRecord:
-    tau: complex = 0j
-    scale: complex = 1 + 0j
-    shift: complex = 0j
-
-
-@dataclass(frozen=True)
 class DiffOp:
     """Second-order operator L u = a u'' + b u' + c u with analytic coefficients."""
 
     a: ExpPoly
     b: ExpPoly
     c: ExpPoly
-    gauge: GaugeRecord = field(default_factory=GaugeRecord)
 
     def boundary_residual(self) -> float:
         """max |a(+-1)| and |b(+-1) - a'(+-1)| over both endpoints."""
@@ -284,23 +277,26 @@ def _general_nu(lam: complex, mu: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# constructors
+# constructors: each variant's parts function validates its parameters and
+# returns (N, D, (a, b, c), nu); make_pair assembles the pair from them
 
 
-def make_general_pair(params: General) -> CommutingPair:
-    """Construct the general-family pair, taking limits for small lambda/mu."""
+def _general_parts(params: General):
+    """The general family, taking limits for small lambda/mu."""
     if params.alpha1 == 0 and params.alpha2 == 0:
         raise DegenerateError("alpha1 = alpha2 = 0 gives the zero kernel")
     adm = check_admissibility(params)
     if not adm.ok:
         raise AdmissibilityError(adm.reason)
     num, den = _general_kernel_parts(params.lam, params.mu, params.alpha1, params.alpha2)
-    singular = params.alpha2 != 0
-    kernel = build_kernel(num, den, singular=singular, trivial=classify_trivial(params))
     a, b = _general_coeffs(params.lam)
     nu = _general_nu(params.lam, params.mu)
-    op = DiffOp(a=a, b=b, c=nu * a)
-    return CommutingPair(kernel=kernel, op=op, params=params, nu=nu)
+    return num, den, (a, b, nu * a), nu
+
+
+def _case1_kernel(m: int):
+    """cos((2m+1) pi z/4) / sin(pi z/2) as (N, D)."""
+    return ExpPoly.cosh(1j * (2 * m + 1) * math.pi / 4.0), ExpPoly.sinh(1j * math.pi / 2.0, -1j)
 
 
 def _case1_triple(m: int, alpha: complex, beta: complex):
@@ -314,6 +310,13 @@ def _case1_triple(m: int, alpha: complex, beta: complex):
     return a, a.derivative(), nu
 
 
+def _case1_parts(params: Case1):
+    num, den = _case1_kernel(params.m)
+    a, b, nu = _case1_triple(params.m, params.alpha, params.beta)
+    _assert_recovery_case1(params)
+    return num, den, (a, b, nu * a), nu
+
+
 def _case2_triple(lam: complex, alpha: complex, beta: complex):
     a0 = ExpPoly.cosh(lam) + ExpPoly.constant(-cmath.cosh(lam))
     a0p = a0.derivative()
@@ -323,16 +326,22 @@ def _case2_triple(lam: complex, alpha: complex, beta: complex):
     return a, b, c
 
 
-def _poly_mul(p, q):
-    out = [0j] * (len(p) + len(q) - 1)
-    for i, u in enumerate(p):
-        for j, v in enumerate(q):
-            out[i + j] += u * v
-    return tuple(out)
+def _case2_parts(params: Case2):
+    adm = check_admissibility(params)
+    if not adm.ok:
+        if abs(params.lam) < DEGENERACY_THRESHOLD:
+            raise DegenerateError(adm.reason)
+        raise AdmissibilityError(adm.reason)
+    if params.alpha == 0 and params.beta == 0:
+        raise DegenerateError("alpha = beta = 0 gives the zero operator")
+    abc = _case2_triple(params.lam, params.alpha, params.beta)
+    nu = params.lam**2 / 4.0 if (params.beta == 0 and params.alpha != 0) else None
+    _assert_recovery_case2(params)
+    return ExpPoly.constant(1.0), ExpPoly.sinh(params.lam / 2.0), abc, nu
 
 
 def _case34_a(p):
-    return ExpPoly.polynomial(_poly_mul((-1.0, 0.0, 1.0), p))  # (y^2-1) p(y)
+    return ExpPoly.polynomial(np.convolve((-1.0, 0.0, 1.0), p))  # (y^2-1) p(y)
 
 
 def _case3_triple(beta: complex, p):
@@ -348,11 +357,32 @@ def _case3_triple(beta: complex, p):
     return a, b, c
 
 
+def _case3_parts(params: Case3):
+    if params.beta == 0:
+        raise ZeroDivisionError("case3 kernel 1/beta + 1/z requires beta != 0")
+    p = _normalize_p(params.p)
+    if p[1] != 0:
+        raise InvalidPolynomialError("case3 requires p'(0) = 0")
+    abc = _case3_triple(params.beta, p)
+    nu = 0j if p[2] == 0 else None
+    _assert_recovery_case34(params)
+    num = ExpPoly.polynomial((1.0, 1.0 / params.beta))  # 1 + z/beta
+    return num, ExpPoly.polynomial((0.0, 1.0)), abc, nu
+
+
 def _case4_triple(beta: complex, p):
     a = _case34_a(p)
     b = a.derivative() + ExpPoly.polynomial((-beta, 0.0, beta))  # + beta (y^2 - 1)
     c = ExpPoly.polynomial((0.0, p[1] + beta, 2.0 * p[2]))  # y p'(y) + beta y
     return a, b, c
+
+
+def _case4_parts(params: Case4):
+    p = _normalize_p(params.p)
+    abc = _case4_triple(params.beta, p)
+    nu = 0j if (p[1] == 0 and p[2] == 0 and params.beta == 0) else None
+    _assert_recovery_case34(params)
+    return ExpPoly.constant(1.0), ExpPoly.polynomial((0.0, 1.0)), abc, nu
 
 
 def _normalize_p(p) -> tuple[complex, complex, complex]:
@@ -363,64 +393,24 @@ def _normalize_p(p) -> tuple[complex, complex, complex]:
     return coeffs
 
 
-def make_special_pair(params: Case1 | Case2 | Case3 | Case4) -> CommutingPair:
-    """Construct one of the four special-case pairs from its closed form."""
-    if isinstance(params, Case1):
-        num = ExpPoly.cosh(1j * (2 * params.m + 1) * math.pi / 4.0)  # cos((2m+1)pi z/4)
-        den = ExpPoly.sinh(1j * math.pi / 2.0, -1j)  # sin(pi z/2)
-        kernel = build_kernel(num, den, singular=True, trivial=False)
-        a, b, nu = _case1_triple(params.m, params.alpha, params.beta)
-        op = DiffOp(a=a, b=b, c=nu * a)
-        pair = CommutingPair(kernel=kernel, op=op, params=params, nu=nu)
-        _assert_recovery_case1(params)
-        return pair
-    if isinstance(params, Case2):
-        adm = check_admissibility(params)
-        if not adm.ok:
-            if abs(params.lam) < DEGENERACY_THRESHOLD:
-                raise DegenerateError(adm.reason)
-            raise AdmissibilityError(adm.reason)
-        if params.alpha == 0 and params.beta == 0:
-            raise DegenerateError("alpha = beta = 0 gives the zero operator")
-        num = ExpPoly.constant(1.0)
-        den = ExpPoly.sinh(params.lam / 2.0)
-        kernel = build_kernel(num, den, singular=True, trivial=False)
-        a, b, c = _case2_triple(params.lam, params.alpha, params.beta)
-        nu = params.lam**2 / 4.0 if (params.beta == 0 and params.alpha != 0) else None
-        pair = CommutingPair(kernel=kernel, op=DiffOp(a=a, b=b, c=c), params=params, nu=nu)
-        _assert_recovery_case2(params)
-        return pair
-    if isinstance(params, Case3):
-        if params.beta == 0:
-            raise ZeroDivisionError("case3 kernel 1/beta + 1/z requires beta != 0")
-        p = _normalize_p(params.p)
-        if p[1] != 0:
-            raise InvalidPolynomialError("case3 requires p'(0) = 0")
-        num = ExpPoly.polynomial((1.0, 1.0 / params.beta))  # 1 + z/beta
-        den = ExpPoly.polynomial((0.0, 1.0))
-        kernel = build_kernel(num, den, singular=True, trivial=False)
-        a, b, c = _case3_triple(params.beta, p)
-        nu = 0j if p[2] == 0 else None
-        pair = CommutingPair(kernel=kernel, op=DiffOp(a=a, b=b, c=c), params=params, nu=nu)
-        _assert_recovery_case34(params)
-        return pair
-    if isinstance(params, Case4):
-        p = _normalize_p(params.p)
-        num = ExpPoly.constant(1.0)
-        den = ExpPoly.polynomial((0.0, 1.0))
-        kernel = build_kernel(num, den, singular=True, trivial=False)
-        a, b, c = _case4_triple(params.beta, p)
-        nu = 0j if (p[1] == 0 and p[2] == 0 and params.beta == 0) else None
-        pair = CommutingPair(kernel=kernel, op=DiffOp(a=a, b=b, c=c), params=params, nu=nu)
-        _assert_recovery_case34(params)
-        return pair
-    raise TypeError(f"make_special_pair got a non-special variant: {params!r}")
+_PARTS = {
+    General: _general_parts,
+    Case1: _case1_parts,
+    Case2: _case2_parts,
+    Case3: _case3_parts,
+    Case4: _case4_parts,
+}
 
 
 def make_pair(params: FamilyParams) -> CommutingPair:
-    if isinstance(params, General):
-        return make_general_pair(params)
-    return make_special_pair(params)
+    """Construct the pair of any variant: the general family or a special case."""
+    parts = _PARTS.get(type(params))
+    if parts is None:
+        raise TypeError(f"unknown params variant: {params!r}")
+    num, den, (a, b, c), nu = parts(params)
+    return CommutingPair(
+        kernel=build_kernel(num, den), op=DiffOp(a=a, b=b, c=c), params=params, nu=nu
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +446,7 @@ def _assert_recovery_case1(params: Case1) -> None:
     _assert_proportional(a_s(_RECOVERY_Y), a_g(_RECOVERY_Y), "case1 a")
     if abs(nu_s - _general_nu(lam, mu)) > 1e-10 * max(1.0, abs(nu_s)):
         raise AssertionError("recovery check failed for case1 nu")
-    num_s = ExpPoly.cosh(1j * (2 * m + 1) * math.pi / 4.0)
-    den_s = ExpPoly.sinh(1j * math.pi / 2.0, -1j)
+    num_s, den_s = _case1_kernel(m)
     num_g, den_g = _general_kernel_parts(lam, mu, 0.0, 1.0)
     _assert_proportional(
         _kernel_samples(num_s, den_s, _RECOVERY_Z),
@@ -536,21 +525,14 @@ def gauge_transform(
     scale = complex(scale)
     shift = complex(shift)
     spec = pair.kernel
-    kernel = build_kernel(
-        scale * spec.numerator.exp_shift(tau),
-        spec.denominator,
-        singular=spec.singular,
-        trivial=spec.trivial,
-    )
+    kernel = build_kernel(scale * spec.numerator.exp_shift(tau), spec.denominator)
     a, b, c = pair.op.a, pair.op.b, pair.op.c
     new_b = b + (-2.0 * tau) * a
     new_c = c + (-tau) * b + (tau * tau) * a + ExpPoly.constant(shift)
-    old = pair.op.gauge
-    record = GaugeRecord(tau=old.tau + tau, scale=old.scale * scale, shift=old.shift + shift)
     nu = pair.nu if (tau == 0 and shift == 0) else None
     return CommutingPair(
         kernel=kernel,
-        op=DiffOp(a=a, b=new_b, c=new_c, gauge=record),
+        op=DiffOp(a=a, b=new_b, c=new_c),
         params=pair.params,
         nu=nu,
     )

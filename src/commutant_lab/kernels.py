@@ -19,8 +19,9 @@ The switch radius translates the fixed argument window 1e-3 through the
 denominator's fastest rate, matching the accuracy targets of 1e-12 away
 from a switch and 1e-10 at it.
 
-``build_kernel`` is the one constructor of a :class:`KernelSpec`; a gauge
-transform rebuilds its kernel through it from the shifted numerator.
+``build_kernel`` is the one constructor of a :class:`KernelSpec` and reads
+the pole from the data (N(0) != 0); a gauge transform rebuilds its kernel
+through it from the shifted numerator.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ def _series_div(num, den, nterms: int) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Evaluatable kernel with singularity flags and Taylor data at 0.
+    """Evaluatable kernel with its pole flag and Taylor data at 0.
 
+    ``singular`` is True iff N(0) != 0, i.e. k has a simple pole at 0.
     ``series`` holds plain Taylor coefficients: of z*k(z) when ``singular``
     (so series[0] is the residue at 0), of k(z) otherwise (so series[n] is
     the n-th derivative over n!).
@@ -61,7 +63,6 @@ class KernelSpec:
     denominator: ExpPoly
     singular: bool
     series: tuple[complex, ...]
-    trivial: bool
     removable_zeros: tuple[float, ...]
     switch_radius: float
     local_series: dict = field(compare=False, repr=False)
@@ -77,29 +78,21 @@ class KernelSpec:
         return self.series[0]
 
 
-def build_kernel(
-    numerator: ExpPoly,
-    denominator: ExpPoly,
-    singular: bool,
-    trivial: bool,
-) -> KernelSpec:
+def build_kernel(numerator: ExpPoly, denominator: ExpPoly) -> KernelSpec:
     """Assemble a KernelSpec from entire numerator/denominator data.
 
-    The denominator must have a simple zero at z = 0.  Removable zeros of
-    D elsewhere on [-2, 2] are located from its exponential rates and a
-    local expansion of k is prepared at each.
+    The denominator must have a simple zero at z = 0, so k has a simple
+    pole there exactly when N(0) != 0.  Removable zeros of D elsewhere on
+    [-2, 2] are located from its exponential rates and a local expansion
+    of k is prepared at each.
     """
     den_taylor = denominator.taylor(0.0, SERIES_TERMS + 2)
     if abs(den_taylor[0]) > 1e-12 or den_taylor[1] == 0:
         raise ValueError("denominator must vanish to first order at z = 0")
     num_taylor = numerator.taylor(0.0, SERIES_TERMS + 2)
-    dtilde = den_taylor[1:]  # Taylor of D(z)/z
-    if singular:
-        series = _series_div(num_taylor, dtilde, SERIES_TERMS)
-    else:
-        if abs(num_taylor[0]) > 1e-9 * max(abs(c) for c in num_taylor):
-            raise ValueError("regular kernel requires N(0) = 0")
-        series = _series_div(num_taylor[1:], dtilde, SERIES_TERMS)
+    singular = num_taylor[0] != 0
+    # Taylor of z*k = N/(D/z), or of k = (N/z)/(D/z) when N(0) = 0
+    series = _series_div(num_taylor if singular else num_taylor[1:], den_taylor[1:], SERIES_TERMS)
 
     rate = denominator.max_rate()
     switch = SWITCH_ARG / max(rate, 1.0)
@@ -120,7 +113,6 @@ def build_kernel(
         denominator=denominator,
         singular=singular,
         series=series,
-        trivial=trivial,
         removable_zeros=tuple(zeros),
         switch_radius=switch,
         local_series=local,

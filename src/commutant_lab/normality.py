@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError
-from .families import DiffOp, GaugeRecord
+from .families import DiffOp
 from .residuals import chebyshev_points
 
 INTERIOR_DELTA = 1e-2
@@ -54,7 +54,7 @@ def adjoint_coeffs(op: DiffOp) -> DiffOp:
     astar = a.conjugate()
     bstar = 2.0 * a.derivative().conjugate() - b.conjugate()
     cstar = a.derivative(2).conjugate() - b.derivative().conjugate() + c.conjugate()
-    return DiffOp(a=astar, b=bstar, c=cstar, gauge=GaugeRecord())
+    return DiffOp(a=astar, b=bstar, c=cstar)
 
 
 def is_selfadjoint(op: DiffOp, tol: float = 1e-10) -> tuple[bool, dict]:

@@ -17,7 +17,7 @@ the grid's D1 and log weight and from L's own coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,7 +94,6 @@ class SpectralReport:
     offdiag_energy: float
     K_eigenvalues_direct: np.ndarray
     degenerate: bool = False
-    degenerate_blocks: tuple = field(default_factory=tuple)
 
     def to_json(self) -> dict:
         return {
@@ -121,9 +120,9 @@ def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> Spect
     Modes are the m smallest-|eigenvalue| L-eigenvectors (prolate-style
     ordering).  Rayleigh quotients, per-mode residuals and off-diagonal
     energy use quadrature-weighted inner products, restricted to interior
-    nodes for a pv K (``K.kernel.singular``).  L-eigenvalue clusters
-    closer than 1e-8 (relative) set the degeneracy flag and are treated as
-    blocks in the off-diagonal measure.
+    nodes for a pv K (``K.kernel.singular``).  Pairs of L-eigenvalues
+    closer than 1e-8 (relative) set the degeneracy flag and are left out of
+    the off-diagonal measure.
     """
     if not K.grid.same_as(L.grid):
         raise GridMismatchError("K and L must share a grid")
@@ -151,33 +150,19 @@ def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> Spect
     G = (Vni.conj().T * wi[None, :]) @ KV
     rayleigh = np.diag(G).copy()
 
-    mode_residuals = np.empty(m)
-    for j in range(m):
-        r = KV[:, j] - rayleigh[j] * Vni[:, j]
-        num = np.sqrt(np.sum(wi * np.abs(r) ** 2))
-        den = np.sqrt(np.sum(wi * np.abs(KV[:, j]) ** 2))
-        mode_residuals[j] = num / (den + _TINY)
+    # one row per mode, so each weighted norm is a contiguous row sum
+    R = np.ascontiguousarray((KV - rayleigh[None, :] * Vni).T)
+    KVt = np.ascontiguousarray(KV.T)
+    num = np.sqrt(np.sum(wi * np.abs(R) ** 2, axis=1))
+    den = np.sqrt(np.sum(wi * np.abs(KVt) ** 2, axis=1))
+    mode_residuals = num / (den + _TINY)
 
-    # degenerate clusters of L-eigenvalues (relative gap below 1e-8)
+    # L-eigenvalues within 1e-8 (relative) of each other are degenerate;
+    # G's entries between them do not count as off-diagonal
     scale = max(np.max(np.abs(lam)), _TINY)
-    blocks: list[list[int]] = []
-    for i in range(m):
-        placed = False
-        for blk in blocks:
-            if any(abs(lam[i] - lam[j]) <= 1e-8 * scale for j in blk):
-                blk.append(i)
-                placed = True
-                break
-        if not placed:
-            blocks.append([i])
-    degenerate = any(len(b) > 1 for b in blocks)
-
-    same_block = np.zeros((m, m), dtype=bool)
-    for blk in blocks:
-        for i in blk:
-            for j in blk:
-                same_block[i, j] = True
-    offmask = ~same_block
+    close = np.abs(lam[:, None] - lam[None, :]) <= 1e-8 * scale
+    degenerate = bool(np.count_nonzero(close) > m)
+    offmask = ~close
     diag_max = np.max(np.abs(rayleigh)) + _TINY
     offdiag = float(np.max(np.abs(G[offmask])) / diag_max) if np.any(offmask) else 0.0
 
@@ -189,5 +174,4 @@ def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> Spect
         offdiag_energy=offdiag,
         K_eigenvalues_direct=mu_top,
         degenerate=degenerate,
-        degenerate_blocks=tuple(tuple(b) for b in blocks if len(b) > 1),
     )

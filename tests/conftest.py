@@ -10,8 +10,7 @@ from commutant_lab import (
     Case3,
     Case4,
     General,
-    make_general_pair,
-    make_special_pair,
+    make_pair,
 )
 
 @dataclass(frozen=True)
@@ -40,30 +39,30 @@ ANALYTIC_PARAMS = General(lam=1.0, mu=2.0, alpha1=1.0, alpha2=0.0)
 @pytest.fixture(scope="session")
 def sinc_pair():
     """Band/time-limiting kernel 2 sin(pi z/2)/((pi/2) z) with the prolate operator."""
-    return make_general_pair(SINC_PARAMS)
+    return make_pair(SINC_PARAMS)
 
 
 @pytest.fixture(scope="session")
 def analytic_pair():
     """lambda=1, mu=2 analytic fixture: k0=2, k2=5/2, nu=-15/4."""
-    return make_general_pair(ANALYTIC_PARAMS)
+    return make_pair(ANALYTIC_PARAMS)
 
 
 @pytest.fixture(scope="session")
 def case1_pair():
-    return make_special_pair(Case1(m=0, alpha=1.0, beta=1.0))
+    return make_pair(Case1(m=0, alpha=1.0, beta=1.0))
 
 
 @pytest.fixture(scope="session")
 def case2_pair():
-    return make_special_pair(Case2(lam=2.0, alpha=1.0, beta=1.0))
+    return make_pair(Case2(lam=2.0, alpha=1.0, beta=1.0))
 
 
 @pytest.fixture(scope="session")
 def case3_pair():
-    return make_special_pair(Case3(beta=2.0, p=(1.0, 0.0, 0.0)))
+    return make_pair(Case3(beta=2.0, p=(1.0, 0.0, 0.0)))
 
 
 @pytest.fixture(scope="session")
 def case4_pair():
-    return make_special_pair(Case4(beta=0.0, p=(1.0, 0.0, 0.0)))
+    return make_pair(Case4(beta=0.0, p=(1.0, 0.0, 0.0)))

@@ -33,8 +33,7 @@ from commutant_lab import (
     is_selfadjoint,
     joint_diagonalization,
     lemma_coeff_check,
-    make_general_pair,
-    make_special_pair,
+    make_pair,
     nystrom_K,
     nystrom_K_pv,
     phi_defect,
@@ -84,12 +83,12 @@ def seeded_general_draws(seed: int = 42, count: int = 25):
 def test_criterion_01_identity_residuals():
     worst = 0.0
     for params in seeded_general_draws():
-        rep = residual_R1(make_general_pair(params))
+        rep = residual_R1(make_pair(params))
         worst = max(worst, rep.max_abs / rep.scale)
     for params in SPECIAL_CHOICES:
-        rep = residual_R1(make_special_pair(params))
+        rep = residual_R1(make_pair(params))
         worst = max(worst, rep.max_abs / rep.scale)
-    case4 = residual_R1(make_special_pair(Case4(beta=0.0, p=(1.0, 0.0, 0.0))))
+    case4 = residual_R1(make_pair(Case4(beta=0.0, p=(1.0, 0.0, 0.0))))
     ok = worst <= 1e-9 and case4.max_abs <= 1e-13
     announce("01", ok, f"worst rel residual {worst:.2e}; case4 abs {case4.max_abs:.2e}")
     assert worst <= 1e-9
@@ -99,7 +98,7 @@ def test_criterion_01_identity_residuals():
 def test_criterion_02_sensitivity():
     results = []
     for params in (ANALYTIC, SINC):
-        pair = make_general_pair(params)
+        pair = make_pair(params)
         for eps in (1e-2, 1e-4):
             op = pair.op
             pert = DiffOp(a=op.a, b=op.b, c=op.c + ExpPoly.polynomial((0.0, eps)))
@@ -114,9 +113,9 @@ def test_criterion_02_sensitivity():
 
 def test_criterion_03_series_system():
     analytic_pairs = [
-        make_general_pair(ANALYTIC),
-        make_general_pair(SINC),
-        make_general_pair(General(lam=2.0, mu=0.0, alpha1=1.0, alpha2=0.0)),
+        make_pair(ANALYTIC),
+        make_pair(SINC),
+        make_pair(General(lam=2.0, mu=0.0, alpha1=1.0, alpha2=0.0)),
     ]
     worst_taylor = max(float(np.max(taylor_relation_check(p, N=6))) for p in analytic_pairs)
     worst_nu = 0.0
@@ -127,7 +126,7 @@ def test_criterion_03_series_system():
         worst_nu = max(worst_nu, abs(out["nu"] - (lam**2 / 4 - mu**2)))
         s = pair.kernel.series
         worst_odd = max(worst_odd, abs(s[1]), abs(s[3]))
-    fix = make_general_pair(ANALYTIC)
+    fix = make_pair(ANALYTIC)
     k = fix.kernel.series
     k0, k2 = k[0], 2.0 * k[2]
     nu = lemma_coeff_check(fix)["nu"]
@@ -148,7 +147,7 @@ def test_criterion_03_series_system():
 
 
 def _sinc_commutator(n: int) -> float:
-    pair = make_general_pair(SINC)
+    pair = make_pair(SINC)
     grid = build_grid(n)
     return commutator_norm(nystrom_K(pair, grid), collocation_L(pair.op, grid))
 
@@ -190,7 +189,7 @@ def test_criterion_04b_commutator_decay_ratio():
 
 
 def test_criterion_05_joint_diagonalization():
-    pair = make_general_pair(SINC)
+    pair = make_pair(SINC)
     grid = build_grid(128)
     spec = joint_diagonalization(
         nystrom_K(pair, grid), collocation_L(pair.op, grid), 8
@@ -205,7 +204,7 @@ def test_criterion_05_joint_diagonalization():
 
 
 def test_criterion_06_pv_commutation():
-    pair = make_special_pair(Case4(beta=0.0, p=(1.0, 0.0, 0.0)))
+    pair = make_pair(Case4(beta=0.0, p=(1.0, 0.0, 0.0)))
     grid = build_grid(128)
     K = nystrom_K_pv(pair, grid)
     L = collocation_L(pair.op, grid)
@@ -226,10 +225,10 @@ def test_criterion_07_boundary_defect_decay():
     rng = np.random.default_rng(7)
     eps = np.logspace(-4, -2, 9)
     singular_pairs = [
-        make_special_pair(Case1(m=0, alpha=1.0, beta=1.0)),
-        make_special_pair(Case2(lam=2.0, alpha=1.0, beta=1.0)),
-        make_special_pair(Case3(beta=2.0, p=(1.0, 0.0, 0.0))),
-        make_special_pair(Case4(beta=0.7, p=(0.2, -0.5, 1.1))),
+        make_pair(Case1(m=0, alpha=1.0, beta=1.0)),
+        make_pair(Case2(lam=2.0, alpha=1.0, beta=1.0)),
+        make_pair(Case3(beta=2.0, p=(1.0, 0.0, 0.0))),
+        make_pair(Case4(beta=0.7, p=(0.2, -0.5, 1.1))),
     ]
     worst = np.inf
     for pair in singular_pairs:
@@ -248,9 +247,9 @@ def test_criterion_07_boundary_defect_decay():
 
 def test_criterion_08_singular_series_relation():
     fixtures = [
-        make_special_pair(Case2(lam=2.0, alpha=1.0, beta=1.0)),
-        make_special_pair(Case3(beta=2.0, p=(1.0, 0.0, 0.0))),
-        make_special_pair(Case4(beta=0.0, p=(1.0, 0.0, 0.0))),
+        make_pair(Case2(lam=2.0, alpha=1.0, beta=1.0)),
+        make_pair(Case3(beta=2.0, p=(1.0, 0.0, 0.0))),
+        make_pair(Case4(beta=0.0, p=(1.0, 0.0, 0.0))),
     ]
     worst = 0.0
     consts = []
@@ -267,16 +266,16 @@ def test_criterion_08_singular_series_relation():
 
 
 def _normality_instances():
-    sinc = make_general_pair(SINC).op
-    case4 = make_special_pair(Case4(beta=0.0, p=(1.0, 0.0, 0.0))).op
-    case2_sa = make_special_pair(Case2(lam=2.0, alpha=1.0, beta=0.0)).op
-    case1_sa = make_special_pair(Case1(m=0, alpha=0.5, beta=0.5)).op
+    sinc = make_pair(SINC).op
+    case4 = make_pair(Case4(beta=0.0, p=(1.0, 0.0, 0.0))).op
+    case2_sa = make_pair(Case2(lam=2.0, alpha=1.0, beta=0.0)).op
+    case1_sa = make_pair(Case1(m=0, alpha=0.5, beta=0.5)).op
     sinc_real_c = DiffOp(a=sinc.a, b=sinc.b, c=sinc.c + ExpPoly.polynomial((0.0, 0.1)))
-    case2_n = make_special_pair(Case2(lam=2.0, alpha=1.0, beta=1.0)).op
-    case1_n = make_special_pair(Case1(m=0, alpha=1.0, beta=0.0)).op
+    case2_n = make_pair(Case2(lam=2.0, alpha=1.0, beta=1.0)).op
+    case1_n = make_pair(Case1(m=0, alpha=1.0, beta=0.0)).op
     sinc_im_c = DiffOp(a=sinc.a, b=sinc.b, c=sinc.c + ExpPoly.constant(1j))
     sinc_bad_b = DiffOp(a=sinc.a, b=sinc.b + ExpPoly.constant(0.1), c=sinc.c)
-    case4_n = make_special_pair(Case4(beta=0.7, p=(1.0, 0.0, 0.0))).op
+    case4_n = make_pair(Case4(beta=0.7, p=(1.0, 0.0, 0.0))).op
     return [
         sinc, case4, case2_sa, case1_sa, sinc_real_c,
         case2_n, case1_n, sinc_im_c, sinc_bad_b, case4_n,

@@ -2,6 +2,7 @@ import json
 import csv
 
 import numpy as np
+import pytest
 
 from commutant_lab.cli import main
 
@@ -163,6 +164,23 @@ def test_inadmissible_params_error_status(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", params=bad)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("command", ["pair", "verify"])
+@pytest.mark.parametrize(
+    "params",
+    [
+        {**SINC, "lambda": [720.0, 0.0], "alpha2": [1.0, 0.0]},
+        {**SINC, "lambda": [1e308, 0.0], "alpha2": [1.0, 0.0]},
+        {"variant": "case2", "lambda": [720.0, 0.0], "alpha": [1.0, 0.0], "beta": [0.0, 0.0]},
+    ],
+    ids=["general-720", "general-1e308", "case2-720"],
+)
+def test_overflowing_lambda_error_status(tmp_path, capsys, command, params):
+    # cosh(lambda) overflows a double: a clean error status, not a traceback
+    cfg = write_config(tmp_path / "cfg.json", params=params)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert "error: OverflowError" in capsys.readouterr().err
 
 
 def test_matrix_csv_cell_format(tmp_path):

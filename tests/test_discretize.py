@@ -14,7 +14,6 @@ from commutant_lab import (
     build_grid,
     collocation_L,
     differentiation_matrices,
-    make_general_pair,
     make_pair,
     nystrom_K,
     nystrom_K_pv,
@@ -110,7 +109,7 @@ def test_collocation_exact_on_low_degrees(sinc_pair):
 
 
 def test_constant_kernel_row_sums():
-    pair = make_general_pair(General(lam=2.0, mu=1.0, alpha1=1.0, alpha2=0.0))  # k = 2
+    pair = make_pair(General(lam=2.0, mu=1.0, alpha1=1.0, alpha2=0.0))  # k = 2
     g = build_grid(16)
     K = nystrom_K(pair, g)
     np.testing.assert_allclose(K.entries @ np.ones(16), 4.0, atol=1e-13)

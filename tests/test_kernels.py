@@ -7,12 +7,13 @@ from commutant_lab import (
     Case1,
     Case2,
     General,
+    build_kernel,
     eval_kernel,
     gauge_transform,
     kernel_derivs,
     kernel_values,
-    make_general_pair,
-    make_special_pair,
+    make_pair,
+    residual_R1,
 )
 
 WIDE_LAMBDA = General(lam=1.2j * np.pi, mu=0.9j * np.pi, alpha1=0.0, alpha2=1.0)
@@ -21,7 +22,7 @@ WIDE_LAMBDA = General(lam=1.2j * np.pi, mu=0.9j * np.pi, alpha1=0.0, alpha2=1.0)
 @pytest.fixture(scope="module")
 def wide_lambda_pair():
     # pi <= |lambda| < 2pi branch: denominator zeros at +-5/3 are removable
-    return make_general_pair(WIDE_LAMBDA)
+    return make_pair(WIDE_LAMBDA)
 
 
 def test_kernel_finite_on_interval(wide_lambda_pair):
@@ -46,7 +47,7 @@ def _wide_lambda_closed_form(mpmath):
 
 
 def _case1_closed_form(m):
-    # cos((2m+1) pi z/4) / sin(pi z/2), from the floats make_special_pair uses
+    # cos((2m+1) pi z/4) / sin(pi z/2), from the floats make_pair uses
     def closed(mpmath):
         a = mpmath.mpf((2 * m + 1) * math.pi / 4.0)
         b = mpmath.mpf(math.pi / 2.0)
@@ -58,9 +59,9 @@ def _case1_closed_form(m):
 @pytest.mark.parametrize(
     "pair, closed, zeros",
     [
-        (make_general_pair(WIDE_LAMBDA), _wide_lambda_closed_form, 5.0 / 3.0),
-        (make_special_pair(Case1(m=0, alpha=1.0, beta=1.0)), _case1_closed_form(0), 2.0),
-        (make_special_pair(Case1(m=1, alpha=1.0, beta=1.0)), _case1_closed_form(1), 2.0),
+        (make_pair(WIDE_LAMBDA), _wide_lambda_closed_form, 5.0 / 3.0),
+        (make_pair(Case1(m=0, alpha=1.0, beta=1.0)), _case1_closed_form(0), 2.0),
+        (make_pair(Case1(m=1, alpha=1.0, beta=1.0)), _case1_closed_form(1), 2.0),
     ],
     ids=["wide-lambda", "case1-m0", "case1-m1"],
 )
@@ -104,9 +105,9 @@ def _case2_closed_form(mpmath):
 @pytest.mark.parametrize(
     "pair, closed",
     [
-        (make_general_pair(GENERAL_POLE), _general_pole_closed_form),
-        (make_special_pair(Case1(m=0, alpha=1.0, beta=1.0)), _case1_closed_form(0)),
-        (make_special_pair(CASE2), _case2_closed_form),
+        (make_pair(GENERAL_POLE), _general_pole_closed_form),
+        (make_pair(Case1(m=0, alpha=1.0, beta=1.0)), _case1_closed_form(0)),
+        (make_pair(CASE2), _case2_closed_form),
     ],
     ids=["general-pole", "case1", "case2"],
 )
@@ -160,7 +161,7 @@ def test_derivatives_near_pole_match_laurent(case4_pair):
 
 def test_series_matches_sympy_general():
     sympy = pytest.importorskip("sympy")
-    pair = make_general_pair(General(lam=1.0, mu=2.0, alpha1=1.0, alpha2=0.0))
+    pair = make_pair(General(lam=1.0, mu=2.0, alpha1=1.0, alpha2=0.0))
     z = sympy.symbols("z")
     expr = sympy.sinh(2 * z) / (2 * sympy.sinh(z / 2))
     ser = sympy.series(expr, z, 0, 10).removeO()
@@ -174,3 +175,45 @@ def test_scalar_and_array_evaluation_agree(case2_pair):
     (arr,) = kernel_values(case2_pair.kernel, zs, orders=(0,))
     for z, v in zip(zs, arr):
         assert eval_kernel(case2_pair, float(z)) == pytest.approx(complex(v))
+
+
+@pytest.mark.parametrize("gauged", [False, True], ids=["plain", "gauged"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "sinc_pair",
+        "analytic_pair",
+        "wide_lambda_pair",
+        "case1_pair",
+        "case2_pair",
+        "case3_pair",
+        "case4_pair",
+    ],
+)
+def test_build_kernel_derives_pole_from_data(request, name, gauged):
+    # the pole flag is N(0) != 0: a general kernel has a pole iff alpha2 != 0,
+    # every special case has one, and a gauge transform keeps it
+    pair = request.getfixturevalue(name)
+    params = pair.params
+    pole = params.alpha2 != 0 if isinstance(params, General) else True
+    if gauged:
+        pair = gauge_transform(pair, tau=0.35 - 0.2j, scale=0.8 + 0.6j)
+    spec = pair.kernel
+    assert spec.singular == pole
+    rebuilt = build_kernel(spec.numerator, spec.denominator)
+    assert rebuilt.singular == spec.singular
+    assert rebuilt.series == spec.series
+    assert rebuilt.removable_zeros == spec.removable_zeros
+    # series[0] is N(0)/D'(0) (the residue) at a pole, N'(0)/D'(0) = k(0) otherwise
+    lead = spec.numerator(0.0, order=0 if pole else 1) / spec.denominator(0.0, order=1)
+    assert spec.series[0] == pytest.approx(lead, rel=1e-13)
+
+
+def test_alpha2_lost_to_rounding_gives_regular_kernel():
+    # alpha2 = 1e-300 vanishes when alpha2 cosh(mu z) merges with
+    # alpha1 sinh(mu z)/mu, so N(0) = 0 exactly and k is analytic at 0
+    pair = make_pair(General(lam=1.0, mu=2.0, alpha1=1.0, alpha2=1e-300))
+    assert not pair.kernel.singular
+    assert pair.kernel.value_at_zero() == pytest.approx(2.0, rel=1e-14)
+    rep = residual_R1(pair)
+    assert rep.max_abs <= 1e-9 * rep.scale

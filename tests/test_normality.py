@@ -13,7 +13,7 @@ from commutant_lab import (
     interior_points,
     is_normal,
     is_selfadjoint,
-    make_special_pair,
+    make_pair,
     selfadjoint_matrix_defect,
 )
 from conftest import CallableCoeff
@@ -106,8 +106,8 @@ def test_verdicts_match_matrix_defect(sinc_pair, case2_pair, case4_pair):
         sinc_pair.op,
         case4_pair.op,
         case2_pair.op,
-        make_special_pair(Case2(lam=2.0, alpha=1.0, beta=0.0)).op,
-        make_special_pair(Case4(beta=0.7, p=(1.0, 0.0, 0.0))).op,
+        make_pair(Case2(lam=2.0, alpha=1.0, beta=0.0)).op,
+        make_pair(Case4(beta=0.7, p=(1.0, 0.0, 0.0))).op,
     ]
     for op in ops:
         ok, _ = is_selfadjoint(op)

@@ -13,7 +13,7 @@ from commutant_lab import (
     SingularKernelError,
     gauge_transform,
     lemma_coeff_check,
-    make_general_pair,
+    make_pair,
     phi_defect,
     residual_R1,
     residual_R2,
@@ -25,7 +25,7 @@ from commutant_lab.residuals import Z_EXCLUSION, chebyshev_points
 
 
 def perturb_c(pair, extra: ExpPoly):
-    op = DiffOp(a=pair.op.a, b=pair.op.b, c=pair.op.c + extra, gauge=pair.op.gauge)
+    op = DiffOp(a=pair.op.a, b=pair.op.b, c=pair.op.c + extra)
     return dataclasses.replace(pair, op=op, nu=None)
 
 
@@ -179,7 +179,7 @@ def test_lemma_values(analytic_pair):
 
 def test_lemma_nu_matches_parameters():
     for lam, mu in ((1.0, 0.9j), (0.7 - 0.3j, 1.2), (2.0, 0.0)):
-        pair = make_general_pair(General(lam=lam, mu=mu, alpha1=1.0, alpha2=0.0))
+        pair = make_pair(General(lam=lam, mu=mu, alpha1=1.0, alpha2=0.0))
         out = lemma_coeff_check(pair)
         assert out["nu"] == pytest.approx(lam**2 / 4 - mu**2, abs=1e-9)
 
@@ -217,9 +217,9 @@ def test_case4_relation_constant(case4_pair):
 
 
 def test_case2_a_zero_branch():
-    from commutant_lab import Case2, make_special_pair
+    from commutant_lab import Case2, make_pair
 
-    pair = make_special_pair(Case2(lam=2.0, alpha=0.0, beta=1.0))
+    pair = make_pair(Case2(lam=2.0, alpha=0.0, beta=1.0))
     out = singular_relation_check(pair)
     assert out["residual"] <= 1e-10
     assert np.isfinite(out["fitted_const"].real)
@@ -268,5 +268,5 @@ def test_phi_domain_check(case4_pair):
     with pytest.raises(ValueError):
         phi_defect(case4_pair, lambda y: y, lambda y: 1.0, 0.95, 0.1)
     with pytest.raises(RegularKernelError):
-        pair = make_general_pair(General(lam=1.0, mu=0.5, alpha1=1.0, alpha2=0.0))
+        pair = make_pair(General(lam=1.0, mu=0.5, alpha1=1.0, alpha2=0.0))
         phi_defect(pair, lambda y: y, lambda y: 1.0, 0.0, 1e-3)

@@ -149,7 +149,6 @@ def test_joint_diagonalization_degenerate_flag(sinc_pair):
     L = collocation_L(identity_op(), g)
     spec = joint_diagonalization(K, L, 4)
     assert spec.degenerate
-    assert spec.degenerate_blocks
 
 
 def test_mode_residual_bounded_by_commutator_over_gap(sinc_pair):
