@@ -58,7 +58,6 @@ from .discretize import (
     build_grid,
     collocation_L,
     differentiation_matrices,
-    export_matrix_csv,
     nystrom_K,
     nystrom_K_pv,
     pv_log_weight,

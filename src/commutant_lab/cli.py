@@ -5,9 +5,12 @@ Usage:
                   --config PATH [--out DIR] [--dump] [--quiet]
 
 The config is a single JSON object; reports are written as report.json
-(full, schema-versioned) and summary.csv (one row per check: name, value,
-tolerance, pass).  Identical config + seed produces byte-identical files.
-Exit status is 0 iff every check passed its tolerance.
+(full, with the schema and package version) and summary.csv (one row per
+check: name, value, tolerance, pass).  Commands hand their result objects
+to ``reportio`` as they are; it turns complex numbers, numpy values and
+result dataclasses into JSON.  Identical config + seed produces
+byte-identical files.  Exit status is 0 iff every check passed its
+tolerance.
 """
 
 from __future__ import annotations
@@ -20,15 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import reportio
-from .discretize import (
-    build_grid,
-    collocation_L,
-    export_matrix_csv,
-    nystrom_K,
-    nystrom_K_pv,
-    pv_rowsum_error,
-)
+from . import __version__, reportio
+from .discretize import build_grid, collocation_L, nystrom_K, nystrom_K_pv, pv_rowsum_error
 from .errors import CommutantError, ConfigError
 from .families import (
     CommutingPair,
@@ -180,24 +176,21 @@ def cmd_pair(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary
     summary.add("boundary_abs", bres, cfg.tol("boundary_abs"))
     report["boundary_residual"] = bres
     report["singular"] = pair.kernel.singular
-    report["series"] = [complex(c) for c in pair.kernel.series]
+    report["series"] = pair.kernel.series
     if pair.nu is not None:
+        # case1's nu is a float; the field stays [re, im]
         report["nu"] = complex(pair.nu)
     z, kv = _sample_kernel(pair)
     y = np.linspace(-1.0, 1.0, 201)
     av, bv, cv = (np.asarray(f(y)) for f in (pair.op.a, pair.op.b, pair.op.c))
     reportio.write_csv(
         outdir / "kernel_samples.csv",
-        ["z", "k_re", "k_im"],
-        [[float(zz), float(k.real), float(k.imag)] for zz, k in zip(z, kv)],
+        [["z", "k_re", "k_im"]] + np.column_stack([z, kv.real, kv.imag]).tolist(),
     )
     reportio.write_csv(
         outdir / "coefficient_samples.csv",
-        ["y", "a_re", "a_im", "b_re", "b_im", "c_re", "c_im"],
-        [
-            [float(yy), a.real, a.imag, b.real, b.imag, c.real, c.imag]
-            for yy, a, b, c in zip(y, av, bv, cv)
-        ],
+        [["y", "a_re", "a_im", "b_re", "b_im", "c_re", "c_im"]]
+        + np.column_stack([y, av.real, av.imag, bv.real, bv.imag, cv.real, cv.imag]).tolist(),
     )
     return report
 
@@ -211,30 +204,27 @@ def cmd_verify(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summa
     report = {
         "params": params_to_json(pair.params),
         "singular": pair.kernel.singular,
-        "residual_R1": rep1.to_json(),
-        "residual_R2": rep2.to_json(),
+        "residual_R1": rep1,
+        "residual_R2": rep2,
     }
     if pair.kernel.singular:
         sing = singular_relation_check(pair)
         summary.add("singular_relation_abs", sing["residual"], cfg.tol("singular_relation_abs"))
-        report["singular_relation"] = {
-            "residual": sing["residual"],
-            "fitted_const": complex(sing["fitted_const"]),
-        }
+        report["singular_relation"] = sing
     else:
         tay = taylor_relation_check(pair, N=6)
         summary.add("taylor_abs", float(np.max(tay)), cfg.tol("taylor_abs"))
         lem = lemma_coeff_check(pair)
         worst = max(lem["b_eq_aprime"], lem["c_eq_nu_a"], lem["a_ode"])
         summary.add("lemma_abs", worst, cfg.tol("lemma_abs"))
-        report["taylor_residuals"] = [float(t) for t in tay]
-        report["lemma"] = {
-            "b_eq_aprime": lem["b_eq_aprime"],
-            "c_eq_nu_a": lem["c_eq_nu_a"],
-            "a_ode": lem["a_ode"],
-            "nu": complex(lem["nu"]),
-        }
+        report["taylor_residuals"] = tay
+        report["lemma"] = lem
     return report
+
+
+def _dump_matrices(outdir: Path, K, L) -> None:
+    reportio.write_csv(outdir / "K_matrix.csv", K.entries.tolist())
+    reportio.write_csv(outdir / "L_matrix.csv", L.entries.tolist())
 
 
 def _build_matrices(cfg: RunConfig, pair: CommutingPair):
@@ -263,8 +253,7 @@ def cmd_commutator(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.S
         summary.add("rowsum_abs", err, cfg.tol("rowsum_abs"))
         report["rowsum_abs"] = err
     if dump:
-        export_matrix_csv(K, outdir / "K_matrix.csv")
-        export_matrix_csv(L, outdir / "L_matrix.csv")
+        _dump_matrices(outdir, K, L)
     return report
 
 
@@ -280,17 +269,15 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Sum
     summary.add("rayleigh_rel", match, cfg.tol("rayleigh_rel"))
     reportio.write_csv(
         outdir / "modes.csv",
-        ["idx", "L_eig_re", "L_eig_im", "rayleigh_re", "rayleigh_im", "residual"],
-        spec.rows(),
+        [["idx", "L_eig_re", "L_eig_im", "rayleigh_re", "rayleigh_im", "residual"]] + spec.rows(),
     )
     if dump:
-        export_matrix_csv(K, outdir / "K_matrix.csv")
-        export_matrix_csv(L, outdir / "L_matrix.csv")
+        _dump_matrices(outdir, K, L)
     report = {
         "params": params_to_json(pair.params),
         "n": cfg.n,
         "m": cfg.m,
-        "spectral": spec.to_json(),
+        "spectral": spec,
         "rayleigh_match_rel": match,
     }
     return report
@@ -321,7 +308,7 @@ def cmd_normality(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Su
         "self_commute_abs": self_comm,
         "selfadjoint": sa_ok,
         "selfadjoint_residuals": sa_res,
-        "normality": rep.to_json(),
+        "normality": rep,
     }
 
 
@@ -349,55 +336,36 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summar
         pair = make_pair(params)
         rep = residual_R1(pair)
         rel = rep.max_abs / max(rep.scale, 1e-300)
-        ok = rel <= tol
         rows.append(
-            [
-                accepted,
-                lam.real,
-                lam.imag,
-                mu.real,
-                mu.imag,
-                a1.real,
-                a1.imag,
-                a2.real,
-                a2.imag,
-                rep.max_abs,
-                rep.scale,
-                rel,
-                ok,
-            ]
+            {
+                "idx": accepted,
+                "lambda_re": lam.real,
+                "lambda_im": lam.imag,
+                "mu_re": mu.real,
+                "mu_im": mu.imag,
+                "alpha1_re": a1.real,
+                "alpha1_im": a1.imag,
+                "alpha2_re": a2.real,
+                "alpha2_im": a2.imag,
+                "max_abs": rep.max_abs,
+                "scale": rep.scale,
+                "rel": rel,
+                "pass": rel <= tol,
+            }
         )
         accepted += 1
-    all_ok = all(r[-1] for r in rows) and accepted == cfg.count
+    all_ok = all(r["pass"] for r in rows) and accepted == cfg.count
     summary.add("sweep_pass_fraction", 0.0 if all_ok else 1.0, 0.5, passed=all_ok)
-    reportio.write_csv(
-        outdir / "sweep.csv",
-        [
-            "idx",
-            "lambda_re",
-            "lambda_im",
-            "mu_re",
-            "mu_im",
-            "alpha1_re",
-            "alpha1_im",
-            "alpha2_re",
-            "alpha2_im",
-            "max_abs",
-            "scale",
-            "rel",
-            "pass",
-        ],
-        rows,
-    )
+    # header: the first draw's keys (an empty file if no draw was accepted)
+    table = [list(r) for r in rows[:1]] + [list(r.values()) for r in rows]
+    reportio.write_csv(outdir / "sweep.csv", table)
     return {
         "seed": cfg.seed,
         "count": cfg.count,
         "accepted": accepted,
         "attempts": attempts,
         "rejections": rejections,
-        "draws": [
-            {"idx": r[0], "rel": r[11], "pass": r[12]} for r in rows
-        ],
+        "draws": [{"idx": r["idx"], "rel": r["rel"], "pass": r["pass"]} for r in rows],
     }
 
 
@@ -438,16 +406,17 @@ def main(argv=None) -> int:
 
     report = {
         "schema": reportio.SCHEMA_VERSION,
+        "version": __version__,
         "command": args.command,
-        "checks": summary.to_json(),
+        "checks": summary.rows,
         "result": body,
     }
     reportio.write_json(outdir / "report.json", report)
     summary.write(outdir / "summary.csv")
     if not args.quiet:
-        for name, value, tolerance, ok in summary.rows:
-            status = "PASS" if ok else "FAIL"
-            print(f"{status} {name}: {reportio.fmt_float(value)} (tol {reportio.fmt_float(tolerance)})")
+        for row in summary.rows:
+            status = "PASS" if row["pass"] else "FAIL"
+            print(f"{status} {row['name']}: {row['value']!r} (tol {row['tolerance']!r})")
     return 0 if summary.all_pass() else 1
 
 

@@ -208,13 +208,3 @@ def collocation_L(op: DiffOp, grid: Grid) -> OperatorMatrix:
     cv = np.asarray(op.c(x))
     entries = av[:, None] * grid.D2 + bv[:, None] * grid.D1 + np.diag(cv)
     return OperatorMatrix(entries=entries.astype(complex), grid=grid, op=op)
-
-
-def export_matrix_csv(matrix: OperatorMatrix, path) -> None:
-    """Row-major CSV dump with quoted "re,im" cells."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
-        for row in matrix.entries:
-            writer.writerow([f"{v.real:.17g},{v.imag:.17g}" for v in row])

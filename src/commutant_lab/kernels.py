@@ -3,9 +3,11 @@
 Every kernel in the classification is a ratio N(z)/D(z) of entire
 exponential-polynomial functions whose denominator has a simple zero at
 z = 0.  The kernel is analytic at 0 when N(0) = 0 (removable) and has a
-simple pole there otherwise.  Admissible parameters leave at most
-removable zeros of D elsewhere in [-2, 2] (e.g. z = +-2 for the
-cos/sin kernels), where direct evaluation loses digits.
+simple pole there otherwise; N(0) counts as 0 when it is below 1e-14 of
+N's largest Taylor coefficient at 0, i.e. at the rounding of N itself.
+Admissible parameters leave at most removable zeros of D elsewhere in
+[-2, 2] (e.g. z = +-2 for the cos/sin kernels), where direct evaluation
+loses digits.
 
 Evaluation strategy:
 
@@ -20,8 +22,8 @@ denominator's fastest rate, matching the accuracy targets of 1e-12 away
 from a switch and 1e-10 at it.
 
 ``build_kernel`` is the one constructor of a :class:`KernelSpec` and reads
-the pole from the data (N(0) != 0); a gauge transform rebuilds its kernel
-through it from the shifted numerator.
+the pole from the data (N(0) != 0 on N's own scale); a gauge transform
+rebuilds its kernel through it from the shifted numerator.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ def _series_div(num, den, nterms: int) -> tuple[complex, ...]:
 class KernelSpec:
     """Evaluatable kernel with its pole flag and Taylor data at 0.
 
-    ``singular`` is True iff N(0) != 0, i.e. k has a simple pole at 0.
+    ``singular`` is True iff |N(0)| > 1e-14 max_k |N_k| over N's Taylor
+    coefficients at 0, i.e. k has a simple pole at 0.
     ``series`` holds plain Taylor coefficients: of z*k(z) when ``singular``
     (so series[0] is the residue at 0), of k(z) otherwise (so series[n] is
     the n-th derivative over n!).
@@ -82,15 +85,15 @@ def build_kernel(numerator: ExpPoly, denominator: ExpPoly) -> KernelSpec:
     """Assemble a KernelSpec from entire numerator/denominator data.
 
     The denominator must have a simple zero at z = 0, so k has a simple
-    pole there exactly when N(0) != 0.  Removable zeros of D elsewhere on
-    [-2, 2] are located from its exponential rates and a local expansion
-    of k is prepared at each.
+    pole there exactly when N(0) != 0 (relative to N's Taylor data).
+    Removable zeros of D elsewhere on [-2, 2] are located from its
+    exponential rates and a local expansion of k is prepared at each.
     """
     den_taylor = denominator.taylor(0.0, SERIES_TERMS + 2)
     if abs(den_taylor[0]) > 1e-12 or den_taylor[1] == 0:
         raise ValueError("denominator must vanish to first order at z = 0")
     num_taylor = numerator.taylor(0.0, SERIES_TERMS + 2)
-    singular = num_taylor[0] != 0
+    singular = abs(num_taylor[0]) > 1e-14 * max(abs(c) for c in num_taylor)
     # Taylor of z*k = N/(D/z), or of k = (N/z)/(D/z) when N(0) = 0
     series = _series_div(num_taylor if singular else num_taylor[1:], den_taylor[1:], SERIES_TERMS)
 

@@ -114,13 +114,6 @@ class NormalityReport:
     normal: bool
     condition_residuals: dict
 
-    def to_json(self) -> dict:
-        return {
-            "selfadjoint": self.selfadjoint,
-            "normal": self.normal,
-            "condition_residuals": dict(self.condition_residuals),
-        }
-
 
 def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
     """Check the displayed normality conditions for L.

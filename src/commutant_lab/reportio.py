@@ -1,69 +1,40 @@
-"""Deterministic report serialization.
+"""Deterministic report serialization through the standard library.
 
-Reports must be byte-identical across runs with the same config and seed,
-so floats are formatted explicitly with 17 significant digits and JSON
-keys keep insertion order (configs are built deterministically).
+Reports must be byte-identical across runs with the same config and seed.
+``dumps`` is ``json.dumps`` with one hook, ``_plain``, for the values the
+library hands over as they are: complex numbers become ``[re, im]``,
+numpy arrays and scalars become Python lists and numbers, and result
+dataclasses become their fields.  JSON keys keep insertion order (configs
+are built deterministically).  ``write_csv`` is one ``csv.writer``; a bool
+cell reads ``true``/``false`` and a complex cell ``"re,im"``.  Every float
+is written as Python's shortest round-trip repr, so -0.0 keeps its sign.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import dataclasses
+import json
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
 
-def fmt_float(x: float) -> str:
-    if x != x:  # nan
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return "Infinity" if x > 0 else "-Infinity"
-    s = f"{x:.17g}"
-    return s
-
-
-def _encode(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(fmt_float(obj))
-    elif isinstance(obj, complex):
-        _encode([obj.real, obj.imag], out)
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            _encode(str(k), out)
-            out.append(": ")
-            _encode(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _encode(v, out)
-        out.append("]")
-    else:
-        try:
-            _encode(float(obj), out)
-        except (TypeError, ValueError):
-            raise TypeError(f"cannot serialize {type(obj)!r}")
+def _plain(obj):
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if dataclasses.is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dumps(obj) -> str:
-    out: list[str] = []
-    _encode(obj, out)
-    return "".join(out) + "\n"
+    return json.dumps(obj, default=_plain) + "\n"
 
 
 def write_json(path, obj) -> None:
@@ -71,45 +42,36 @@ def write_json(path, obj) -> None:
         fh.write(dumps(obj))
 
 
-def format_cell(value) -> str:
+def _cell(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt_float(value)
     if isinstance(value, complex):
-        return f"{fmt_float(value.real)},{fmt_float(value.imag)}"
-    return str(value)
+        return f"{float(value.real)!r},{float(value.imag)!r}"
+    return value
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_cell(v) for v in row])
-    with open(path, "w", newline="\n") as fh:
-        fh.write(buf.getvalue())
+def write_csv(path, rows) -> None:
+    """Write ``rows`` (the first one is the header) with LF line endings."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(map(_cell, row) for row in rows)
 
 
 class Summary:
     """Accumulates named checks (value vs tolerance) for summary.csv."""
 
     def __init__(self) -> None:
-        self.rows: list[list] = []
+        self.rows: list[dict] = []
 
     def add(self, name: str, value: float, tolerance: float, passed: bool | None = None) -> bool:
         ok = bool(value <= tolerance) if passed is None else bool(passed)
-        self.rows.append([name, float(value), float(tolerance), ok])
+        self.rows.append(
+            {"name": name, "value": float(value), "tolerance": float(tolerance), "pass": ok}
+        )
         return ok
 
     def all_pass(self) -> bool:
-        return all(row[3] for row in self.rows)
+        return all(row["pass"] for row in self.rows)
 
     def write(self, path) -> None:
-        write_csv(path, ["name", "value", "tolerance", "pass"], self.rows)
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"name": r[0], "value": r[1], "tolerance": r[2], "pass": r[3]}
-            for r in self.rows
-        ]
+        header = ["name", "value", "tolerance", "pass"]
+        write_csv(path, [header] + [list(r.values()) for r in self.rows])

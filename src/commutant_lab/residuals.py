@@ -51,15 +51,6 @@ class ResidualReport:
     n_points: int
     scale: float
 
-    def to_json(self) -> dict:
-        return {
-            "max_abs": self.max_abs,
-            "rms": self.rms,
-            "argmax": [self.argmax[0], self.argmax[1]],
-            "n_points": self.n_points,
-            "scale": self.scale,
-        }
-
 
 def chebyshev_points(
     n: int, lo: float | np.ndarray = -1.0, hi: float | np.ndarray = 1.0

@@ -95,16 +95,6 @@ class SpectralReport:
     K_eigenvalues_direct: np.ndarray
     degenerate: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "L_eigenvalues": [[v.real, v.imag] for v in self.L_eigenvalues],
-            "rayleigh": [[v.real, v.imag] for v in self.rayleigh],
-            "mode_residuals": list(self.mode_residuals),
-            "offdiag_energy": self.offdiag_energy,
-            "K_eigenvalues_direct": [[v.real, v.imag] for v in self.K_eigenvalues_direct],
-            "degenerate": self.degenerate,
-        }
-
     def rows(self) -> list[list]:
         out = []
         for i in range(len(self.L_eigenvalues)):

@@ -40,3 +40,13 @@ def test_cli_commands_hold_traced_commands(tracing):
     from commutant_lab import cli
 
     assert set(tracing.COMMAND_NAMES) <= set(cli.COMMANDS)
+
+
+def test_report_writers_take_the_path_first(tmp_path):
+    # the tracer counts reportio.bytes from the file at args[0]
+    from commutant_lab import reportio
+
+    json_path, csv_path = tmp_path / "report.json", tmp_path / "table.csv"
+    reportio.write_json(json_path, {"schema": 1})
+    reportio.write_csv(csv_path, [["name", "value"], ["x", 1.0]])
+    assert json_path.stat().st_size > 0 and csv_path.stat().st_size > 0

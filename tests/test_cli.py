@@ -1,9 +1,11 @@
 import json
 import csv
+import math
 
 import numpy as np
 import pytest
 
+from commutant_lab import make_pair, params_from_json
 from commutant_lab.cli import main
 
 SINC = {
@@ -47,6 +49,37 @@ def test_verify_singular_case4(tmp_path):
     by_name = {r["name"]: r for r in rows}
     assert float(by_name["r1_rel"]["value"]) <= 1e-13
     assert "singular_relation_abs" in by_name
+
+
+def test_verify_alpha2_lost_to_rounding(tmp_path):
+    # below |mu| 0.1 the Taylor form keeps alpha2 = 1e-300 (N(0) = 2e-300),
+    # still a zero next to alpha1 = 1: the regular kernel, which verifies
+    params = {**SINC, "lambda": [1.0, 0.0], "mu": [0.05, 0.0], "alpha2": [1e-300, 0.0]}
+    cfg = write_config(tmp_path / "cfg.json", params=params)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "report.json").read_text())["result"]["singular"] is False
+
+
+def test_pair_series_round_trips_signed_zeros(tmp_path):
+    # a case2 pole kernel: z*k is even, so its odd Taylor coefficients are
+    # zeros, some of them -0.0
+    params = {
+        "variant": "case2",
+        "lambda": [-0.8602942293955618, 1.1054656400643421],
+        "alpha": [0.04333358978848545, -0.5984651951016662],
+        "beta": [-0.32448729806169463, 0.5986968886985895],
+    }
+    cfg = write_config(tmp_path / "cfg.json", params=params)
+    out = tmp_path / "out"
+    assert main(["pair", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    written = json.loads((out / "report.json").read_text())["result"]["series"]
+    series = make_pair(params_from_json(params)).kernel.series
+    parts = [(c.real, c.imag) for c in series]
+    assert all(isinstance(x, float) for pair in written for x in pair)
+    assert any(x == 0 and math.copysign(1.0, x) < 0 for pair in parts for x in pair)
+    hexes = [[x.hex() for x in pair] for pair in written]
+    assert hexes == [[x.hex() for x in pair] for pair in parts]
 
 
 def test_pair_command_writes_samples(tmp_path):

@@ -210,10 +210,13 @@ def test_build_kernel_derives_pole_from_data(request, name, gauged):
 
 
 def test_alpha2_lost_to_rounding_gives_regular_kernel():
-    # alpha2 = 1e-300 vanishes when alpha2 cosh(mu z) merges with
-    # alpha1 sinh(mu z)/mu, so N(0) = 0 exactly and k is analytic at 0
-    pair = make_pair(General(lam=1.0, mu=2.0, alpha1=1.0, alpha2=1e-300))
-    assert not pair.kernel.singular
-    assert pair.kernel.value_at_zero() == pytest.approx(2.0, rel=1e-14)
-    rep = residual_R1(pair)
-    assert rep.max_abs <= 1e-9 * rep.scale
+    # alpha2 = 1e-300 next to alpha1 = 1 is below N's rounding: for
+    # mu = 2 and 0.5 it vanishes when alpha2 cosh(mu z) merges with
+    # alpha1 sinh(mu z)/mu, and below |mu| 0.1 the Taylor form keeps it
+    # (N(0) = 2e-300), which is still a zero on N's scale
+    for mu in (2.0, 0.5, 0.05):
+        pair = make_pair(General(lam=1.0, mu=mu, alpha1=1.0, alpha2=1e-300))
+        assert not pair.kernel.singular, mu
+        assert pair.kernel.value_at_zero() == pytest.approx(2.0, rel=1e-14)
+        rep = residual_R1(pair)
+        assert rep.max_abs <= 1e-9 * rep.scale, mu

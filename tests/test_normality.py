@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from commutant_lab import (
     is_normal,
     is_selfadjoint,
     make_pair,
+    reportio,
     selfadjoint_matrix_defect,
 )
 from conftest import CallableCoeff
@@ -216,6 +219,6 @@ def test_normal_verdict_scalar_invariant():
 
 def test_report_serialization():
     rep = is_normal(normal_fixture())
-    obj = rep.to_json()
+    obj = json.loads(reportio.dumps(rep))
     assert obj["normal"] is True
     assert "condition_residuals" in obj

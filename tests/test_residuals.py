@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from commutant_lab import (
     singular_relation_check,
     taylor_relation_check,
 )
+from commutant_lab import reportio
 from commutant_lab.kernels import kernel_values
 from commutant_lab.residuals import Z_EXCLUSION, chebyshev_points
 
@@ -103,7 +105,7 @@ def test_residual_matches_pointwise_reference(fixture, request):
 
 
 def test_report_json_fields(analytic_pair):
-    obj = residual_R1(analytic_pair).to_json()
+    obj = json.loads(reportio.dumps(residual_R1(analytic_pair)))
     assert set(obj) == {"max_abs", "rms", "argmax", "n_points", "scale"}
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from commutant_lab import (
     nystrom_K_pv,
     spectral_norm,
 )
+from commutant_lab import reportio
 from commutant_lab.discretize import legendre_polys
 from commutant_lab.spectra import _pv_commutator
 
@@ -191,7 +193,7 @@ def test_report_serialization(sinc_pair):
     K = nystrom_K(sinc_pair, g)
     L = collocation_L(sinc_pair.op, g)
     spec = joint_diagonalization(K, L, 3)
-    obj = spec.to_json()
+    obj = json.loads(reportio.dumps(spec))
     assert len(obj["L_eigenvalues"]) == 3
     rows = spec.rows()
     assert len(rows) == 3 and len(rows[0]) == 6
