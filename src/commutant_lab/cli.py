@@ -312,6 +312,14 @@ def cmd_normality(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Su
     }
 
 
+# sweep.csv columns: the draw's parameters, then its R1 residual and verdict
+SWEEP_FIELDS = (
+    "idx", "lambda_re", "lambda_im", "mu_re", "mu_im",
+    "alpha1_re", "alpha1_im", "alpha2_re", "alpha2_im",
+    "max_abs", "scale", "rel", "pass",
+)
+
+
 def cmd_sweep(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary) -> dict:
     rng = np.random.default_rng(cfg.seed)
     tol = cfg.tol("r1_rel")
@@ -336,29 +344,12 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summar
         pair = make_pair(params)
         rep = residual_R1(pair)
         rel = rep.max_abs / max(rep.scale, 1e-300)
-        rows.append(
-            {
-                "idx": accepted,
-                "lambda_re": lam.real,
-                "lambda_im": lam.imag,
-                "mu_re": mu.real,
-                "mu_im": mu.imag,
-                "alpha1_re": a1.real,
-                "alpha1_im": a1.imag,
-                "alpha2_re": a2.real,
-                "alpha2_im": a2.imag,
-                "max_abs": rep.max_abs,
-                "scale": rep.scale,
-                "rel": rel,
-                "pass": rel <= tol,
-            }
-        )
+        draw = (accepted, lam.real, lam.imag, mu.real, mu.imag, a1.real, a1.imag, a2.real, a2.imag)
+        rows.append(dict(zip(SWEEP_FIELDS, (*draw, rep.max_abs, rep.scale, rel, rel <= tol))))
         accepted += 1
     all_ok = all(r["pass"] for r in rows) and accepted == cfg.count
     summary.add("sweep_pass_fraction", 0.0 if all_ok else 1.0, 0.5, passed=all_ok)
-    # header: the first draw's keys (an empty file if no draw was accepted)
-    table = [list(r) for r in rows[:1]] + [list(r.values()) for r in rows]
-    reportio.write_csv(outdir / "sweep.csv", table)
+    reportio.write_csv(outdir / "sweep.csv", rows, SWEEP_FIELDS)
     return {
         "seed": cfg.seed,
         "count": cfg.count,

@@ -4,7 +4,9 @@ Every kernel in the classification is a ratio N(z)/D(z) of entire
 exponential-polynomial functions whose denominator has a simple zero at
 z = 0.  The kernel is analytic at 0 when N(0) = 0 (removable) and has a
 simple pole there otherwise; N(0) counts as 0 when it is below 1e-14 of
-N's largest Taylor coefficient at 0, i.e. at the rounding of N itself.
+N's largest Taylor coefficient N_k at 0 taken on N's own length scale,
+i.e. of max_k |N_k| / rho^k with rho = max(N's fastest rate, 1), so the
+test does not drift with the rate.
 Admissible parameters leave at most removable zeros of D elsewhere in
 [-2, 2] (e.g. z = +-2 for the cos/sin kernels), where direct evaluation
 loses digits.
@@ -55,8 +57,9 @@ def _series_div(num, den, nterms: int) -> tuple[complex, ...]:
 class KernelSpec:
     """Evaluatable kernel with its pole flag and Taylor data at 0.
 
-    ``singular`` is True iff |N(0)| > 1e-14 max_k |N_k| over N's Taylor
-    coefficients at 0, i.e. k has a simple pole at 0.
+    ``singular`` is True iff |N(0)| > 1e-14 max_k |N_k| / rho^k over N's
+    Taylor coefficients at 0, with rho = max(N's fastest rate, 1), i.e. k
+    has a simple pole at 0.
     ``series`` holds plain Taylor coefficients: of z*k(z) when ``singular``
     (so series[0] is the residue at 0), of k(z) otherwise (so series[n] is
     the n-th derivative over n!).
@@ -93,7 +96,10 @@ def build_kernel(numerator: ExpPoly, denominator: ExpPoly) -> KernelSpec:
     if abs(den_taylor[0]) > 1e-12 or den_taylor[1] == 0:
         raise ValueError("denominator must vanish to first order at z = 0")
     num_taylor = numerator.taylor(0.0, SERIES_TERMS + 2)
-    singular = abs(num_taylor[0]) > 1e-14 * max(abs(c) for c in num_taylor)
+    # N_k grows like rho^k / k!; scaling by rho^k keeps the test rate-free
+    rho = max(numerator.max_rate(), 1.0)
+    scaled = [abs(c) / rho**k for k, c in enumerate(num_taylor)]
+    singular = abs(num_taylor[0]) > 1e-14 * max(scaled)
     # Taylor of z*k = N/(D/z), or of k = (N/z)/(D/z) when N(0) = 0
     series = _series_div(num_taylor if singular else num_taylor[1:], den_taylor[1:], SERIES_TERMS)
 

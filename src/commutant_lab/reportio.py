@@ -5,8 +5,9 @@ Reports must be byte-identical across runs with the same config and seed.
 library hands over as they are: complex numbers become ``[re, im]``,
 numpy arrays and scalars become Python lists and numbers, and result
 dataclasses become their fields.  JSON keys keep insertion order (configs
-are built deterministically).  ``write_csv`` is one ``csv.writer``; a bool
-cell reads ``true``/``false`` and a complex cell ``"re,im"``.  Every float
+are built deterministically).  ``write_csv`` is one ``csv.writer`` for list
+rows (header first) and for dict rows under a fixed header; a bool cell
+reads ``true``/``false`` and a complex cell ``"re,im"``.  Every float
 is written as Python's shortest round-trip repr, so -0.0 keeps its sign.
 """
 
@@ -50,8 +51,15 @@ def _cell(value):
     return value
 
 
-def write_csv(path, rows) -> None:
-    """Write ``rows`` (the first one is the header) with LF line endings."""
+def write_csv(path, rows, fields=None) -> None:
+    """Write ``rows`` with LF line endings.
+
+    Without ``fields`` the rows are lists and the first one is the header.
+    With ``fields`` the rows are dicts, written under the header ``fields``
+    (also when there are no rows) in that column order.
+    """
+    if fields is not None:
+        rows = [fields, *([row[f] for f in fields] for row in rows)]
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(map(_cell, row) for row in rows)
 
@@ -59,19 +67,18 @@ def write_csv(path, rows) -> None:
 class Summary:
     """Accumulates named checks (value vs tolerance) for summary.csv."""
 
+    FIELDS = ("name", "value", "tolerance", "pass")
+
     def __init__(self) -> None:
         self.rows: list[dict] = []
 
     def add(self, name: str, value: float, tolerance: float, passed: bool | None = None) -> bool:
         ok = bool(value <= tolerance) if passed is None else bool(passed)
-        self.rows.append(
-            {"name": name, "value": float(value), "tolerance": float(tolerance), "pass": ok}
-        )
+        self.rows.append(dict(zip(self.FIELDS, (name, float(value), float(tolerance), ok))))
         return ok
 
     def all_pass(self) -> bool:
         return all(row["pass"] for row in self.rows)
 
     def write(self, path) -> None:
-        header = ["name", "value", "tolerance", "pass"]
-        write_csv(path, [header] + [list(r.values()) for r in self.rows])
+        write_csv(path, self.rows, self.FIELDS)

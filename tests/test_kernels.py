@@ -220,3 +220,25 @@ def test_alpha2_lost_to_rounding_gives_regular_kernel():
         assert pair.kernel.value_at_zero() == pytest.approx(2.0, rel=1e-14)
         rep = residual_R1(pair)
         assert rep.max_abs <= 1e-9 * rep.scale, mu
+
+
+@pytest.mark.parametrize("tau", [0.0, 30.0, -50j], ids=["plain", "tau30", "tau-50i"])
+@pytest.mark.parametrize(
+    "params",
+    [Case1(m=40, alpha=1.0, beta=1.0), General(lam=1.0, mu=60.0, alpha1=1.0, alpha2=1.0)],
+    ids=["case1_m40", "general_mu60"],
+)
+def test_fast_pole_kernel_stays_singular(params, tau):
+    # N's Taylor coefficients grow like rho^k / k!, far above N(0) at rate
+    # rho ~ 60; on N's own scale (N_k / rho^k) N(0) is still a pole
+    pair = make_pair(params)
+    if tau:
+        pair = gauge_transform(pair, tau=tau)
+    spec = pair.kernel
+    assert spec.singular
+    residue = spec.numerator(0.0) / spec.denominator(0.0, order=1)
+    assert spec.residue() == pytest.approx(residue, rel=1e-13)
+    # inside the switch radius the Laurent branch meets the direct ratio
+    z = 0.999 * spec.switch_radius
+    direct = spec.numerator(z) / spec.denominator(z)
+    assert eval_kernel(pair, z) == pytest.approx(direct, rel=1e-9)

@@ -53,3 +53,13 @@ def test_write_csv_cells(tmp_path):
     ]
     reportio.write_csv(path, rows)
     assert path.read_bytes() == b'name,ok,z\na,true,"1.5,-0.0"\nb,false,"-0.0,2.0"\n'
+
+
+def test_write_csv_dict_rows_keep_header(tmp_path):
+    fields = ("idx", "rel", "pass")
+    path = tmp_path / "t.csv"
+    reportio.write_csv(path, [{"pass": True, "idx": 0, "rel": 0.5}], fields)
+    assert path.read_bytes() == b"idx,rel,pass\n0,0.5,true\n"
+    # no rows: the header alone, so the file's shape does not depend on the data
+    reportio.write_csv(path, [], fields)
+    assert path.read_bytes() == b"idx,rel,pass\n"
