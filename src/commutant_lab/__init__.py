@@ -33,9 +33,7 @@ from .families import (
     General,
     check_admissibility,
     classify_trivial,
-    eval_kernel,
     gauge_transform,
-    kernel_derivs,
     make_pair,
     params_from_json,
     params_to_json,

@@ -9,7 +9,9 @@ The config is a single JSON object; reports are written as report.json
 check: name, value, tolerance, pass).  Commands hand their result objects
 to ``reportio`` as they are; it turns complex numbers, numpy values and
 result dataclasses into JSON.  Identical config + seed produces
-byte-identical files.  Exit status is 0 iff every check passed its
+byte-identical files on one machine with a fixed BLAS thread count; the
+matrix reports of ``commutator`` and ``spectrum`` can change in their last
+digits with the thread count.  Exit status is 0 iff every check passed its
 tolerance.
 """
 

@@ -224,8 +224,5 @@ class ExpPoly:
                 out[k] += c
         return tuple(out)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def max_rate(self) -> float:
         return max((abs(r) for r, _ in self.terms), default=0.0)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .coeffs import ExpPoly
 from .errors import AdmissibilityError, DegenerateError, InvalidPolynomialError
-from .kernels import KernelSpec, build_kernel, kernel_values
+from .kernels import KernelSpec, build_kernel
 
 DEGENERACY_THRESHOLD = 1e-6
 # Below this |rate| the quotients sinh(rate z)/rate and
@@ -495,18 +495,7 @@ def _assert_recovery_case34(params: Case3 | Case4) -> None:
 
 
 # ---------------------------------------------------------------------------
-# kernel evaluation and gauge transform
-
-
-def eval_kernel(pair: CommutingPair, z) -> complex:
-    """Value of the pair's kernel at z (in [-2,2]); PoleError at a pole."""
-    (val,) = kernel_values(pair.kernel, z, orders=(0,))
-    return val
-
-
-def kernel_derivs(pair: CommutingPair, z, orders=(0, 1, 2)):
-    """Kernel and derivative values, series-switched near denominator zeros."""
-    return kernel_values(pair.kernel, z, orders=orders)
+# gauge transform
 
 
 def gauge_transform(

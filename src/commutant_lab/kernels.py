@@ -78,11 +78,6 @@ class KernelSpec:
             return 0j
         return self.series[0]
 
-    def value_at_zero(self) -> complex:
-        if self.singular:
-            raise PoleError("kernel has a simple pole at z = 0")
-        return self.series[0]
-
 
 def build_kernel(numerator: ExpPoly, denominator: ExpPoly) -> KernelSpec:
     """Assemble a KernelSpec from entire numerator/denominator data.

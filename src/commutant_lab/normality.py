@@ -212,11 +212,11 @@ def selfadjoint_matrix_defect(op: DiffOp) -> float:
     boundary terms vanish exactly through the operator's own boundary
     conditions) and returns the relative anti-Hermitian part of B.
     """
-    from .discretize import build_grid, collocation_L, legendre_polys
+    from .discretize import build_grid, collocation_L
 
     grid = build_grid(MATRIX_N)
     x, w = grid.nodes, grid.weights
-    P = legendre_polys(x, MATRIX_KMAX).T
+    P = np.polynomial.legendre.legvander(x, MATRIX_KMAX)
     nrm = np.sqrt(2.0 / (2.0 * np.arange(MATRIX_KMAX + 1) + 1.0))
     Phi = P / nrm[None, :]
     Lm = collocation_L(op, grid).entries

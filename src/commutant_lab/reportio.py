@@ -1,6 +1,8 @@
 """Deterministic report serialization through the standard library.
 
-Reports must be byte-identical across runs with the same config and seed.
+Reports must be byte-identical across runs with the same config and seed
+(on one machine, with a fixed BLAS thread count: matrix values can change
+in their last digits with the thread count).
 ``dumps`` is ``json.dumps`` with one hook, ``_plain``, for the values the
 library hands over as they are: complex numbers become ``[re, im]``,
 numpy arrays and scalars become Python lists and numbers, and result

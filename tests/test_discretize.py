@@ -2,6 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import legvander
+from scipy.special import roots_jacobi
 
 from commutant_lab import (
     Case2,
@@ -19,22 +21,57 @@ from commutant_lab import (
     nystrom_K_pv,
     pv_log_weight,
 )
-from commutant_lab.discretize import k_reg_values, legendre_polys
+from commutant_lab.discretize import k_reg_values
 
 
 # ---------------------------------------------------------------------------
 # grids
 
 
-def test_lobatto_four_point():
-    # independent construction: roots of P3' are +-1/sqrt(5); exactness on deg <= 5
-    g = build_grid(4)
-    np.testing.assert_allclose(g.nodes, [-1.0, -1 / np.sqrt(5), 1 / np.sqrt(5), 1.0], atol=1e-15)
-    np.testing.assert_allclose(g.weights, [1 / 6, 5 / 6, 5 / 6, 1 / 6], atol=1e-15)
-    for deg in range(6):
+@pytest.mark.parametrize(
+    "n, nodes, weights",
+    [
+        (2, [-1.0, 1.0], [1.0, 1.0]),
+        (3, [-1.0, 0.0, 1.0], [1 / 3, 4 / 3, 1 / 3]),
+        # roots of P3' are +-1/sqrt(5)
+        (4, [-1.0, -1 / np.sqrt(5), 1 / np.sqrt(5), 1.0], [1 / 6, 5 / 6, 5 / 6, 1 / 6]),
+    ],
+    ids=["n2", "n3", "n4"],
+)
+def test_lobatto_small_rules(n, nodes, weights):
+    # independent closed forms; exactness on deg <= 2n - 3
+    g = build_grid(n)
+    np.testing.assert_allclose(g.nodes, nodes, atol=1e-15)
+    np.testing.assert_allclose(g.weights, weights, atol=1e-15)
+    for deg in range(2 * n - 2):
         quad = np.sum(g.weights * g.nodes**deg)
         exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
         assert quad == pytest.approx(exact, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 64, 256])
+def test_nodes_match_gauss_jacobi(n):
+    # interior LGL nodes are the Gauss nodes of the weight 1 - x^2; scipy's
+    # weights drift at large n, so only its nodes serve as an oracle
+    nodes, _ = roots_jacobi(n - 2, 1, 1)
+    np.testing.assert_allclose(build_grid(n).nodes[1:-1], nodes, rtol=0, atol=5e-16)
+
+
+def test_grid_matches_mpmath_refinement():
+    # 40-digit Newton on P'_N from the grid's nodes, N = n - 1
+    n = 64
+    N = n - 1
+    g = build_grid(n)
+    with mpmath.workdps(40):
+        for x, w in zip(g.nodes[1:-1], g.weights[1:-1]):
+            t = mpmath.mpf(x)
+            for _ in range(4):
+                p, pm = mpmath.legendre(N, t), mpmath.legendre(N - 1, t)
+                dp = N * (pm - t * p) / (1 - t**2)
+                t -= dp * (1 - t**2) / (2 * t * dp - N * (N + 1) * p)
+            w_ref = 2 / (n * N * mpmath.legendre(N, t) ** 2)
+            assert abs(t - x) <= 1e-16
+            assert abs(w_ref - w) <= 1e-13 * w_ref
 
 
 @settings(max_examples=15, deadline=None)
@@ -192,9 +229,9 @@ def test_pv_exact_on_legendre_polynomials(case4_pair, n):
     Q.append(x * Q[0] - 1.0)
     for k in range(1, 9):
         Q.append(((2 * k + 1) * x * Q[k] - k * Q[k - 1]) / (k + 1))
-    P = legendre_polys(g.nodes, 9)
+    P = legvander(g.nodes, 9)
     for k in range(1, 10):
-        np.testing.assert_allclose((K.entries @ P[k])[mask], 2.0 * Q[k], rtol=0, atol=1e-12)
+        np.testing.assert_allclose((K.entries @ P[:, k])[mask], 2.0 * Q[k], rtol=0, atol=1e-12)
 
 
 # kernel, its residue r and the closed form of k in mpmath

@@ -17,8 +17,8 @@ from commutant_lab import (
     PoleError,
     check_admissibility,
     classify_trivial,
-    eval_kernel,
     gauge_transform,
+    kernel_values,
     make_pair,
     params_from_json,
     params_to_json,
@@ -33,7 +33,7 @@ from commutant_lab import (
 def test_double_limit_reduces_to_pole_kernel():
     pair = make_pair(General(lam=0.0, mu=0.0, alpha1=0.0, alpha2=1.0))
     z = 0.37
-    assert eval_kernel(pair, z) == pytest.approx(2.0 / z)
+    assert kernel_values(pair.kernel, z)[0] == pytest.approx(2.0 / z)
     y = np.linspace(-1, 1, 11)
     np.testing.assert_allclose(pair.op.a(y), (y**2 - 1) / 2, atol=1e-15)
     np.testing.assert_allclose(pair.op.b(y), y, atol=1e-15)
@@ -44,14 +44,14 @@ def test_mu_zero_kernel_value():
     # oracle: arbitrary-precision evaluation of the closed form 2/sinh(1)
     pair = make_pair(General(lam=2.0, mu=0.0, alpha1=0.0, alpha2=1.0))
     expected = complex(2 / mpmath.sinh(1))
-    assert eval_kernel(pair, 1.0) == pytest.approx(expected, rel=1e-14)
+    assert kernel_values(pair.kernel, 1.0)[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_sinc_limit_pair():
     pair = make_pair(General(lam=0.0, mu=1j * np.pi / 2, alpha1=1.0, alpha2=0.0))
     z = 0.83
     expected = 2 * np.sin(np.pi * z / 2) / ((np.pi / 2) * z)
-    assert eval_kernel(pair, z) == pytest.approx(expected)
+    assert kernel_values(pair.kernel, z)[0] == pytest.approx(expected)
     assert pair.nu == pytest.approx(np.pi**2 / 4)
     y = 0.4
     assert pair.op.c(y) == pytest.approx((np.pi**2 / 4) * (y**2 - 1) / 2)
@@ -77,17 +77,17 @@ def test_boundary_conditions_hold():
 
 
 # ---------------------------------------------------------------------------
-# eval_kernel branches
+# kernel evaluation branches
 
 
 def test_exact_trig_value_case1(case1_pair):
-    assert eval_kernel(case1_pair, 1.0) == pytest.approx(math.sqrt(2) / 2)
+    assert kernel_values(case1_pair.kernel, 1.0)[0] == pytest.approx(math.sqrt(2) / 2)
 
 
 def test_sinh_cancellation_gives_constant():
     pair = make_pair(General(lam=2.0, mu=1.0, alpha1=1.0, alpha2=0.0))
     for z in (0.1, -0.9, 1.7):
-        assert eval_kernel(pair, z) == pytest.approx(2.0, rel=1e-13)
+        assert kernel_values(pair.kernel, z)[0] == pytest.approx(2.0, rel=1e-13)
 
 
 def test_series_branch_agrees_with_direct(case2_pair):
@@ -97,7 +97,7 @@ def test_series_branch_agrees_with_direct(case2_pair):
         direct = complex(case2_pair.kernel.numerator(z)) / complex(
             case2_pair.kernel.denominator(z)
         )
-        assert eval_kernel(case2_pair, z) == pytest.approx(direct, rel=1e-10)
+        assert kernel_values(case2_pair.kernel, z)[0] == pytest.approx(direct, rel=1e-10)
 
 
 def test_singular_series_limit(case2_pair):
@@ -106,7 +106,7 @@ def test_singular_series_limit(case2_pair):
     assert s[0] == pytest.approx(1.0)
     assert s[2] == pytest.approx(-1.0 / 6.0)
     z = 1e-5
-    assert z * eval_kernel(case2_pair, z) == pytest.approx(1.0, rel=1e-9)
+    assert z * kernel_values(case2_pair.kernel, z)[0] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_singular_series_is_sympy_expansion(case2_pair):
@@ -120,18 +120,19 @@ def test_singular_series_is_sympy_expansion(case2_pair):
 
 def test_pole_error(case4_pair):
     with pytest.raises(PoleError):
-        eval_kernel(case4_pair, 0.0)
+        kernel_values(case4_pair.kernel, 0.0)
 
 
 def test_regular_kernel_value_at_zero(analytic_pair):
-    assert eval_kernel(analytic_pair, 0.0) == pytest.approx(2.0)
+    assert kernel_values(analytic_pair.kernel, 0.0)[0] == pytest.approx(2.0)
 
 
 @settings(max_examples=20, deadline=None)
 @given(z=st.floats(0.05, 1.9))
 def test_even_kernel_for_alpha2_zero(z):
     pair = make_pair(General(lam=1.1, mu=0.6j, alpha1=1.0, alpha2=0.0))
-    assert eval_kernel(pair, z) == pytest.approx(eval_kernel(pair, -z), rel=1e-12)
+    k_plus, k_minus = kernel_values(pair.kernel, np.array([z, -z]))[0]
+    assert k_plus == pytest.approx(k_minus, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ def test_even_kernel_for_alpha2_zero(z):
 def test_case1_displays(case1_pair):
     z = 0.73
     expected = np.cos(np.pi * z / 4) / np.sin(np.pi * z / 2)
-    assert eval_kernel(case1_pair, z) == pytest.approx(expected)
+    assert kernel_values(case1_pair.kernel, z)[0] == pytest.approx(expected)
     assert case1_pair.nu == pytest.approx(-(3 * np.pi**2 / 16))
     y = np.linspace(-1, 1, 9)
     a = np.exp(1j * np.pi * y) + np.exp(-1j * np.pi * y) + 2.0
@@ -150,7 +151,7 @@ def test_case1_displays(case1_pair):
 
 def test_case2_recovers_display(case2_pair):
     z = 0.6
-    assert eval_kernel(case2_pair, z) == pytest.approx(1 / np.sinh(z))
+    assert kernel_values(case2_pair.kernel, z)[0] == pytest.approx(1 / np.sinh(z))
     y = 0.3
     a0 = np.cosh(2 * y) - np.cosh(2.0)
     a0p = 2 * np.sinh(2 * y)
@@ -161,7 +162,7 @@ def test_case2_recovers_display(case2_pair):
 
 def test_case3_display(case3_pair):
     z = 0.9
-    assert eval_kernel(case3_pair, z) == pytest.approx(0.5 + 1 / z)
+    assert kernel_values(case3_pair.kernel, z)[0] == pytest.approx(0.5 + 1 / z)
     y = np.linspace(-1, 1, 7)
     np.testing.assert_allclose(case3_pair.op.a(y), y**2 - 1, atol=1e-15)
     np.testing.assert_allclose(case3_pair.op.b(y), 2 * y, atol=1e-15)
@@ -170,7 +171,7 @@ def test_case3_display(case3_pair):
 
 def test_case4_display(case4_pair):
     z = -1.3
-    assert eval_kernel(case4_pair, z) == pytest.approx(1 / z)
+    assert kernel_values(case4_pair.kernel, z)[0] == pytest.approx(1 / z)
     y = np.linspace(-1, 1, 7)
     np.testing.assert_allclose(case4_pair.op.a(y), y**2 - 1, atol=1e-15)
     np.testing.assert_allclose(case4_pair.op.b(y), 2 * y, atol=1e-15)
@@ -216,7 +217,7 @@ def test_recovery_clauses_pointwise():
     for f, g in ((c3.op.a, gen0.op.a), (c3.op.b, gen0.op.b), (c3.op.c, gen0.op.c)):
         np.testing.assert_allclose(np.asarray(f(y)), 2 * np.asarray(g(y)), atol=1e-12)
     z = 0.8
-    assert eval_kernel(c3, z) == pytest.approx(eval_kernel(gen0, z))
+    assert kernel_values(c3.kernel, z)[0] == pytest.approx(kernel_values(gen0.kernel, z)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,8 @@ def test_gauge_identity(analytic_pair):
     same = gauge_transform(analytic_pair, tau=0.0, scale=1.0, shift=0.0)
     y = np.linspace(-1, 1, 5)
     np.testing.assert_allclose(same.op.c(y), analytic_pair.op.c(y), atol=1e-15)
-    assert eval_kernel(same, 0.7) == pytest.approx(eval_kernel(analytic_pair, 0.7))
+    (k_same,) = kernel_values(same.kernel, 0.7)
+    assert k_same == pytest.approx(kernel_values(analytic_pair.kernel, 0.7)[0])
 
 
 def test_gauge_constant_shift(analytic_pair):
@@ -270,7 +272,8 @@ def test_gauge_exponential_preserves_r1():
     out = gauge_transform(pair, tau=0.3)
     rep = residual_R1(out)
     assert rep.max_abs <= 1e-9 * rep.scale
-    assert eval_kernel(out, 0.5) == pytest.approx(eval_kernel(pair, 0.5) * np.exp(0.15))
+    (k_out,) = kernel_values(out.kernel, 0.5)
+    assert k_out == pytest.approx(kernel_values(pair.kernel, 0.5)[0] * np.exp(0.15))
     assert out.nu is None
 
 
@@ -350,7 +353,8 @@ def test_small_rate_series_continuous_at_switch(rate):
     y = np.linspace(-1, 1, 9)
     np.testing.assert_allclose(below.op.a(y), at.op.a(y), rtol=0, atol=1e-12)
     z = np.array([-1.9, -0.7, 0.3, 1.2, 2.0])
-    np.testing.assert_allclose(eval_kernel(below, z), eval_kernel(at, z), rtol=1e-11)
+    (k_below,), (k_at,) = kernel_values(below.kernel, z), kernel_values(at.kernel, z)
+    np.testing.assert_allclose(k_below, k_at, rtol=1e-11)
 
 
 @settings(max_examples=15, deadline=None)

@@ -8,9 +8,7 @@ from commutant_lab import (
     Case2,
     General,
     build_kernel,
-    eval_kernel,
     gauge_transform,
-    kernel_derivs,
     kernel_values,
     make_pair,
     residual_R1,
@@ -34,11 +32,13 @@ def test_kernel_finite_on_interval(wide_lambda_pair):
 
 def test_removable_zero_is_continuous(wide_lambda_pair):
     z0 = 2.0 / 1.2
-    limit = eval_kernel(wide_lambda_pair, z0)
+    (limit,) = kernel_values(wide_lambda_pair.kernel, z0)
     assert np.isfinite(limit.real)
     for dz in (1e-2, 1e-4):
-        assert eval_kernel(wide_lambda_pair, z0 + dz) == pytest.approx(limit, rel=2e-2)
-    assert eval_kernel(wide_lambda_pair, z0 + 1e-7) == pytest.approx(limit, rel=1e-9)
+        (k,) = kernel_values(wide_lambda_pair.kernel, z0 + dz)
+        assert k == pytest.approx(limit, rel=2e-2)
+    (k,) = kernel_values(wide_lambda_pair.kernel, z0 + 1e-7)
+    assert k == pytest.approx(limit, rel=1e-9)
 
 
 def _wide_lambda_closed_form(mpmath):
@@ -141,11 +141,10 @@ def test_pole_kernel_values_match_mpmath(pair, closed, tau, scale):
 def test_derivatives_match_finite_differences(analytic_pair, case2_pair):
     h = 1e-6
     for pair, z in ((analytic_pair, 0.7), (case2_pair, 0.45), (case2_pair, -1.2)):
-        k0, k1, k2 = kernel_derivs(pair, z)
-        fd1 = (eval_kernel(pair, z + h) - eval_kernel(pair, z - h)) / (2 * h)
-        fd2 = (
-            eval_kernel(pair, z + h) - 2 * eval_kernel(pair, z) + eval_kernel(pair, z - h)
-        ) / h**2
+        k0, k1, k2 = kernel_values(pair.kernel, z, orders=(0, 1, 2))
+        km, kp = kernel_values(pair.kernel, np.array([z - h, z + h]))[0]
+        fd1 = (kp - km) / (2 * h)
+        fd2 = (kp - 2 * k0 + km) / h**2
         assert k1 == pytest.approx(fd1, rel=1e-8)
         assert k2 == pytest.approx(fd2, rel=1e-3)
 
@@ -153,7 +152,7 @@ def test_derivatives_match_finite_differences(analytic_pair, case2_pair):
 def test_derivatives_near_pole_match_laurent(case4_pair):
     # k = 1/z: closed-form derivatives, inside and outside the switch radius
     for z in (5e-4, 0.02):
-        k0, k1, k2 = kernel_derivs(case4_pair, z)
+        k0, k1, k2 = kernel_values(case4_pair.kernel, z, orders=(0, 1, 2))
         assert k0 == pytest.approx(1 / z, rel=1e-12)
         assert k1 == pytest.approx(-1 / z**2, rel=1e-12)
         assert k2 == pytest.approx(2 / z**3, rel=1e-12)
@@ -174,7 +173,7 @@ def test_scalar_and_array_evaluation_agree(case2_pair):
     zs = np.array([0.3, -0.7, 1.9])
     (arr,) = kernel_values(case2_pair.kernel, zs, orders=(0,))
     for z, v in zip(zs, arr):
-        assert eval_kernel(case2_pair, float(z)) == pytest.approx(complex(v))
+        assert kernel_values(case2_pair.kernel, float(z))[0] == pytest.approx(complex(v))
 
 
 @pytest.mark.parametrize("gauged", [False, True], ids=["plain", "gauged"])
@@ -217,7 +216,7 @@ def test_alpha2_lost_to_rounding_gives_regular_kernel():
     for mu in (2.0, 0.5, 0.05):
         pair = make_pair(General(lam=1.0, mu=mu, alpha1=1.0, alpha2=1e-300))
         assert not pair.kernel.singular, mu
-        assert pair.kernel.value_at_zero() == pytest.approx(2.0, rel=1e-14)
+        assert kernel_values(pair.kernel, 0.0)[0] == pytest.approx(2.0, rel=1e-14)
         rep = residual_R1(pair)
         assert rep.max_abs <= 1e-9 * rep.scale, mu
 
@@ -241,4 +240,4 @@ def test_fast_pole_kernel_stays_singular(params, tau):
     # inside the switch radius the Laurent branch meets the direct ratio
     z = 0.999 * spec.switch_radius
     direct = spec.numerator(z) / spec.denominator(z)
-    assert eval_kernel(pair, z) == pytest.approx(direct, rel=1e-9)
+    assert kernel_values(pair.kernel, z)[0] == pytest.approx(direct, rel=1e-9)

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legvander
 
 from commutant_lab import (
     DiffOp,
@@ -18,7 +19,6 @@ from commutant_lab import (
     spectral_norm,
 )
 from commutant_lab import reportio
-from commutant_lab.discretize import legendre_polys
 from commutant_lab.spectra import _pv_commutator
 
 
@@ -101,7 +101,7 @@ def test_pv_split_commutator_exact_on_low_degrees(fixture, request):
     K = nystrom_K_pv(pair, g)
     L = collocation_L(pair.op, g)
     mask = g.interior()
-    V = legendre_polys(g.nodes, 32).T
+    V = legvander(g.nodes, 32)
     C = _pv_commutator(K, L)[mask] @ V
     scale = (
         spectral_norm(K.entries[np.ix_(mask, mask)])
