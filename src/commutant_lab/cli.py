@@ -64,7 +64,7 @@ DEFAULT_TOLERANCES = {
     "singular_relation_abs": 1e-10,
     "commutator_rel": 1e-8,
     "commutator_pv_rel": 1e-3,
-    "rowsum_abs": 1e-12,
+    "rowsum_rel": 1e-12,
     "offdiag": 1e-6,
     "rayleigh_rel": 1e-6,
     "involution_abs": 1e-13,
@@ -164,7 +164,7 @@ def _sample_kernel(pair: CommutingPair):
 def cmd_pair(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary) -> dict:
     params = _require_params(cfg)
     adm = check_admissibility(params)
-    summary.add("admissible", 0.0 if adm.ok else 1.0, 0.5, passed=adm.ok)
+    summary.add("admissible", 0.0 if adm.ok else 1.0, 0.5)
     report: dict = {
         "params": params_to_json(params),
         "admissible": adm.ok,
@@ -184,7 +184,7 @@ def cmd_pair(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary
         report["nu"] = complex(pair.nu)
     z, kv = _sample_kernel(pair)
     y = np.linspace(-1.0, 1.0, 201)
-    av, bv, cv = (np.asarray(f(y)) for f in (pair.op.a, pair.op.b, pair.op.c))
+    av, bv, cv = (f(y) for f in (pair.op.a, pair.op.b, pair.op.c))
     reportio.write_csv(
         outdir / "kernel_samples.csv",
         [["z", "k_re", "k_im"]] + np.column_stack([z, kv.real, kv.imag]).tolist(),
@@ -252,8 +252,8 @@ def cmd_commutator(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.S
     }
     if singular:
         err = pv_rowsum_error(pair, K)
-        summary.add("rowsum_abs", err, cfg.tol("rowsum_abs"))
-        report["rowsum_abs"] = err
+        summary.add("rowsum_rel", err, cfg.tol("rowsum_rel"))
+        report["rowsum_rel"] = err
     if dump:
         _dump_matrices(outdir, K, L)
     return report
@@ -292,17 +292,14 @@ def cmd_normality(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Su
     twice = adjoint_coeffs(adjoint_coeffs(op))
     inv = 0.0
     for f, g in ((op.a, twice.a), (op.b, twice.b), (op.c, twice.c)):
-        inv = max(inv, float(np.max(np.abs(np.asarray(f(y)) - np.asarray(g(y))))))
+        inv = max(inv, float(np.max(np.abs(f(y) - g(y)))))
     summary.add("involution_abs", inv, cfg.tol("involution_abs"))
     self_comm = max(commute_conditions(op, op).values())
     summary.add("self_commute_abs", self_comm, cfg.tol("self_commute_abs"))
     sa_ok, sa_res = is_selfadjoint(op, tol=cfg.tol("normal_conditions"))
     rep = is_normal(op, tol=cfg.tol("normal_conditions"))
     summary.add(
-        "selfadjoint_implies_normal",
-        0.0 if (not rep.selfadjoint or rep.normal) else 1.0,
-        0.5,
-        passed=(not rep.selfadjoint or rep.normal),
+        "selfadjoint_implies_normal", 0.0 if (not rep.selfadjoint or rep.normal) else 1.0, 0.5
     )
     return {
         "params": params_to_json(pair.params),
@@ -350,7 +347,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summar
         rows.append(dict(zip(SWEEP_FIELDS, (*draw, rep.max_abs, rep.scale, rel, rel <= tol))))
         accepted += 1
     all_ok = all(r["pass"] for r in rows) and accepted == cfg.count
-    summary.add("sweep_pass_fraction", 0.0 if all_ok else 1.0, 0.5, passed=all_ok)
+    summary.add("sweep_pass_fraction", 0.0 if all_ok else 1.0, 0.5)
     reportio.write_csv(outdir / "sweep.csv", rows, SWEEP_FIELDS)
     return {
         "seed": cfg.seed,

@@ -13,6 +13,8 @@ derivative evaluations are analytic rather than finite differences:
 
 * ``f(y, order=m)`` folds the Leibniz sum of each term into one polynomial
   Q = sum_j C(m,j) r^j P^(m-j) and evaluates it in one Horner pass;
+  ``f(y, order=(m1, m2, ...))`` returns every requested order from one
+  call, with one exp(r*y) per term;
 * ``f.taylor(z0, n)`` builds Taylor coefficients by series arithmetic (P
   shifted to z0, times the exponential series), without evaluating f.
 
@@ -180,30 +182,47 @@ class ExpPoly:
 
     # -- evaluation ----------------------------------------------------
 
-    def __call__(self, y, order: int = 0):
+    def __call__(self, y, order: int | tuple[int, ...] = 0):
+        """Value of the order-th derivative at (array of) y.
+
+        ``order`` may also be a tuple (or range) of orders; the result is
+        then a tuple of values in that order, and each term's derivative
+        ladder and exp(rate*y) are computed once for all of them.  Scalar y
+        gives complex values, array y ndarrays.
+        """
+        single = isinstance(order, (int, np.integer))
+        orders = (order,) if single else tuple(order)
         arr = np.asarray(y, dtype=complex)
-        out = np.zeros_like(arr)
+        outs = [np.zeros_like(arr) for _ in orders]
+        top = max(orders, default=0)
         for rate, poly in self.terms:
-            # d^m/dy^m [P e^{ry}] = e^{ry} Q with Q = sum_j C(m,j) r^j P^{(m-j)};
-            # Q is assembled coefficient-wise, then evaluated in one Horner pass
             derivs = [poly]
-            for _ in range(order):
+            for _ in range(top):
                 derivs.append(polyder(derivs[-1]))
-            jmax = order if rate != 0 else 0  # at rate 0 only P^{(m)} is left
-            q = [0j] * len(derivs[order - jmax])
-            for j in range(jmax + 1):
-                w = math.comb(order, j) * rate**j
-                for k, c in enumerate(derivs[order - j]):
-                    q[k] += w * c
-            if not q:
-                continue
-            acc = polyval(q, arr)
-            if rate != 0:
-                acc = acc * np.exp(rate * arr)
-            out = out + acc
+            e = None
+            for out, m in zip(outs, orders):
+                # d^m/dy^m [P e^{ry}] = e^{ry} Q with Q = sum_j C(m,j) r^j P^{(m-j)};
+                # Q is assembled coefficient-wise, then evaluated in one Horner pass
+                jmax = m if rate != 0 else 0  # at rate 0 only P^{(m)} is left
+                q = [0j] * len(derivs[m - jmax])
+                for j in range(jmax + 1):
+                    w = math.comb(m, j) * rate**j
+                    for k, c in enumerate(derivs[m - j]):
+                        q[k] += w * c
+                if not q:
+                    continue
+                acc = polyval(q, arr)
+                if rate != 0:
+                    # e after the first Horner pass keeps peak memory flat;
+                    # acc *= e is Q*e at every size (numpy's temporary
+                    # elision turns a large Q * exp(...) into exp * Q)
+                    if e is None:
+                        e = np.exp(rate * arr)
+                    acc *= e
+                out += acc
         if np.isscalar(y):
-            return complex(out)
-        return out
+            outs = [complex(o) for o in outs]
+        return outs[0] if single else tuple(outs)
 
     def taylor(self, z0: complex, nterms: int) -> tuple[complex, ...]:
         """Taylor coefficients (f(z0), f'(z0), f''(z0)/2!, ...) of length nterms.

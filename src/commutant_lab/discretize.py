@@ -178,14 +178,17 @@ def pv_rowsum_error(pair: CommutingPair, K: OperatorMatrix) -> float:
     """Max interior error of K's row sums against the pv integral of k(x - y).
 
     For u = 1 the pole contributes r*log((1+x)/(1-x)) exactly; the regular
-    remainder k - r/z is integrated with the grid's own quadrature.
+    remainder k - r/z is integrated with the grid's own quadrature.  The
+    error is relative to max(1, ||K||_inf) over interior rows, since the
+    row sums round in proportion to the entries' size.
     """
     grid = K.grid
     mask = grid.interior()
     x = grid.nodes[mask]
     rowsum = (K.entries @ np.ones(grid.n))[mask]
     reg = k_reg_values(pair, x[:, None] - grid.nodes[None, :]) @ grid.weights
-    return float(np.max(np.abs(rowsum - reg - pair.kernel.residue() * pv_log_weight(x))))
+    err = np.max(np.abs(rowsum - reg - pair.kernel.residue() * pv_log_weight(x)))
+    return float(err / max(1.0, np.max(np.abs(K.entries[mask]).sum(axis=1))))
 
 
 def collocation_L(op: DiffOp, grid: Grid) -> OperatorMatrix:
@@ -196,8 +199,6 @@ def collocation_L(op: DiffOp, grid: Grid) -> OperatorMatrix:
     structure.
     """
     x = grid.nodes
-    av = np.asarray(op.a(x))
-    bv = np.asarray(op.b(x))
-    cv = np.asarray(op.c(x))
+    av, bv, cv = op.a(x), op.b(x), op.c(x)
     entries = av[:, None] * grid.D2 + bv[:, None] * grid.D1 + np.diag(cv)
     return OperatorMatrix(entries=entries.astype(complex), grid=grid, op=op)

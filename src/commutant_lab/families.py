@@ -103,8 +103,9 @@ class DiffOp:
         """max |a(+-1)| and |b(+-1) - a'(+-1)| over both endpoints."""
         vals = []
         for s in (-1.0, 1.0):
-            vals.append(abs(self.a(s)))
-            vals.append(abs(self.b(s) - self.a(s, order=1)))
+            a, da = self.a(s, order=(0, 1))
+            vals.append(abs(a))
+            vals.append(abs(self.b(s) - da))
         return max(vals)
 
 
@@ -434,7 +435,7 @@ def _assert_proportional(fvals, gvals, what: str) -> None:
 
 
 def _kernel_samples(num: ExpPoly, den: ExpPoly, z):
-    return np.asarray(num(z)) / np.asarray(den(z))
+    return num(z) / den(z)
 
 
 def _assert_recovery_case1(params: Case1) -> None:
@@ -464,10 +465,10 @@ def _assert_recovery_case2(params: Case2) -> None:
     scale = max(np.max(np.abs(a_s(y))), 1e-30)
     factor = lam**2  # a_s = lam^2 * a_g
     for f, g, what in ((a_s, a_g, "a"), (b_s, b_g, "b"), (c_s, c_g, "c")):
-        if np.max(np.abs(np.asarray(f(y)) - factor * np.asarray(g(y)))) > 1e-10 * scale:
+        if np.max(np.abs(f(y) - factor * g(y))) > 1e-10 * scale:
             raise AssertionError(f"recovery check failed for case2 {what}")
     num_g, den_g = _general_kernel_parts(lam, 0.0, 0.0, 1.0)
-    ks = 1.0 / np.asarray(ExpPoly.sinh(lam / 2.0)(_RECOVERY_Z))
+    ks = 1.0 / ExpPoly.sinh(lam / 2.0)(_RECOVERY_Z)
     _assert_proportional(ks, _kernel_samples(num_g, den_g, _RECOVERY_Z), "case2 kernel")
 
 
@@ -483,7 +484,7 @@ def _assert_recovery_case34(params: Case3 | Case4) -> None:
     y = _RECOVERY_Y
     scale = max(np.max(np.abs(a_s(y))), 1e-30)
     for f, g, what in ((a_s, a_g, "a"), (b_s, b_g, "b"), (c_s, c_g, "c")):
-        if np.max(np.abs(np.asarray(f(y)) - 2.0 * np.asarray(g(y)))) > 1e-10 * scale:
+        if np.max(np.abs(f(y) - 2.0 * g(y))) > 1e-10 * scale:
             raise AssertionError(f"recovery check failed for {type(params).__name__} {what}")
     num_g, den_g = _general_kernel_parts(0.0, 0.0, alpha1, 0.5)
     z = _RECOVERY_Z

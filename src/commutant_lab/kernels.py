@@ -190,9 +190,8 @@ def kernel_values(spec: KernelSpec, z, orders: tuple[int, ...] = (0,)):
     rest = ~handled
     if np.any(rest):
         zz = arr[rest]
-        need = max(orders)
-        nd = [spec.numerator(zz, order=j) for j in range(need + 1)]
-        dd = [spec.denominator(zz, order=j) for j in range(need + 1)]
+        need = range(max(orders) + 1)
+        nd, dd = spec.numerator(zz, order=need), spec.denominator(zz, order=need)
         for i, m in enumerate(orders):
             out[i][rest] = _ratio_derivative(nd, dd, m)
 

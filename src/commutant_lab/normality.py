@@ -60,11 +60,9 @@ def adjoint_coeffs(op: DiffOp) -> DiffOp:
 def is_selfadjoint(op: DiffOp, tol: float = 1e-10) -> tuple[bool, dict]:
     """Pointwise self-adjointness conditions; returns (verdict, residuals)."""
     y = interior_points()
-    av = np.asarray(op.a(y))
-    apv = np.asarray(op.a(y, order=1))
-    bv = np.asarray(op.b(y))
-    bpv = np.asarray(op.b(y, order=1))
-    cv = np.asarray(op.c(y))
+    av, apv = op.a(y, order=(0, 1))
+    bv, bpv = op.b(y, order=(0, 1))
+    cv = op.c(y)
     residuals = {
         "im_a": float(np.max(np.abs(av.imag))),
         "re_b_minus_aprime": float(np.max(np.abs(bv.real - apv))),
@@ -83,22 +81,14 @@ def commute_conditions(L: DiffOp, D: DiffOp) -> dict:
         a C'' + b C' = A c'' + B c'
     """
     y = interior_points()
-    a = np.asarray(L.a(y))
+    a, ap = L.a(y, order=(0, 1))
     if np.max(np.abs(a)) < 1e-13:
         raise DegenerateError("commutation conditions assume a != 0")
-    ap = np.asarray(L.a(y, order=1))
-    b = np.asarray(L.b(y))
-    bp = np.asarray(L.b(y, order=1))
-    bpp = np.asarray(L.b(y, order=2))
-    cp = np.asarray(L.c(y, order=1))
-    cpp = np.asarray(L.c(y, order=2))
-    A = np.asarray(D.a(y))
-    Ap = np.asarray(D.a(y, order=1))
-    B = np.asarray(D.b(y))
-    Bp = np.asarray(D.b(y, order=1))
-    Bpp = np.asarray(D.b(y, order=2))
-    Cp = np.asarray(D.c(y, order=1))
-    Cpp = np.asarray(D.c(y, order=2))
+    b, bp, bpp = L.b(y, order=(0, 1, 2))
+    cp, cpp = L.c(y, order=(1, 2))
+    A, Ap = D.a(y, order=(0, 1))
+    B, Bp, Bpp = D.b(y, order=(0, 1, 2))
+    Cp, Cpp = D.c(y, order=(1, 2))
     eqs = {
         "eq1": a * Ap - A * ap,
         "eq2": 2 * a * Bp + b * Ap - 2 * A * bp - B * ap,
@@ -128,7 +118,7 @@ def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
     """
     sa_ok, sa_res = is_selfadjoint(op, tol=tol)
     y = interior_points()
-    av = np.asarray(op.a(y))
+    av, ap, app = op.a(y, order=(0, 1, 2))
     if np.max(np.abs(av)) < 1e-13:
         report = dict(sa_res)
         report["a_nonzero"] = 0.0
@@ -143,12 +133,9 @@ def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
     if np.mean((w0 * av).real) < 0:
         w0 = -w0
 
-    at = w0 * av
-    apt = w0 * np.asarray(op.a(y, order=1))
-    appt = w0 * np.asarray(op.a(y, order=2))
-    bt = w0 * np.asarray(op.b(y))
-    bpt = w0 * np.asarray(op.b(y, order=1))
-    ct = w0 * np.asarray(op.c(y))
+    at, apt, appt = (w0 * v for v in (av, ap, app))
+    bt, bpt = (w0 * v for v in op.b(y, order=(0, 1)))
+    ct = w0 * op.c(y)
 
     scale_a = float(np.max(np.abs(at))) + _TINY
     scale_b = max(float(np.max(np.abs(bt))), scale_a)

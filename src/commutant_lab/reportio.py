@@ -74,8 +74,8 @@ class Summary:
     def __init__(self) -> None:
         self.rows: list[dict] = []
 
-    def add(self, name: str, value: float, tolerance: float, passed: bool | None = None) -> bool:
-        ok = bool(value <= tolerance) if passed is None else bool(passed)
+    def add(self, name: str, value: float, tolerance: float) -> bool:
+        ok = bool(value <= tolerance)
         self.rows.append(dict(zip(self.FIELDS, (name, float(value), float(tolerance), ok))))
         return ok
 

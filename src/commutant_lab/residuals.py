@@ -75,25 +75,23 @@ def _mixed_residual(
         raise GridError("residual grid needs ny >= 2 and nz >= 2")
 
     # tensor grid: row i holds y_i and nz points z with y_i + z in [-1, 1];
-    # the kept points are flattened in row-major order
+    # the kept points are flattened in row-major order; a row's endpoints
+    # -1 - y_i and 1 - y_i are 2 apart, so every row keeps one of them
     ys = chebyshev_points(ny)
     Z = chebyshev_points(nz, -1.0 - ys[:, None], 1.0 - ys[:, None])
     keep = np.abs(Z) > Z_EXCLUSION if kernel.singular else np.ones(Z.shape, dtype=bool)
     row = np.nonzero(keep)[0]
     z = Z[keep]
-    if z.size == 0:
-        return ResidualReport(max_abs=0.0, rms=0.0, argmax=(0.0, 0.0), n_points=0, scale=0.0)
     yz = ys[row] + z
 
-    def at_y(coeff, order=0):
-        return np.asarray(coeff(ys, order=order))[row]
-
-    a1, b1, c1 = opL.a, opL.b, opL.c
-    a2, b2, c2 = opR.a, opR.b, opR.c
+    # L1's coefficients at y (each row's y repeated over its kept points)
+    a, da, dda = (v[row] for v in opL.a(ys, order=(0, 1, 2)))
+    b, db = (v[row] for v in opL.b(ys, order=(0, 1)))
+    c = opL.c(ys)[row]
     k0, k1, k2 = kernel_values(kernel, z, orders=(0, 1, 2))
-    P = np.asarray(a2(yz)) - at_y(a1)
-    Q = 2.0 * at_y(a1, 1) + np.asarray(b2(yz)) - at_y(b1)
-    R = np.asarray(c2(yz)) - at_y(c1) + at_y(b1, 1) - at_y(a1, 2)
+    P = opR.a(yz) - a
+    Q = 2.0 * da + opR.b(yz) - b
+    R = opR.c(yz) - c + db - dda
     F = P * k2 + Q * k1 + R * k0
     if kernel.singular:
         F = F * z**3
@@ -162,10 +160,7 @@ def taylor_relation_check(pair: CommutingPair, N: int) -> np.ndarray:
     y = chebyshev_points(CHECK_POINTS)
     # derivative orders 1..max(N, 2) of a, b and c; index 0 is unused
     orders = range(1, max(N, 2) + 1)
-    a, b, c = (
-        [None] + [np.asarray(f(y, order=m)) for m in orders]
-        for f in (pair.op.a, pair.op.b, pair.op.c)
-    )
+    a, b, c = ((None, *f(y, order=orders)) for f in (pair.op.a, pair.op.b, pair.op.c))
     out = np.empty(N + 1)
     for n in range(N + 1):
         r = 2.0 * a[1] * k[n + 1]
@@ -202,10 +197,9 @@ def lemma_coeff_check(pair: CommutingPair) -> dict:
     y = chebyshev_points(CHECK_POINTS)
     a, b, c = pair.op.a, pair.op.b, pair.op.c
     nu = -3.0 * k[2] / k[0]
-    b_res = float(np.max(np.abs(np.asarray(b(y)) - np.asarray(a(y, order=1)))))
-    c_res = float(np.max(np.abs(np.asarray(c(y)) - nu * np.asarray(a(y)))))
-    a1 = np.asarray(a(y, order=1))
-    a3 = np.asarray(a(y, order=3))
+    a0, a1, a3 = a(y, order=(0, 1, 3))
+    b_res = float(np.max(np.abs(b(y) - a1)))
+    c_res = float(np.max(np.abs(c(y) - nu * a0)))
     alpha = _fit_scalar(-a3, a1)
     ode_res = float(np.max(np.abs(a3 + alpha * a1)))
     return {"b_eq_aprime": b_res, "c_eq_nu_a": c_res, "a_ode": ode_res, "nu": nu}
@@ -229,13 +223,8 @@ def singular_relation_check(pair: CommutingPair) -> dict:
         s = pair.kernel.series
     k2 = s[2]
     y = chebyshev_points(CHECK_POINTS)
-    a, b, c = pair.op.a, pair.op.b, pair.op.c
-    v = (
-        np.asarray(c(y))
-        + np.asarray(a(y, order=2)) / 3.0
-        + 2.0 * k2 * np.asarray(a(y))
-        - np.asarray(b(y, order=1)) / 2.0
-    )
+    a, dda = pair.op.a(y, order=(0, 2))
+    v = pair.op.c(y) + dda / 3.0 + 2.0 * k2 * a - pair.op.b(y, order=1) / 2.0
     const = complex(np.mean(v))
     residual = float(np.max(np.abs(v - const)))
     return {"residual": residual, "fitted_const": const}
@@ -256,16 +245,11 @@ def phi_defect(pair: CommutingPair, u, du, x: float, eps: float) -> complex:
     (k_p, kp_p) = kernel_values(pair.kernel, eps, orders=(0, 1))
     (k_m, kp_m) = kernel_values(pair.kernel, -eps, orders=(0, 1))
     xm, xp = x - eps, x + eps
-    a_x = complex(a(x))
-    a_m, a_p = complex(a(xm)), complex(a(xp))
-    term = k_p * (
-        (a_m - a_x) * complex(du(xm))
-        + (complex(b(xm)) - complex(b(x)) - complex(a(xm, order=1))) * complex(u(xm))
-    )
-    term -= k_m * (
-        (a_p - a_x) * complex(du(xp))
-        + (complex(b(xp)) - complex(b(x)) - complex(a(xp, order=1))) * complex(u(xp))
-    )
+    a_x, b_x = a(x), b(x)
+    a_m, da_m = a(xm, order=(0, 1))
+    a_p, da_p = a(xp, order=(0, 1))
+    term = k_p * ((a_m - a_x) * complex(du(xm)) + (b(xm) - b_x - da_m) * complex(u(xm)))
+    term -= k_m * ((a_p - a_x) * complex(du(xp)) + (b(xp) - b_x - da_p) * complex(u(xp)))
     term += kp_p * complex(u(xm)) * (a_m - a_x)
     term -= kp_m * complex(u(xp)) * (a_p - a_x)
     return term

@@ -78,7 +78,7 @@ def _pv_commutator(K: OperatorMatrix, L: OperatorMatrix) -> np.ndarray:
     r = K.kernel.residue()
     S = K.entries - r * np.diag(grid.log_weight())
     x = grid.nodes
-    a, da, b = np.asarray(op.a(x)), np.asarray(op.a(x, order=1)), np.asarray(op.b(x))
+    (a, da), b = op.a(x, order=(0, 1)), op.b(x)
     mask = grid.interior()
     one_m_x2 = np.where(mask, 1.0 - x**2, 1.0)
     al = np.where(mask, 2.0 * a / one_m_x2, -np.sign(x) * da)

@@ -19,12 +19,14 @@ class CallableCoeff:
 
     For fixtures outside the exponential polynomials, such as sqrt(1 - y^2)
     factors; it supports what ``is_normal`` reads: ``f(y, order)`` and
-    scalar multiples.
+    scalar multiples.  Like ``ExpPoly``, a tuple of orders gives a tuple.
     """
 
     derivs: tuple[Callable, ...]
 
-    def __call__(self, y, order: int = 0):
+    def __call__(self, y, order=0):
+        if not isinstance(order, (int, np.integer)):
+            return tuple(self(y, m) for m in order)
         out = np.asarray(self.derivs[order](np.asarray(y, dtype=complex)), dtype=complex)
         return complex(out) if np.isscalar(y) else out
 

@@ -100,6 +100,23 @@ def test_commutator_regular(tmp_path):
     assert report["result"]["commutator_rel"] <= 1e-8
 
 
+def test_commutator_rowsum_scales_with_kernel(tmp_path):
+    # a commuting case2 pair with |residue| 8.3 and interior ||K||_inf 75.5:
+    # its row sums round to 1.6e-12 absolute, 2.1e-14 relative to ||K||_inf
+    params = {
+        "variant": "case2",
+        "lambda": [0.14909171895438167, 0.19068140864016403],
+        "alpha": [-0.18029914792543367, -0.9162079983268228],
+        "beta": [0.13064082582337688, -0.28077112677810523],
+    }
+    cfg = write_config(tmp_path / "cfg.json", params=params, n=64)
+    out = tmp_path / "out"
+    main(["commutator", "--config", cfg, "--out", str(out), "--quiet"])
+    by_name = {r["name"]: r for r in read_summary(out)}
+    assert by_name["rowsum_rel"]["pass"] == "true"
+    assert float(by_name["rowsum_rel"]["value"]) <= 1e-13
+
+
 def test_spectrum_command(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", params=SINC, n=96, m=6)
     out = tmp_path / "out"
@@ -162,6 +179,7 @@ def test_malformed_config(tmp_path):
         ("verify", {"params": SINC, "tolerances": {"r1_rell": 1e-30}}),
         ("verify", {"params": SINC, "tolerances": [1]}),
         ("verify", {"params": SINC, "tolerances": {"r1_rel": "x"}}),
+        ("commutator", {"params": CASE4, "tolerances": {"rowsum_abs": 1e-12}}),
         ("verify", {"params": SINC, "grid_kind": "gauss_legendre"}),
         ("verify", {"params": SINC, "output_path": 5}),
         ("commutator", {"params": SINC, "n": "abc"}),

@@ -108,15 +108,28 @@ def test_taylor_makes_no_derivative_calls(monkeypatch):
     assert ORACLE_F.taylor(0.7, 18) == expected
 
 
-@pytest.mark.parametrize("order", range(7))
+# a tuple of orders returns one array per order, in the order given
+@pytest.mark.parametrize("order", [*range(7), (0, 3, 6), (2, 0)])
 def test_derivatives_match_mpmath(order):
     mpmath, value = _mp_closed_form(ORACLE_F)
     y = np.array([-0.9, -0.2, 0.35, 1.0])
     got = ORACLE_F(y, order=order)
+    if isinstance(order, int):
+        order, got = (order,), (got,)
+    assert len(got) == len(order)
     with mpmath.workdps(40):
-        for g, yy in zip(got, y):
-            w = mpmath.diff(value, mpmath.mpf(float(yy)), order)
-            assert abs(mpmath.mpc(g) - w) <= 1e-13 * abs(w), (yy, g, complex(w))
+        for m, vals in zip(order, got):
+            for g, yy in zip(vals, y):
+                w = mpmath.diff(value, mpmath.mpf(float(yy)), m)
+                assert abs(mpmath.mpc(g) - w) <= 1e-13 * abs(w), (m, yy, g, complex(w))
+
+
+def test_scalar_tuple_orders_give_complex():
+    y = 0.35
+    got = ORACLE_F(y, order=(1, 0))
+    assert isinstance(got, tuple) and all(type(v) is complex for v in got)
+    assert got == (ORACLE_F(y, order=1), ORACLE_F(y))
+    assert type(ORACLE_F(y, order=np.int64(2))) is complex
 
 
 @settings(max_examples=25, deadline=None)
