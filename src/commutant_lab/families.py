@@ -456,17 +456,23 @@ def _assert_recovery_case1(params: Case1) -> None:
     )
 
 
+def _assert_triple_recovery(special, general, factor: complex, case: str) -> None:
+    """special = factor * general for each of (a, b, c), relative to max |a_s|."""
+    y = _RECOVERY_Y
+    values = [f(y) for f in special]
+    scale = max(np.max(np.abs(values[0])), 1e-30)
+    for v, g, what in zip(values, general, "abc"):
+        if np.max(np.abs(v - factor * g(y))) > 1e-10 * scale:
+            raise AssertionError(f"recovery check failed for {case} {what}")
+
+
 def _assert_recovery_case2(params: Case2) -> None:
     lam = complex(params.lam)
     a_s, b_s, c_s = _case2_triple(lam, 1.0, 0.0)
     a_g, b_g = _general_coeffs(lam)
     c_g = _general_nu(lam, 0.0) * a_g
-    y = _RECOVERY_Y
-    scale = max(np.max(np.abs(a_s(y))), 1e-30)
-    factor = lam**2  # a_s = lam^2 * a_g
-    for f, g, what in ((a_s, a_g, "a"), (b_s, b_g, "b"), (c_s, c_g, "c")):
-        if np.max(np.abs(f(y) - factor * g(y))) > 1e-10 * scale:
-            raise AssertionError(f"recovery check failed for case2 {what}")
+    # a_s = lam^2 * a_g
+    _assert_triple_recovery((a_s, b_s, c_s), (a_g, b_g, c_g), lam**2, "case2")
     num_g, den_g = _general_kernel_parts(lam, 0.0, 0.0, 1.0)
     ks = 1.0 / ExpPoly.sinh(lam / 2.0)(_RECOVERY_Z)
     _assert_proportional(ks, _kernel_samples(num_g, den_g, _RECOVERY_Z), "case2 kernel")
@@ -481,11 +487,7 @@ def _assert_recovery_case34(params: Case3 | Case4) -> None:
         alpha1 = 0.0
     a_g, b_g = _general_coeffs(0.0)
     c_g = ExpPoly.zero()
-    y = _RECOVERY_Y
-    scale = max(np.max(np.abs(a_s(y))), 1e-30)
-    for f, g, what in ((a_s, a_g, "a"), (b_s, b_g, "b"), (c_s, c_g, "c")):
-        if np.max(np.abs(f(y) - 2.0 * g(y))) > 1e-10 * scale:
-            raise AssertionError(f"recovery check failed for {type(params).__name__} {what}")
+    _assert_triple_recovery((a_s, b_s, c_s), (a_g, b_g, c_g), 2.0, type(params).__name__)
     num_g, den_g = _general_kernel_parts(0.0, 0.0, alpha1, 0.5)
     z = _RECOVERY_Z
     if isinstance(params, Case3):
