@@ -38,7 +38,7 @@ from .families import (
     params_from_json,
     params_to_json,
 )
-from .kernels import KernelSpec, build_kernel, kernel_values
+from .kernels import KernelSpec, build_kernel, kernel_matrix, kernel_values
 from .residuals import (
     ResidualReport,
     chebyshev_points,

@@ -43,7 +43,6 @@ from .normality import (
     adjoint_coeffs,
     commute_conditions,
     is_normal,
-    is_selfadjoint,
     interior_points,
 )
 from .residuals import (
@@ -296,7 +295,6 @@ def cmd_normality(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Su
     summary.add("involution_abs", inv, cfg.tol("involution_abs"))
     self_comm = max(commute_conditions(op, op).values())
     summary.add("self_commute_abs", self_comm, cfg.tol("self_commute_abs"))
-    sa_ok, sa_res = is_selfadjoint(op, tol=cfg.tol("normal_conditions"))
     rep = is_normal(op, tol=cfg.tol("normal_conditions"))
     summary.add(
         "selfadjoint_implies_normal", 0.0 if (not rep.selfadjoint or rep.normal) else 1.0, 0.5
@@ -305,8 +303,8 @@ def cmd_normality(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Su
         "params": params_to_json(pair.params),
         "involution_abs": inv,
         "self_commute_abs": self_comm,
-        "selfadjoint": sa_ok,
-        "selfadjoint_residuals": sa_res,
+        "selfadjoint": rep.selfadjoint,
+        "selfadjoint_residuals": rep.selfadjoint_residuals,
         "normality": rep,
     }
 

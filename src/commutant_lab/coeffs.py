@@ -15,10 +15,14 @@ derivative evaluations are analytic rather than finite differences:
   Q = sum_j C(m,j) r^j P^(m-j) and evaluates it in one Horner pass;
   ``f(y, order=(m1, m2, ...))`` returns every requested order from one
   call, with one exp(r*y) per term;
+* ``f.at_differences(x, y)`` evaluates f on the difference grid
+  x_i - y_j from x.size + y.size exponentials per term, since
+  e^{r(x_i - y_j)} = e^{r x_i} e^{-r y_j}; kernel matrices are built this
+  way;
 * ``f.taylor(z0, n)`` builds Taylor coefficients by series arithmetic (P
   shifted to z0, times the exponential series), without evaluating f.
 
-Every array evaluation goes through ``ExpPoly.__call__``.
+Every other array evaluation goes through ``ExpPoly.__call__``.
 """
 
 from __future__ import annotations
@@ -58,6 +62,29 @@ def exp_series_product(series, rate: complex, scale: complex, nterms: int) -> tu
             s += series[j] * exp_coeffs[k - j]
         out.append(s)
     return tuple(out)
+
+
+def _two_product(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a*x rounded, and its exact rounding error (Dekker 1971, Veltkamp split)."""
+    p = a * x
+    c = 134217729.0 * a  # 2**27 + 1
+    ah = c - (c - a)
+    c = 134217729.0 * x
+    xh = c - (c - x)
+    al, xl = a - ah, x - xh
+    return p, ((ah * xh - p) + ah * xl + al * xh) + al * xl
+
+
+def _exp_real(rate: complex, x: np.ndarray) -> np.ndarray:
+    """exp(rate * x) at real x, without the rounding of the product rate*x.
+
+    fl(rate*x) is off by up to |rate x| eps/2, which e^{r x_i} e^{-r y_j}
+    would carry into f(x_i - y_j) where the terms of f cancel (near a zero
+    of a denominator); the first-order correction exp(e) = 1 + e removes it.
+    """
+    pr, er = _two_product(rate.real, x)
+    pi, ei = _two_product(rate.imag, x)
+    return np.exp(pr + 1j * pi) * (1.0 + (er + 1j * ei))
 
 
 def _trim(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -223,6 +250,25 @@ class ExpPoly:
         if np.isscalar(y):
             outs = [complex(o) for o in outs]
         return outs[0] if single else tuple(outs)
+
+    def at_differences(self, x, y) -> np.ndarray:
+        """Matrix of values f(x_i - y_j) for real point arrays x, y.
+
+        Each exponential factors exactly, e^{r(x_i - y_j)} = e^{r x_i}
+        e^{-r y_j}, so a term costs x.size + y.size exponentials and one
+        outer product; only a non-constant P_t takes a Horner pass over the
+        difference matrix.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = np.zeros((x.size, y.size), dtype=complex)
+        for rate, poly in self.terms:
+            ex, ey = _exp_real(rate, x), _exp_real(-rate, y)
+            if len(poly) == 1:
+                out += np.multiply.outer(poly[0] * ex, ey)
+            else:
+                out += polyval(poly, np.subtract.outer(x, y)) * np.multiply.outer(ex, ey)
+        return out
 
     def taylor(self, z0: complex, nterms: int) -> tuple[complex, ...]:
         """Taylor coefficients (f(z0), f'(z0), f''(z0)/2!, ...) of length nterms.

@@ -18,7 +18,7 @@ import numpy as np
 from .coeffs import polyval
 from .errors import RegularKernelError, SingularKernelError
 from .families import CommutingPair, DiffOp
-from .kernels import KernelSpec, kernel_values
+from .kernels import KernelSpec, kernel_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,23 +120,18 @@ def nystrom_K(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     if pair.kernel.singular:
         raise SingularKernelError("kernel has a pole: use nystrom_K_pv")
     x, w = grid.nodes, grid.weights
-    Z = x[:, None] - x[None, :]
-    (kv,) = kernel_values(pair.kernel, Z, orders=(0,))
+    kv = kernel_matrix(pair.kernel, x, x)
     return OperatorMatrix(entries=kv * w[None, :], grid=grid, kernel=pair.kernel)
 
 
-def k_reg_values(pair: CommutingPair, Z: np.ndarray) -> np.ndarray:
-    """Regular remainder k(z) - r/z, via Laurent data for |z| <= 0.1."""
+def k_reg_values(pair: CommutingPair, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Regular remainder k(z) - r/z at z = x_i - y_j, via Laurent data for |z| <= 0.1."""
     series = pair.kernel.series
-    r = series[0]
-    out = np.zeros_like(Z, dtype=complex)
+    Z = np.subtract.outer(x, y)
     near = np.abs(Z) <= 0.1
-    far = ~near
-    if np.any(far):
-        (kv,) = kernel_values(pair.kernel, Z[far], orders=(0,))
-        out[far] = kv - r / Z[far]
-    if np.any(near):
-        out[near] = polyval(series[1:], Z[near])
+    out = kernel_matrix(pair.kernel, x, y)
+    out -= np.divide(series[0], Z, out=np.zeros_like(out), where=~near)
+    out[near] = polyval(series[1:], Z[near])
     return out
 
 
@@ -165,9 +160,7 @@ def nystrom_K_pv(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     r = pair.kernel.residue()
     Z = x[:, None] - x[None, :]
     off = ~np.eye(n, dtype=bool)
-    entries = np.zeros((n, n), dtype=complex)
-    (kv,) = kernel_values(pair.kernel, Z[off], orders=(0,))
-    entries[off] = kv * np.broadcast_to(w[None, :], (n, n))[off]
+    entries = kernel_matrix(pair.kernel, x, x) * w[None, :]
     s = np.sum(np.divide(w[None, :], Z, out=np.zeros((n, n)), where=off), axis=1)
     np.fill_diagonal(entries, w * pair.kernel.series[1] - r * s + r * grid.log_weight())
     entries -= r * w[:, None] * grid.D1
@@ -186,7 +179,7 @@ def pv_rowsum_error(pair: CommutingPair, K: OperatorMatrix) -> float:
     mask = grid.interior()
     x = grid.nodes[mask]
     rowsum = (K.entries @ np.ones(grid.n))[mask]
-    reg = k_reg_values(pair, x[:, None] - grid.nodes[None, :]) @ grid.weights
+    reg = k_reg_values(pair, x, grid.nodes) @ grid.weights
     err = np.max(np.abs(rowsum - reg - pair.kernel.residue() * pv_log_weight(x)))
     return float(err / max(1.0, np.max(np.abs(K.entries[mask]).sum(axis=1))))
 

@@ -200,6 +200,34 @@ def kernel_values(spec: KernelSpec, z, orders: tuple[int, ...] = (0,)):
     return tuple(o.reshape(np.shape(z)) for o in out)
 
 
+def kernel_matrix(spec: KernelSpec, x, y) -> np.ndarray:
+    """Matrix of k(x_i - y_j) for real point arrays x, y.
+
+    N and D come from ``ExpPoly.at_differences`` and are divided where no
+    switch window applies; entries within the switch radius of 0 or of a
+    removable zero are taken from ``kernel_values``, so the series and
+    Laurent branches are the same as pointwise.  For a singular kernel,
+    entries with x_i - y_j exactly 0 are left at 0 for the caller.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    Z = x[:, None] - y[None, :]
+    near = np.abs(Z) < spec.switch_radius
+    for z0 in spec.removable_zeros:
+        near |= np.abs(Z - z0) < spec.switch_radius
+    out = np.divide(
+        spec.numerator.at_differences(x, y),
+        spec.denominator.at_differences(x, y),
+        out=np.zeros(Z.shape, dtype=complex),
+        where=~near,
+    )
+    if spec.singular:
+        near &= Z != 0
+    if np.any(near):
+        (out[near],) = kernel_values(spec, Z[near])
+    return out
+
+
 def _ratio_derivative(nd, dd, order: int):
     n0, d0 = nd[0], dd[0]
     if order == 0:

@@ -63,6 +63,10 @@ def is_selfadjoint(op: DiffOp, tol: float = 1e-10) -> tuple[bool, dict]:
     av, apv = op.a(y, order=(0, 1))
     bv, bpv = op.b(y, order=(0, 1))
     cv = op.c(y)
+    return _selfadjoint_check(av, apv, bv, bpv, cv, tol)
+
+
+def _selfadjoint_check(av, apv, bv, bpv, cv, tol: float) -> tuple[bool, dict]:
     residuals = {
         "im_a": float(np.max(np.abs(av.imag))),
         "re_b_minus_aprime": float(np.max(np.abs(bv.real - apv))),
@@ -81,14 +85,15 @@ def commute_conditions(L: DiffOp, D: DiffOp) -> dict:
         a C'' + b C' = A c'' + B c'
     """
     y = interior_points()
-    a, ap = L.a(y, order=(0, 1))
+
+    def values(op: DiffOp):
+        return op.a(y, order=(0, 1)), op.b(y, order=(0, 1, 2)), op.c(y, order=(1, 2))
+
+    # commute_conditions(op, op) evaluates each coefficient once
+    (a, ap), (b, bp, bpp), (cp, cpp) = lvals = values(L)
     if np.max(np.abs(a)) < 1e-13:
         raise DegenerateError("commutation conditions assume a != 0")
-    b, bp, bpp = L.b(y, order=(0, 1, 2))
-    cp, cpp = L.c(y, order=(1, 2))
-    A, Ap = D.a(y, order=(0, 1))
-    B, Bp, Bpp = D.b(y, order=(0, 1, 2))
-    Cp, Cpp = D.c(y, order=(1, 2))
+    (A, Ap), (B, Bp, Bpp), (Cp, Cpp) = lvals if D is L else values(D)
     eqs = {
         "eq1": a * Ap - A * ap,
         "eq2": 2 * a * Bp + b * Ap - 2 * A * bp - B * ap,
@@ -104,6 +109,19 @@ class NormalityReport:
     normal: bool
     condition_residuals: dict
 
+    @property
+    def selfadjoint_residuals(self) -> dict:
+        """The residuals of ``is_selfadjoint``, read back from the report.
+
+        They carry a ``selfadjoint_`` prefix, except when a = 0, where they
+        are the report's residuals next to ``a_nonzero``.
+        """
+        res = self.condition_residuals
+        if "a_nonzero" in res:
+            return {k: v for k, v in res.items() if k != "a_nonzero"}
+        prefix = "selfadjoint_"
+        return {k[len(prefix):]: v for k, v in res.items() if k.startswith(prefix)}
+
 
 def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
     """Check the displayed normality conditions for L.
@@ -116,9 +134,11 @@ def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
     self-adjoint conditions up to an imaginary constant shift of c, and
     the positivity/real-constant entries do not apply.
     """
-    sa_ok, sa_res = is_selfadjoint(op, tol=tol)
     y = interior_points()
     av, ap, app = op.a(y, order=(0, 1, 2))
+    bv, bp = op.b(y, order=(0, 1))
+    cv = op.c(y)
+    sa_ok, sa_res = _selfadjoint_check(av, ap, bv, bp, cv, tol)
     if np.max(np.abs(av)) < 1e-13:
         report = dict(sa_res)
         report["a_nonzero"] = 0.0
@@ -133,9 +153,7 @@ def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
     if np.mean((w0 * av).real) < 0:
         w0 = -w0
 
-    at, apt, appt = (w0 * v for v in (av, ap, app))
-    bt, bpt = (w0 * v for v in op.b(y, order=(0, 1)))
-    ct = w0 * op.c(y)
+    at, apt, appt, bt, bpt, ct = (w0 * v for v in (av, ap, app, bv, bp, cv))
 
     scale_a = float(np.max(np.abs(at))) + _TINY
     scale_b = max(float(np.max(np.abs(bt))), scale_a)

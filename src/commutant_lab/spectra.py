@@ -4,13 +4,14 @@ Commutation KL = LK means eigenspaces of K are invariant under L, so
 eigenvectors of the (cheap, well-understood) differential operator L
 serve as an approximate eigenbasis of K.  This module measures how well
 the discretized pair commutes and demonstrates the joint diagonalization:
-Rayleigh quotients of K against the small-|eigenvalue| L-modes reproduce
-K's dominant spectrum, and the projected K is diagonal up to commutator-
-sized off-diagonal energy.
+K in the basis of the small-|eigenvalue| L-modes, V^-1 K V, is diagonal
+up to commutator-sized off-diagonal entries, and its diagonal reproduces
+K's dominant spectrum.  L need not be normal, so its modes need not be
+orthogonal; the rows of V^-1 are its left eigenvectors.
 
-Inner products are quadrature-weighted (discrete L^2(-1,1)), matching
-where the operators live.  Both measures read what K discretizes from the
-matrix itself: for a pv K (``K.kernel.singular``) they are restricted to
+Norms are quadrature-weighted (discrete L^2(-1,1)), matching where the
+operators live.  Both measures read what K discretizes from the matrix
+itself: for a pv K (``K.kernel.singular``) the norms are restricted to
 interior nodes, and the commutator takes the split-log form built from
 the grid's D1 and log weight and from L's own coefficients.
 """
@@ -92,6 +93,7 @@ class SpectralReport:
     rayleigh: np.ndarray
     mode_residuals: np.ndarray
     offdiag_energy: float
+    eigvec_cond: float
     K_eigenvalues_direct: np.ndarray
     degenerate: bool = False
 
@@ -108,9 +110,13 @@ def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> Spect
     """Diagonalize L, project K onto the leading m L-modes, cross-check.
 
     Modes are the m smallest-|eigenvalue| L-eigenvectors (prolate-style
-    ordering).  Rayleigh quotients, per-mode residuals and off-diagonal
-    energy use quadrature-weighted inner products, restricted to interior
-    nodes for a pv K (``K.kernel.singular``).  Pairs of L-eigenvalues
+    ordering), scaled to unit quadrature-weighted norm (over interior nodes
+    for a pv K, ``K.kernel.singular``).  G = (V^-1 K V)[:m, :m] gives the
+    Rayleigh quotients (its diagonal) and the off-diagonal energy (its
+    largest off-diagonal entry over the largest diagonal one); per-mode
+    residuals are weighted norms.  ``eigvec_cond`` is the 2-norm condition
+    number of the scaled modes in the weighted metric (1 for orthonormal
+    modes), which bounds how far G can be trusted.  Pairs of L-eigenvalues
     closer than 1e-8 (relative) set the degeneracy flag and are left out of
     the off-diagonal measure.
     """
@@ -126,19 +132,27 @@ def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> Spect
 
     order = np.argsort(np.abs(lam))
     lam = lam[order][:m]
-    V = V[:, order][:, :m]
+    V = V[:, order]
 
     w = K.grid.weights
     mask = K.grid.interior() if K.kernel.singular else np.ones(K.grid.n, dtype=bool)
     wi = w[mask]
 
-    Vm = V[mask, :]
-    norms = np.sqrt(np.abs(np.einsum("i,ij->j", wi, np.abs(Vm) ** 2)))
-    Vn = V / norms[None, :]
-    Vni = Vn[mask, :]
-    KV = (K.entries @ Vn)[mask, :]
-    G = (Vni.conj().T * wi[None, :]) @ KV
+    # the leading m modes get unit weighted norm; the rest of V only spans
+    # the complement, which the first m rows of V^-1 do not depend on
+    norms = np.sqrt(np.einsum("i,ij->j", wi, np.abs(V[mask, :m]) ** 2))
+    V[:, :m] /= norms[None, :]
+    Vni = V[mask, :m]
+    KVm = K.entries @ V[:, :m]
+    KV = KVm[mask, :]
+    # G = (V^-1 K V)[:m, :m]: the rows of V^-1 are L's left eigenvectors, so
+    # G is diagonal for a commuting pair also when L is not normal
+    try:
+        G = np.linalg.solve(V, KVm)[:m]
+    except np.linalg.LinAlgError as exc:
+        raise EigFailure(str(exc)) from exc
     rayleigh = np.diag(G).copy()
+    eigvec_cond = float(np.linalg.cond(np.sqrt(wi)[:, None] * Vni))
 
     # one row per mode, so each weighted norm is a contiguous row sum
     R = np.ascontiguousarray((KV - rayleigh[None, :] * Vni).T)
@@ -162,6 +176,7 @@ def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> Spect
         rayleigh=rayleigh,
         mode_residuals=mode_residuals,
         offdiag_energy=offdiag,
+        eigvec_cond=eigvec_cond,
         K_eigenvalues_direct=mu_top,
         degenerate=degenerate,
     )

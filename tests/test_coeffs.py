@@ -141,3 +141,31 @@ def test_derivative_matches_finite_differences(rate, y):
     f = ExpPoly.exponential(rate, (0.3, -1.0, 0.5)) + ExpPoly.polynomial((1.0, 2.0))
     num = fd2(lambda t: f(t), y)
     assert abs(f(y, order=1) - num) < 1e-7 * (1 + abs(num))
+
+
+def test_at_differences_matches_pointwise():
+    # one term of each kind: polynomial times exponential (Horner pass),
+    # constant times exponential (outer product only), plain polynomial
+    f = (
+        ExpPoly.exponential(0.5 + 2.0j, (1.0, 2.0, -3.0j))
+        + ExpPoly.exponential(-1.5, (3.0,))
+        + ExpPoly.polynomial((0.5, -1.0, 0.25))
+    )
+    x = np.linspace(-1.0, 1.0, 7)
+    y = np.array([-0.9, -0.2, 0.0, 0.45, 1.0])
+    got = f.at_differences(x, y)
+    assert got.shape == (7, 5)
+    np.testing.assert_allclose(got, f(np.subtract.outer(x, y)), rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("rate", [60j, 30.0, 20.0 - 45j])
+def test_at_differences_keeps_fast_exponentials_exact(rate):
+    # e^{r x_i} e^{-r y_j} stays within a few ulps of e^{r(x_i - y_j)} only if
+    # the rounding of r*x is compensated; otherwise it errs by ~|r x| eps
+    mpmath = pytest.importorskip("mpmath")
+    x = np.cos(np.linspace(0.0, np.pi, 33))  # full-length mantissas
+    got = ExpPoly.exponential(rate).at_differences(x, x)
+    with mpmath.workdps(40):
+        r = mpmath.mpc(rate)
+        ref = np.array([[complex(mpmath.exp(r * (mpmath.mpf(a) - mpmath.mpf(b)))) for b in x] for a in x])
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4 * np.finfo(float).eps

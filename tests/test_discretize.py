@@ -291,6 +291,6 @@ def test_pv_endpoint_convention(case4_pair):
 
 def test_k_reg_series_matches_direct(case2_pair):
     z = np.array([0.05, 0.099, 0.101, 0.5])
-    vals = k_reg_values(case2_pair, z)
+    vals = k_reg_values(case2_pair, z, np.zeros(1))[:, 0]
     expected = 1 / np.sinh(z) - 1 / z
     np.testing.assert_allclose(vals, expected, atol=1e-13)

@@ -6,9 +6,13 @@ import pytest
 from commutant_lab import (
     Case1,
     Case2,
+    Case3,
+    Case4,
     General,
+    build_grid,
     build_kernel,
     gauge_transform,
+    kernel_matrix,
     kernel_values,
     make_pair,
     residual_R1,
@@ -241,3 +245,60 @@ def test_fast_pole_kernel_stays_singular(params, tau):
     z = 0.999 * spec.switch_radius
     direct = spec.numerator(z) / spec.denominator(z)
     assert kernel_values(pair.kernel, z)[0] == pytest.approx(direct, rel=1e-9)
+
+
+# one draw of each benchmark variant, and the two fast pole kernels, whose
+# e^{r x} factors reach |r| ~ 60
+MATRIX_PARAMS = {
+    "general-analytic": General(lam=0.05 + 1.8j, mu=-1.42 + 1.79j, alpha1=-0.38 - 0.15j, alpha2=0.0),
+    "general-pole": General(lam=0.77 - 1.11j, mu=1.24 - 1.24j, alpha1=-0.35 + 0.21j, alpha2=0.71 - 0.52j),
+    "case1": Case1(m=0, alpha=-0.73 + 0.98j, beta=-0.93 + 0.06j),
+    "case2": Case2(lam=-0.68 + 1.07j, alpha=-0.83 + 0.2j, beta=0.52 + 0.17j),
+    "case3": Case3(beta=0.33 - 0.48j, p=(-0.46 - 0.43j, 0.0, 0.74 + 0.53j)),
+    "case4": Case4(beta=-0.99 - 0.69j, p=(0.72 - 0.6j, 0.61 - 0.33j, 0.43 + 0.62j)),
+    "case1-m40": Case1(m=40, alpha=1.0, beta=1.0),
+    "general-mu60": General(lam=1.0, mu=60.0, alpha1=1.0, alpha2=1.0),
+}
+
+
+@pytest.fixture(scope="module")
+def lgl256():
+    return build_grid(256).nodes
+
+
+@pytest.mark.parametrize("name", MATRIX_PARAMS)
+def test_kernel_matrix_matches_mpmath(name, lgl256):
+    # k(x_i - x_j) on the n = 256 LGL grid against N/D at 40 digits.  Outside
+    # the switch windows: every entry within 0.01 of 0 or of a removable zero,
+    # where N and D cancel, and every 157th entry elsewhere.  Inside them: the
+    # pointwise branches, bit for bit; a pole's exact zeros of z stay 0.
+    mpmath = pytest.importorskip("mpmath")
+    spec = make_pair(MATRIX_PARAMS[name]).kernel
+    x = lgl256
+    K = kernel_matrix(spec, x, x)
+    Z = np.subtract.outer(x, x)
+    dist = np.min([np.abs(Z - z0) for z0 in (0.0,) + spec.removable_zeros], axis=0)
+    window = dist < spec.switch_radius
+    if spec.singular:
+        assert np.all(np.diag(K) == 0)
+        window &= Z != 0
+    np.testing.assert_array_equal(K[window], kernel_values(spec, Z[window])[0])
+
+    stride = (np.arange(Z.size) % 157 == 0).reshape(Z.shape)
+    rows, cols = np.nonzero(~window & (Z != 0) & ((dist < 0.01) | stride))
+    with mpmath.workdps(40):
+
+        def terms(f):
+            return [(mpmath.mpc(r), [mpmath.mpc(c) for c in reversed(p)]) for r, p in f.terms]
+
+        def value(mp_terms, z):
+            return mpmath.fsum(mpmath.polyval(p, z) * mpmath.exp(r * z) for r, p in mp_terms)
+
+        num, den = terms(spec.numerator), terms(spec.denominator)
+        errs = []
+        for i, j in zip(rows, cols):
+            z = mpmath.mpf(float(x[i])) - mpmath.mpf(float(x[j]))
+            ref = value(num, z) / value(den, z)
+            errs.append(float(abs(mpmath.mpc(K[i, j]) - ref) / abs(ref)))
+    worst = int(np.argmax(errs))
+    assert errs[worst] <= 1e-12, (Z[rows[worst], cols[worst]], errs[worst])

@@ -141,6 +141,14 @@ def test_constant_b_shift_breaks_commutation(sinc_pair):
     assert max(res["eq3"], res["eq4"]) >= 1e-3
 
 
+def test_self_commutation_evaluates_each_coefficient_once(sinc_pair):
+    # commute_conditions(op, op) reuses L's values for D; a copy of op, which
+    # is evaluated again, gives the same residuals
+    op = sinc_pair.op
+    copy = DiffOp(a=op.a, b=op.b, c=op.c)
+    assert commute_conditions(op, op) == commute_conditions(op, copy)
+
+
 def test_degenerate_a_rejected():
     zero_a = DiffOp(a=ExpPoly.zero(), b=ExpPoly.polynomial((0.0, 1.0)), c=ExpPoly.zero())
     with pytest.raises(DegenerateError):
@@ -215,6 +223,22 @@ def test_normal_verdict_scalar_invariant():
         rep = is_normal(scaled)
         assert rep.normal, w
         assert not rep.selfadjoint
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        legendre_op(),
+        normal_fixture(),
+        DiffOp(a=ExpPoly.zero(), b=ExpPoly.polynomial((0.0, 1j)), c=ExpPoly.zero()),
+    ],
+    ids=["selfadjoint", "normal", "a-zero"],
+)
+def test_report_carries_selfadjoint_check(op):
+    # the normality command reads these from is_normal's report; with a = 0
+    # the report holds them unprefixed
+    rep = is_normal(op)
+    assert (rep.selfadjoint, rep.selfadjoint_residuals) == is_selfadjoint(op)
 
 
 def test_report_serialization():

@@ -9,11 +9,13 @@ from commutant_lab import (
     DiffOp,
     EigFailure,
     ExpPoly,
+    General,
     GridMismatchError,
     build_grid,
     collocation_L,
     commutator_norm,
     joint_diagonalization,
+    make_pair,
     nystrom_K,
     nystrom_K_pv,
     spectral_norm,
@@ -134,6 +136,8 @@ def test_joint_diagonalization_sinc(sinc_pair):
     L = collocation_L(sinc_pair.op, g)
     spec = joint_diagonalization(K, L, 8)
     assert spec.offdiag_energy <= 1e-6
+    # L is self-adjoint, so its modes are orthonormal in the weighted metric
+    assert spec.eigvec_cond == pytest.approx(1.0, abs=1e-9)
     assert not spec.degenerate
     # L-eigenvalues sorted ascending in modulus; all essentially real
     mags = np.abs(spec.L_eigenvalues)
@@ -143,6 +147,29 @@ def test_joint_diagonalization_sinc(sinc_pair):
     assert np.max(np.abs(ray - spec.K_eigenvalues_direct)) <= 1e-6 * scale
     # leading mode residuals are small; trailing ones sit at the noise floor
     assert np.all(spec.mode_residuals[:4] <= 1e-8)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        General(lam=0.05 + 1.8j, mu=-1.42 + 1.79j, alpha1=-0.38 - 0.15j, alpha2=0.0),
+        General(lam=1.3 - 0.4j, mu=0.6 + 1.1j, alpha1=0.7, alpha2=0.0),
+    ],
+    ids=["draw", "mixed"],
+)
+def test_offdiag_on_non_normal_analytic_pairs(params):
+    # complex lambda and mu make L non-normal: its eigenvectors are not
+    # orthogonal, but V^-1 K V is still diagonal for a commuting pair, while
+    # c -> c + 1e-3 y breaks the commutation and shows off the diagonal
+    pair = make_pair(params)
+    g = build_grid(64)
+    K = nystrom_K(pair, g)
+    spec = joint_diagonalization(K, collocation_L(pair.op, g), 8)
+    assert spec.offdiag_energy <= 1e-10
+    assert 1.05 < spec.eigvec_cond < 10.0
+    op = pair.op
+    bad = DiffOp(a=op.a, b=op.b, c=op.c + ExpPoly.polynomial((0.0, 1e-3)))
+    assert joint_diagonalization(K, collocation_L(bad, g), 8).offdiag_energy >= 1e-5
 
 
 def test_joint_diagonalization_degenerate_flag(sinc_pair):
@@ -195,5 +222,6 @@ def test_report_serialization(sinc_pair):
     spec = joint_diagonalization(K, L, 3)
     obj = json.loads(reportio.dumps(spec))
     assert len(obj["L_eigenvalues"]) == 3
+    assert obj["eigvec_cond"] == spec.eigvec_cond
     rows = spec.rows()
     assert len(rows) == 3 and len(rows[0]) == 6
