@@ -1,16 +1,19 @@
 """Matrix discretizations of the convolution operator and its commutant.
 
 Everything lives on one Legendre-Gauss-Lobatto grid, which carries its
-quadrature weights and its barycentric differentiation matrices D1, D2,
-so the commutator is a plain matrix expression.  K is discretized by
-Nystrom quadrature; simple-pole kernels get a singularity-subtraction
-treatment in the principal-value sense.  L is discretized by spectral
+quadrature weights, its barycentric differentiation matrices D1, D2 and
+the pv quadrature sums of the pole, so the commutator is a plain matrix
+expression.  A grid is built once per n per process and is read-only.
+K is discretized by Nystrom quadrature; simple-pole kernels get a
+singularity-subtraction treatment in the principal-value sense.  L is discretized by spectral
 collocation with the grid's D1 and D2.  Each matrix records what it
 discretizes (the kernel of K, the operator of L).
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,19 +26,24 @@ from .kernels import KernelSpec, kernel_matrix
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """LGL nodes and weights on [-1, 1] with D1, D2 at the nodes."""
+    """LGL nodes and weights on [-1, 1] with D1, D2 at the nodes.
+
+    ``pv_sums[i]`` is sum_{j != i} w_j / (x_i - x_j), the grid's quadrature
+    of the pole 1/(x_i - y) with the singular node left out.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     D1: np.ndarray
     D2: np.ndarray
+    pv_sums: np.ndarray
 
     @property
     def n(self) -> int:
         return self.nodes.size
 
     def same_as(self, other: "Grid") -> bool:
-        return np.array_equal(self.nodes, other.nodes)
+        return self is other or np.array_equal(self.nodes, other.nodes)
 
     def interior(self) -> np.ndarray:
         """Boolean mask of nodes strictly inside (-1, 1)."""
@@ -64,6 +72,18 @@ class OperatorMatrix:
 
 
 def build_grid(n: int) -> Grid:
+    """The LGL grid with n nodes, built once per n per process.
+
+    The four most recently used grids are kept and shared, so their arrays
+    are read-only.  Each keeps D1 and D2, 2 n^2 8 bytes: 1 MB at n = 256
+    and 16 MB at n = 1024.  n is made an integer first (``operator.index``),
+    so 64.0 fails as it does uncached instead of finding the grid of 64.
+    """
+    return _lgl_grid(operator.index(n))
+
+
+@functools.lru_cache(maxsize=4)
+def _lgl_grid(n: int) -> Grid:
     """LGL nodes (+-1 and roots of P'_N, N = n-1) with weights 2/(n N P_N^2).
 
     The interior nodes are the Gauss nodes of the weight 1 - x^2, i.e. the
@@ -88,7 +108,16 @@ def build_grid(n: int) -> Grid:
     nodes[1:-1] -= dP / d2P
     weights = 2.0 / (n * N * P[:, N] ** 2)
     D1, D2 = differentiation_matrices(nodes)
-    return Grid(nodes=nodes, weights=weights, D1=D1, D2=D2)
+    Z = nodes[:, None] - nodes[None, :]
+    off = ~np.eye(n, dtype=bool)
+    pv_sums = np.sum(np.divide(weights[None, :], Z, out=np.zeros((n, n)), where=off), axis=1)
+    for a in (nodes, weights, D1, D2, pv_sums):
+        a.flags.writeable = False
+    return Grid(nodes=nodes, weights=weights, D1=D1, D2=D2, pv_sums=pv_sums)
+
+
+build_grid.cache_clear = _lgl_grid.cache_clear
+build_grid.__wrapped__ = _lgl_grid.__wrapped__
 
 
 def differentiation_matrices(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,8 +149,9 @@ def nystrom_K(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     if pair.kernel.singular:
         raise SingularKernelError("kernel has a pole: use nystrom_K_pv")
     x, w = grid.nodes, grid.weights
-    kv = kernel_matrix(pair.kernel, x, x)
-    return OperatorMatrix(entries=kv * w[None, :], grid=grid, kernel=pair.kernel)
+    entries = kernel_matrix(pair.kernel, x, x)
+    entries *= w[None, :]
+    return OperatorMatrix(entries=entries, grid=grid, kernel=pair.kernel)
 
 
 def k_reg_values(pair: CommutingPair, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -147,7 +177,8 @@ def nystrom_K_pv(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     r u(x) log((1+x)/(1-x)) + r int (u(y) - u(x))/(x - y) dy, whose smooth
     integrand is quadratured on the grid.  Its value at y = x_i is the
     limit -u'(x_i), so row i carries -r w_i (D1)_i besides the diagonal
-    w_i k_reg(0) + r*(log((1+x_i)/(1-x_i)) - sum_{j != i} w_j/(x_i - x_j)).
+    w_i k_reg(0) + r*(log((1+x_i)/(1-x_i)) - sum_{j != i} w_j/(x_i - x_j)),
+    whose sum the grid keeps as ``pv_sums``.
     The rule is exact on polynomials the grid's quadrature integrates
     exactly (pv of P_k/(x-y) is 2 Q_k by Neumann's formula).  The diagonal
     log term is ``grid.log_weight()``, which drops the weight at the
@@ -156,13 +187,10 @@ def nystrom_K_pv(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     if not pair.kernel.singular:
         raise RegularKernelError("kernel is analytic: use nystrom_K")
     x, w = grid.nodes, grid.weights
-    n = x.size
     r = pair.kernel.residue()
-    Z = x[:, None] - x[None, :]
-    off = ~np.eye(n, dtype=bool)
-    entries = kernel_matrix(pair.kernel, x, x) * w[None, :]
-    s = np.sum(np.divide(w[None, :], Z, out=np.zeros((n, n)), where=off), axis=1)
-    np.fill_diagonal(entries, w * pair.kernel.series[1] - r * s + r * grid.log_weight())
+    entries = kernel_matrix(pair.kernel, x, x)
+    entries *= w[None, :]
+    np.fill_diagonal(entries, w * pair.kernel.series[1] - r * grid.pv_sums + r * grid.log_weight())
     entries -= r * w[:, None] * grid.D1
     return OperatorMatrix(entries=entries, grid=grid, kernel=pair.kernel)
 
@@ -193,5 +221,20 @@ def collocation_L(op: DiffOp, grid: Grid) -> OperatorMatrix:
     """
     x = grid.nodes
     av, bv, cv = op.a(x), op.b(x), op.c(x)
-    entries = av[:, None] * grid.D2 + bv[:, None] * grid.D1 + np.diag(cv)
-    return OperatorMatrix(entries=entries.astype(complex), grid=grid, op=op)
+    entries = av[:, None] * grid.D2
+    entries += bv[:, None] * grid.D1
+    return OperatorMatrix(entries=add_diagonal(entries, cv), grid=grid, op=op)
+
+
+def add_diagonal(A: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """A + np.diag(d), bit for bit, computed in place in a C-contiguous A.
+
+    The dense sum also adds +0.0 off the diagonal, which turns -0.0 into
+    +0.0.  That is repeated on a view: A's flat entries 1 .. n^2 - 1 as
+    rows of n + 1 hold the diagonal in their last column.
+    """
+    n = A.shape[0]
+    flat = A.reshape(-1)
+    flat[1:].reshape(n - 1, n + 1)[:, :n] += 0.0
+    flat[:: n + 1] += d
+    return A

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigFailure, GridMismatchError
-from .discretize import OperatorMatrix
+from .discretize import OperatorMatrix, add_diagonal
 
 _TINY = 1e-300
 
@@ -76,15 +76,16 @@ def _pv_commutator(K: OperatorMatrix, L: OperatorMatrix) -> np.ndarray:
     of the result are not meaningful.
     """
     grid, op = K.grid, L.op
-    r = K.kernel.residue()
-    S = K.entries - r * np.diag(grid.log_weight())
+    n, r = grid.n, K.kernel.residue()
+    S = K.entries.copy()
+    S.flat[:: n + 1] -= r * grid.log_weight()
     x = grid.nodes
     (a, da), b = op.a(x, order=(0, 1)), op.b(x)
     mask = grid.interior()
     one_m_x2 = np.where(mask, 1.0 - x**2, 1.0)
     al = np.where(mask, 2.0 * a / one_m_x2, -np.sign(x) * da)
     bracket = grid.D1 @ al + np.where(mask, 2.0 * (b - da) / one_m_x2, 0.0)
-    return S @ L.entries - L.entries @ S - r * (2.0 * al[:, None] * grid.D1 + np.diag(bracket))
+    return S @ L.entries - L.entries @ S - r * add_diagonal(2.0 * al[:, None] * grid.D1, bracket)
 
 
 @dataclass(frozen=True)

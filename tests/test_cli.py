@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from commutant_lab import make_pair, params_from_json
+from commutant_lab import build_grid, make_pair, params_from_json
 from commutant_lab.cli import main
 
 SINC = {
@@ -125,6 +125,25 @@ def test_spectrum_command(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["idx", "L_eig_re", "L_eig_im", "rayleigh_re", "rayleigh_im", "residual"]
     assert len(rows) == 7
+
+
+@pytest.mark.parametrize("params", [SINC, CASE1], ids=["analytic", "pole"])
+def test_matrix_commands_same_bytes_on_cold_and_warm_grid(tmp_path, params):
+    cfg = write_config(tmp_path / "cfg.json", params=params, n=48, m=6)
+    files = {
+        "commutator": ("report.json", "summary.csv"),
+        "spectrum": ("report.json", "summary.csv", "modes.csv"),
+    }
+    runs = {}
+    for warmth in ("cold", "warm"):
+        for cmd, names in files.items():
+            if warmth == "cold":
+                build_grid.cache_clear()
+            out = tmp_path / warmth / cmd
+            main([cmd, "--config", cfg, "--out", str(out), "--quiet"])
+            runs[warmth, cmd] = [(out / name).read_bytes() for name in names]
+    for cmd in files:
+        assert runs["cold", cmd] == runs["warm", cmd]
 
 
 def test_normality_command(tmp_path):

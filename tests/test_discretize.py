@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from commutant_lab import (
     nystrom_K_pv,
     pv_log_weight,
 )
-from commutant_lab.discretize import k_reg_values
+from commutant_lab.discretize import add_diagonal, k_reg_values
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +96,69 @@ def test_quadrature_exactness_degrees(n):
 def test_size_validation():
     with pytest.raises(ValueError):
         build_grid(1)
+
+
+# ---------------------------------------------------------------------------
+# the grid cache
+
+
+def test_grid_is_built_once_per_n():
+    assert build_grid(48) is build_grid(48)
+    assert build_grid(48) is not build_grid(49)
+    assert build_grid(48).same_as(build_grid.__wrapped__(48))
+    assert not build_grid(48).same_as(build_grid(49))
+
+
+@pytest.mark.parametrize("field", ["nodes", "weights", "D1", "D2", "pv_sums"])
+def test_grid_arrays_are_read_only(field):
+    arr = getattr(build_grid(16), field)
+    with pytest.raises(ValueError):
+        arr[0] = 0.0
+    with pytest.raises(ValueError):
+        arr += 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 256])
+def test_cached_grid_equals_uncached_build(n):
+    cached, fresh = build_grid(n), build_grid.__wrapped__(n)
+    assert cached is not fresh
+    for field in ("nodes", "weights", "D1", "D2", "pv_sums"):
+        a, b = getattr(cached, field), getattr(fresh, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def test_pv_sums_leave_out_the_singular_node():
+    g = build_grid(9)
+    x, w = g.nodes, g.weights
+    for i in range(g.n):
+        ref = math.fsum(w[j] / (x[i] - x[j]) for j in range(g.n) if j != i)
+        assert g.pv_sums[i] == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_grid_size_is_an_integer_before_the_cache(warm):
+    build_grid.cache_clear()
+    if warm:
+        build_grid(64)
+    with pytest.raises(TypeError):
+        build_grid(64.0)
+    with pytest.raises(ValueError):
+        build_grid(True)
+    g = build_grid(np.int64(64))
+    assert g is build_grid(64)
+    assert g.n == 64
+
+
+def test_add_diagonal_matches_the_dense_sum_bit_for_bit():
+    # the dense sum adds +0.0 off the diagonal, which turns -0.0 into +0.0
+    A = np.full((3, 3), complex(-0.0, -0.0))
+    A[0, 2] = 2.0 - 1.0j
+    d = np.array([complex(-0.0, -0.0), 1.5, 0.0])
+    ref = A + np.diag(d)
+    assert add_diagonal(A.copy(), d).tobytes() == ref.tobytes()
+    naive = A.copy()
+    naive.flat[::4] += d
+    assert naive.tobytes() != ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
