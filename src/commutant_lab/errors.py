@@ -42,7 +42,7 @@ class GridMismatchError(CommutantError):
 
 
 class EigFailure(CommutantError):
-    """Dense eigendecomposition did not converge."""
+    """An eigensolver did not converge, or its modes failed their certificate."""
 
 
 class ConfigError(CommutantError):

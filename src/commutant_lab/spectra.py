@@ -7,7 +7,9 @@ the discretized pair commutes and demonstrates the joint diagonalization:
 K in the basis of the small-|eigenvalue| L-modes, V^-1 K V, is diagonal
 up to commutator-sized off-diagonal entries, and its diagonal reproduces
 K's dominant spectrum.  L need not be normal, so its modes need not be
-orthogonal; the rows of V^-1 are its left eigenvectors.
+orthogonal; K is projected with L's left eigenvectors instead.  Only the
+m modes that are read are computed, with their left modes, by
+shift-invert Arnoldi, and each must pass a backward-error certificate.
 
 Norms are quadrature-weighted (discrete L^2(-1,1)), matching where the
 operators live.  Both measures read what K discretizes from the matrix
@@ -107,49 +109,173 @@ class SpectralReport:
         return out
 
 
+# L's modes come from shift-invert Arnoldi on X = (L - sigma I)^-1 (Saad,
+# Numerical Methods for Large Eigenvalue Problems, 2nd ed. 2011, ch. 7;
+# Ericsson & Ruhe, Math. Comp. 35, 1980).  The shift is real, so X^H has the
+# eigenvalues 1/(conj(lambda) - sigma) and its Arnoldi run gives the left modes
+# the same way.  a is L's leading coefficient, and the eigenvalues of L near 0
+# lie O(max|a|) apart (-k(k+1) for a = 1 - y^2); the shift keeps a fraction
+# of that distance from an exact zero eigenvalue, where X's norm would
+# otherwise swamp the Ritz values of the farther modes.
+_SHIFT = 0.37
+_RITZ_TOL = 1e-14  # Ritz residual estimate, relative to the Ritz value of X
+_BACKWARD_TOL = 1e-12  # ||Lv - lambda v|| / (||L||_F ||v||) of a returned mode
+_START_SEED = 20211
+
+
+def _project_out(Qk: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Remove the span of Qk's orthonormal rows from w in place, by two
+    Gram-Schmidt passes; returns the coefficients removed."""
+    h = np.zeros(Qk.shape[0], dtype=complex)
+    for _ in range(2):
+        c = (Qk @ w.conj()).conj()
+        w -= c @ Qk
+        h += c
+    return h
+
+
+def _arnoldi_candidates(apply, n: int, m: int, sigma: float, xnorm: float, rng) -> tuple:
+    """Converged Ritz pairs of X near sigma, as eigenpairs (lambda, v) of L.
+
+    Runs Arnoldi with two-pass Gram-Schmidt from a random start vector and
+    goes on from a fresh one after a breakdown (an invariant subspace), so
+    the Krylov space reaches the whole space at k = n.  The basis grows by
+    doubling from 4m vectors.  From k = 4m, every m/2 steps, the Ritz values
+    theta of H_k map to lambda = sigma + 1/theta; the candidates are every
+    lambda within r_m + |sigma| of sigma, r_m the m-th smallest |lambda|, so
+    they hold the m smallest-|lambda| modes whatever side of 0 they lie.  It
+    returns once each candidate's residual estimate |h_{k+1,k} y_k| is below
+    ``_RITZ_TOL`` |theta|.
+    """
+    cap = min(n, 4 * m)
+    check = cap
+    Q = np.empty((cap, n), dtype=complex)
+    H = np.zeros((cap + 1, cap), dtype=complex)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    Q[0] = w / np.linalg.norm(w)
+    k = 0
+    while True:
+        w = apply(Q[k])
+        H[: k + 1, k] = _project_out(Q[: k + 1], w)
+        beta = float(np.linalg.norm(w))
+        k += 1
+        if k == n:
+            beta = 0.0
+        else:
+            if beta <= 1e-14 * xnorm:
+                beta = 0.0
+                w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                _project_out(Q[:k], w)
+            if k == cap:
+                cap = min(n, 2 * cap)
+                Q = np.concatenate([Q, np.empty((cap - k, n), dtype=complex)])
+                H = np.pad(H, ((0, cap - k), (0, cap - k)))
+            H[k, k - 1] = beta
+            Q[k] = w / np.linalg.norm(w)
+        if k < check:
+            continue
+        theta, Y = np.linalg.eig(H[:k, :k])
+        with np.errstate(divide="ignore"):
+            lam = sigma + 1.0 / theta
+        mag = np.abs(lam)
+        r_m = np.partition(mag, m - 1)[m - 1]
+        # the second term keeps the m smallest against rounding of the first
+        cand = (np.abs(lam - sigma) <= r_m + abs(sigma)) | (mag <= r_m)
+        if np.all(beta * np.abs(Y[k - 1, cand]) <= _RITZ_TOL * np.abs(theta[cand])):
+            return lam[cand], Q[:k].T @ Y[:, cand]
+        check = min(n, k + max(1, m // 2))
+
+
+def _l_modes(L: OperatorMatrix, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m smallest-|eigenvalue| modes of L and their left modes.
+
+    Returns (lam, V, U), ascending in |lam|, with L V = V diag(lam) and
+    U^H L = diag(lam) U^H column by column.  Left candidates are paired
+    one to one with the right modes, nearest eigenvalue first, so equal
+    eigenvalues are not paired twice.  Each pair must pass the a-posteriori
+    certificate ``_BACKWARD_TOL`` on both sides, else ``EigFailure``.
+    """
+    A = L.entries
+    n = A.shape[0]
+    sigma = -_SHIFT * float(np.max(np.abs(L.op.a(L.grid.nodes))))
+    rng = np.random.default_rng(_START_SEED)
+    try:
+        B = A.copy()
+        B.flat[:: n + 1] -= sigma
+        X = np.linalg.inv(B)
+        if not np.all(np.isfinite(X)):
+            raise EigFailure("L - sigma I has no finite inverse")
+        xnorm = float(np.linalg.norm(X))
+        lam_r, V = _arnoldi_candidates(X.dot, n, m, sigma, xnorm, rng)
+        lam_l, U = _arnoldi_candidates(lambda q: (X.T @ q.conj()).conj(), n, m, sigma, xnorm, rng)
+    except np.linalg.LinAlgError as exc:
+        raise EigFailure(str(exc)) from exc
+
+    order = np.argsort(np.abs(lam_r))[:m]
+    lam, V = lam_r[order], V[:, order]
+    lam_l = lam_l.conj()
+    free = np.ones(lam_l.size, dtype=bool)
+    pick = []
+    for x in lam:
+        j = np.flatnonzero(free)[np.argmin(np.abs(lam_l[free] - x))]
+        free[j] = False
+        pick.append(j)
+    lam_l, U = lam_l[pick], U[:, pick]
+
+    scale = float(np.linalg.norm(A))
+    right = np.linalg.norm(A @ V - lam * V, axis=0) / np.linalg.norm(V, axis=0)
+    Uh = U.conj().T
+    left = np.linalg.norm(Uh @ A - lam_l[:, None] * Uh, axis=1) / np.linalg.norm(U, axis=0)
+    backward = np.maximum(right, left) / scale
+    failed = ~(backward <= _BACKWARD_TOL)
+    if np.any(failed):
+        i = int(np.argmax(failed))
+        raise EigFailure(
+            f"L mode {i} (eigenvalue {lam[i]:.6g}): backward error {backward[i]:.2e} exceeds {_BACKWARD_TOL:g}"
+        )
+    return lam, V, U
+
+
 def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> SpectralReport:
-    """Diagonalize L, project K onto the leading m L-modes, cross-check.
+    """Find L's leading m modes, project K onto them, cross-check.
 
     Modes are the m smallest-|eigenvalue| L-eigenvectors (prolate-style
-    ordering), scaled to unit quadrature-weighted norm (over interior nodes
-    for a pv K, ``K.kernel.singular``).  G = (V^-1 K V)[:m, :m] gives the
-    Rayleigh quotients (its diagonal) and the off-diagonal energy (its
-    largest off-diagonal entry over the largest diagonal one); per-mode
-    residuals are weighted norms.  ``eigvec_cond`` is the 2-norm condition
-    number of the scaled modes in the weighted metric (1 for orthonormal
-    modes), which bounds how far G can be trusted.  Pairs of L-eigenvalues
-    closer than 1e-8 (relative) set the degeneracy flag and are left out of
-    the off-diagonal measure.
+    ordering), found with their left eigenvectors by shift-invert Arnoldi
+    (``_l_modes``) and scaled to unit quadrature-weighted norm (over
+    interior nodes for a pv K, ``K.kernel.singular``).  G = (U^H V)^-1 U^H K V,
+    with the left modes U, equals (V^-1 K V)[:m, :m] of the full
+    eigenbasis V; it gives the Rayleigh quotients (its diagonal) and the
+    off-diagonal energy (its largest off-diagonal entry over the largest
+    diagonal one); per-mode residuals are weighted norms.  ``eigvec_cond``
+    is the 2-norm condition number of the scaled modes in the weighted
+    metric (1 for orthonormal modes), which bounds how far G can be
+    trusted.  Pairs of L-eigenvalues closer than 1e-8 (relative) set the
+    degeneracy flag and are left out of the off-diagonal measure.
     """
     if not K.grid.same_as(L.grid):
         raise GridMismatchError("K and L must share a grid")
     if m > K.grid.n:
         raise ValueError("m exceeds the grid size")
+    lam, V, U = _l_modes(L, m)
     try:
-        lam, V = np.linalg.eig(L.entries)
         mu_all = np.linalg.eigvals(K.entries)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
-
-    order = np.argsort(np.abs(lam))
-    lam = lam[order][:m]
-    V = V[:, order]
 
     w = K.grid.weights
     mask = K.grid.interior() if K.kernel.singular else np.ones(K.grid.n, dtype=bool)
     wi = w[mask]
 
-    # the leading m modes get unit weighted norm; the rest of V only spans
-    # the complement, which the first m rows of V^-1 do not depend on
-    norms = np.sqrt(np.einsum("i,ij->j", wi, np.abs(V[mask, :m]) ** 2))
-    V[:, :m] /= norms[None, :]
-    Vni = V[mask, :m]
-    KVm = K.entries @ V[:, :m]
+    norms = np.sqrt(np.einsum("i,ij->j", wi, np.abs(V[mask]) ** 2))
+    V /= norms[None, :]
+    Vni = V[mask]
+    KVm = K.entries @ V
     KV = KVm[mask, :]
-    # G = (V^-1 K V)[:m, :m]: the rows of V^-1 are L's left eigenvectors, so
-    # G is diagonal for a commuting pair also when L is not normal
+    # U holds L's left eigenvectors, so G is diagonal for a commuting pair
+    # also when L is not normal
+    Uh = U.conj().T
     try:
-        G = np.linalg.solve(V, KVm)[:m]
+        G = np.linalg.solve(Uh @ V, Uh @ KVm)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
     rayleigh = np.diag(G).copy()

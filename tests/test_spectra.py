@@ -6,6 +6,10 @@ import pytest
 from numpy.polynomial.legendre import legvander
 
 from commutant_lab import (
+    Case1,
+    Case2,
+    Case3,
+    Case4,
     DiffOp,
     EigFailure,
     ExpPoly,
@@ -21,6 +25,7 @@ from commutant_lab import (
     spectral_norm,
 )
 from commutant_lab import reportio
+from commutant_lab import spectra
 from commutant_lab.spectra import _pv_commutator
 
 
@@ -225,3 +230,122 @@ def test_report_serialization(sinc_pair):
     assert obj["eigvec_cond"] == spec.eigvec_cond
     rows = spec.rows()
     assert len(rows) == 3 and len(rows[0]) == 6
+
+
+def legendre_op():
+    """((1 - y^2) u')': collocation on LGL maps degree <= n-1 to itself, so
+    its eigenvalues there are exactly -k(k+1), k = 0, 1, ..., one of them 0."""
+    return DiffOp(
+        a=ExpPoly.polynomial((1.0, 0.0, -1.0)), b=ExpPoly.polynomial((0.0, -2.0)), c=ExpPoly.zero()
+    )
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_legendre_operator_modes_exact(sinc_pair, n):
+    # L is singular, so X = (L - sigma I)^-1 needs the shift; at n = 16 the
+    # Krylov space is the whole space
+    g = build_grid(n)
+    spec = joint_diagonalization(nystrom_K(sinc_pair, g), collocation_L(legendre_op(), g), 8)
+    k = np.arange(8)
+    assert np.max(np.abs(spec.L_eigenvalues - (-k * (k + 1)))) <= 1e-9
+    # P_0..P_7 are orthogonal under the LGL rule
+    assert spec.eigvec_cond == pytest.approx(1.0, abs=1e-9)
+
+
+def dense_reference(K, L, m):
+    """(L eigenvalues, rayleigh, offdiag, eigvec_cond) from the full eig(L):
+    G = (V^-1 K V)[:m, :m] for the whole eigenbasis V."""
+    lam, V = np.linalg.eig(L.entries)
+    order = np.argsort(np.abs(lam))
+    lam, V = lam[order][:m], V[:, order]
+    mask = K.grid.interior() if K.kernel.singular else np.ones(K.grid.n, dtype=bool)
+    wi = K.grid.weights[mask]
+    V[:, :m] /= np.sqrt(np.einsum("i,ij->j", wi, np.abs(V[mask, :m]) ** 2))
+    G = np.linalg.solve(V, K.entries @ V[:, :m])[:m]
+    rayleigh = np.diag(G)
+    close = np.abs(lam[:, None] - lam[None, :]) <= 1e-8 * np.max(np.abs(lam))
+    offdiag = np.max(np.abs(G[~close])) / np.max(np.abs(rayleigh))
+    return lam, rayleigh, offdiag, np.linalg.cond(np.sqrt(wi)[:, None] * V[mask, :m])
+
+
+# one complex draw per variant; case1 with m = 0 has eigvec_cond ~ 1e3
+REFERENCE_DRAWS = {
+    "general-analytic": General(lam=0.05 + 1.8j, mu=-1.42 + 1.79j, alpha1=-0.38 - 0.15j, alpha2=0.0),
+    "general-pole": General(lam=0.77 - 1.11j, mu=1.24 - 1.24j, alpha1=-0.35 + 0.21j, alpha2=0.71 - 0.52j),
+    "case1": Case1(m=0, alpha=-0.73 + 0.98j, beta=-0.93 + 0.06j),
+    "case2": Case2(lam=-0.68 + 1.07j, alpha=-0.83 + 0.2j, beta=0.52 + 0.17j),
+    "case3": Case3(beta=0.33 - 0.48j, p=(-0.46 - 0.43j, 0.0, 0.74 + 0.53j)),
+    "case4": Case4(beta=-0.99 - 0.69j, p=(0.72 - 0.6j, 0.61 - 0.33j, 0.43 + 0.62j)),
+}
+
+
+def matrices(params, n):
+    pair = make_pair(params)
+    g = build_grid(n)
+    K = nystrom_K_pv(pair, g) if pair.kernel.singular else nystrom_K(pair, g)
+    return K, collocation_L(pair.op, g)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("variant", sorted(REFERENCE_DRAWS))
+def test_joint_diagonalization_matches_dense_eig(variant, n):
+    K, L = matrices(REFERENCE_DRAWS[variant], n)
+    spec = joint_diagonalization(K, L, 8)
+    lam, rayleigh, offdiag, cond = dense_reference(K, L, 8)
+    # same modes in the same order; relative to the largest of the m, since
+    # one of them may lie near 0
+    if cond <= 100:
+        assert np.max(np.abs(spec.L_eigenvalues - lam)) <= 1e-10 * np.max(np.abs(lam))
+    # rounding, amplified by the conditioning of the modes
+    tol = 1e-11 * cond**2
+    assert abs(spec.eigvec_cond - cond) <= tol * cond
+    assert np.max(np.abs(spec.rayleigh - rayleigh)) <= tol * spectral_norm(K.entries)
+    assert abs(spec.offdiag_energy - offdiag) <= tol * max(offdiag, 1.0)
+
+
+@pytest.mark.parametrize("variant", sorted(REFERENCE_DRAWS))
+def test_l_modes_match_arpack_shift_invert(variant):
+    # an independent implementation: ARPACK's shift-invert mode about 0 gives
+    # the 8 eigenvalues of smallest modulus
+    from scipy.sparse.linalg import eigs
+
+    K, L = matrices(REFERENCE_DRAWS[variant], 256)
+    spec = joint_diagonalization(K, L, 8)
+    ref = eigs(L.entries, k=8, sigma=0.0, which="LM", return_eigenvectors=False)
+    ref = ref[np.argsort(np.abs(ref))]
+    # ill-conditioned pole modes differ between solvers by up to ~6e-7
+    tol = 1e-10 if spec.eigvec_cond <= 100 else 1e-6
+    assert np.max(np.abs(spec.L_eigenvalues - ref)) <= tol * np.max(np.abs(ref))
+
+
+def test_joint_diagonalization_never_eigs_the_full_l(monkeypatch):
+    K, L = matrices(REFERENCE_DRAWS["general-analytic"], 128)
+    shapes = []
+    eig = np.linalg.eig
+
+    def recording_eig(a):
+        shapes.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    joint_diagonalization(K, L, 8)
+    assert (128, 128) not in shapes
+
+
+def test_joint_diagonalization_is_deterministic():
+    K, L = matrices(REFERENCE_DRAWS["case4"], 64)
+    a, b = joint_diagonalization(K, L, 8), joint_diagonalization(K, L, 8)
+    assert np.array_equal(a.L_eigenvalues, b.L_eigenvalues)
+    assert np.array_equal(a.rayleigh, b.rayleigh)
+
+
+def test_uncertified_modes_raise(sinc_pair, monkeypatch):
+    g = build_grid(32)
+    K, L = nystrom_K(sinc_pair, g), collocation_L(sinc_pair.op, g)
+    monkeypatch.setattr(spectra, "_BACKWARD_TOL", 1e-30)
+    with pytest.raises(EigFailure, match="backward error"):
+        joint_diagonalization(K, L, 4)
+    bad = dataclasses.replace(L, entries=np.full_like(L.entries, np.nan))
+    monkeypatch.undo()
+    with pytest.raises(EigFailure):
+        joint_diagonalization(K, bad, 4)
