@@ -127,7 +127,8 @@ def load_config(path: str, command: str) -> RunConfig:
             params = params_from_json(raw["params"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad params block: {exc}") from exc
-    n = _int_field(raw, "n", 64, 2)
+    # n = 2 has no interior node, where the pv measures and L's modes live
+    n = _int_field(raw, "n", 64, 3)
     m = _int_field(raw, "m", 8, 1)
     if command == "spectrum" and m > n:
         raise ConfigError(f"m = {m} exceeds the grid size n = {n}")

@@ -203,6 +203,8 @@ def test_malformed_config(tmp_path):
         ("verify", {"params": SINC, "output_path": 5}),
         ("commutator", {"params": SINC, "n": "abc"}),
         ("commutator", {"params": SINC, "n": 16.5}),
+        ("commutator", {"params": CASE4, "n": 2}),
+        ("spectrum", {"params": SINC, "n": 2, "m": 2}),
         ("spectrum", {"params": SINC, "m": 0}),
         ("spectrum", {"params": SINC, "n": 8, "m": 9}),
         ("sweep", {"count": 0}),

@@ -51,6 +51,11 @@ def test_spectral_norm_reports_failed_svd():
         spectral_norm(np.full((4, 4), np.nan))
 
 
+def test_krylov_spectral_norm_reports_non_finite_input():
+    with pytest.raises(EigFailure):
+        spectral_norm(np.full((256, 256), np.nan))
+
+
 def identity_op():
     return DiffOp(a=ExpPoly.zero(), b=ExpPoly.zero(), c=ExpPoly.constant(1.0))
 
@@ -133,6 +138,13 @@ def test_grid_mismatch(sinc_pair):
     L = collocation_L(sinc_pair.op, build_grid(24))
     with pytest.raises(GridMismatchError):
         commutator_norm(K, L)
+
+
+def test_pv_commutator_needs_an_interior_node(case4_pair):
+    # at n = 2 both nodes are +-1, so the restricted commutator would be 0/0
+    g = build_grid(2)
+    with pytest.raises(ValueError, match="interior"):
+        commutator_norm(nystrom_K_pv(case4_pair, g), collocation_L(case4_pair.op, g))
 
 
 def test_joint_diagonalization_sinc(sinc_pair):
@@ -228,6 +240,7 @@ def test_report_serialization(sinc_pair):
     obj = json.loads(reportio.dumps(spec))
     assert len(obj["L_eigenvalues"]) == 3
     assert obj["eigvec_cond"] == spec.eigvec_cond
+    assert obj["mode_cond"] == spec.mode_cond.tolist()
     rows = spec.rows()
     assert len(rows) == 3 and len(rows[0]) == 6
 
@@ -248,8 +261,10 @@ def test_legendre_operator_modes_exact(sinc_pair, n):
     spec = joint_diagonalization(nystrom_K(sinc_pair, g), collocation_L(legendre_op(), g), 8)
     k = np.arange(8)
     assert np.max(np.abs(spec.L_eigenvalues - (-k * (k + 1)))) <= 1e-9
-    # P_0..P_7 are orthogonal under the LGL rule
+    # P_0..P_7 are orthogonal under the LGL rule, and L is self-adjoint there,
+    # so each eigenvalue is perfectly conditioned
     assert spec.eigvec_cond == pytest.approx(1.0, abs=1e-9)
+    assert np.max(np.abs(spec.mode_cond - 1.0)) <= 1e-9
 
 
 def dense_reference(K, L, m):
@@ -349,3 +364,76 @@ def test_uncertified_modes_raise(sinc_pair, monkeypatch):
     monkeypatch.undo()
     with pytest.raises(EigFailure):
         joint_diagonalization(K, bad, 4)
+
+
+def test_mode_cond_sees_one_ill_conditioned_eigenvalue():
+    # spectral benchmark seed 1 job 8: the modes as a set read eigvec_cond
+    # 572, while the eigenvalue of mode 7 has condition 1.0e7
+    params = Case1(
+        m=1, alpha=-0.5220061228014192 + 0.19209830093597247j, beta=0.3861450876099437 - 0.2747183483368849j
+    )
+    K, L = matrices(params, 256)
+    spec = joint_diagonalization(K, L, 8)
+    assert spec.eigvec_cond < 1e3
+    assert np.max(spec.mode_cond) >= 1e6
+    assert np.all(spec.mode_cond >= 1.0 - 1e-12)
+
+
+def krylov_read_matrices(K, L):
+    """The matrices whose 2-norms commutator_norm reads: K, L and the
+    commutator, on interior slices for a pv K."""
+    if not K.kernel.singular:
+        return [K.entries, L.entries, K.entries @ L.entries - L.entries @ K.entries]
+    mask = K.grid.interior()
+    cut = np.ix_(mask, mask)
+    return [K.entries[cut], L.entries[cut], _pv_commutator(K, L)[cut]]
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("variant", sorted(REFERENCE_DRAWS))
+def test_krylov_reads_match_dense(variant, n):
+    K, L = matrices(REFERENCE_DRAWS[variant], n)
+    for A in krylov_read_matrices(K, L):
+        ref = np.linalg.norm(A, 2)
+        assert abs(spectral_norm(A) - ref) <= 1e-13 * ref
+    # set-wise: pole K's top eigenvalues come in equal-modulus clusters, and
+    # which members of a cluster are listed is arbitrary for either solver
+    mu = joint_diagonalization(K, L, 8).K_eigenvalues_direct
+    dense = np.linalg.eigvals(K.entries)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.min(np.abs(mu[:, None] - dense[None, :]), axis=1)) <= 1e-12 * scale
+    top = np.sort(np.abs(dense))[::-1][:8]
+    assert np.max(np.abs(np.abs(mu) - top)) <= 1e-12 * scale
+    assert np.all(np.diff(np.abs(mu)) <= 0.0)
+
+
+@pytest.mark.parametrize("variant", ["general-analytic", "case4"])
+def test_matrix_path_never_decomposes_a_full_matrix(variant, monkeypatch):
+    # above the crossover K's eigenvalues and every 2-norm come from Krylov
+    # reads; norm(A, 2) calls LAPACK's SVD without going through np.linalg.svd
+    n = 256
+    K, L = matrices(REFERENCE_DRAWS[variant], n)
+    shapes = []
+
+    def recording(fn, name):
+        def wrapper(a, *args, **kwargs):
+            if name != "norm" or args[:1] == (2,) or kwargs.get("ord") == 2:
+                shapes.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eig", "eigvals", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), name))
+    commutator_norm(K, L)
+    joint_diagonalization(K, L, 8)
+    assert shapes and all(min(shape) < n - 2 for _, shape in shapes), shapes
+
+
+def test_uncertified_krylov_reads_raise(monkeypatch):
+    K, L = matrices(REFERENCE_DRAWS["general-analytic"], 128)
+    monkeypatch.setattr(spectra, "_BACKWARD_TOL", 1e-30)
+    with pytest.raises(EigFailure, match="K eigenvalue 0 .* backward error"):
+        spectra._k_dominant(K.entries, 8)
+    with pytest.raises(EigFailure, match="2-norm Ritz pair"):
+        spectral_norm(L.entries)
