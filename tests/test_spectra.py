@@ -379,6 +379,28 @@ def test_mode_cond_sees_one_ill_conditioned_eigenvalue():
     assert np.all(spec.mode_cond >= 1.0 - 1e-12)
 
 
+def test_l_modes_certified_with_the_shift_next_to_an_eigenvalue():
+    # spectral benchmark seed 1410 job 231: the shift lies 0.003 from L's
+    # smallest eigenvalue, so ||X|| is 300 |theta| of the next mode, whose
+    # left Ritz vector kept a backward error of 1.8e-12 before the refined
+    # inverse-iteration step
+    params = Case2(
+        lam=0.9723215095126752 - 0.30722172315587404j,
+        alpha=0.5099164815393598 - 0.29844113099341874j,
+        beta=-0.2449335958099026 + 0.9139687794580516j,
+    )
+    _, L = matrices(params, 256)
+    lam, V, U = spectra._l_modes(L, 8)
+    sigma = -spectra._SHIFT * np.max(np.abs(L.op.a(L.grid.nodes)))
+    assert np.min(np.abs(lam - sigma)) < 0.01
+    A = L.entries
+    scale = np.linalg.norm(A)
+    right = np.linalg.norm(A @ V - lam * V, axis=0) / np.linalg.norm(V, axis=0)
+    Uh = U.conj().T
+    left = np.linalg.norm(Uh @ A - lam[:, None] * Uh, axis=1) / np.linalg.norm(U, axis=0)
+    assert np.max(np.maximum(right, left)) <= 1e-13 * scale
+
+
 def krylov_read_matrices(K, L):
     """The matrices whose 2-norms commutator_norm reads: K, L and the
     commutator, on interior slices for a pv K."""
