@@ -13,6 +13,11 @@ byte-identical files on one machine with a fixed BLAS thread count; the
 matrix reports of ``commutator`` and ``spectrum`` can change in their last
 digits with the thread count.  Exit status is 0 iff every check passed its
 tolerance.
+
+A process keeps the last pair it built and that pair's K and L on the last
+n, so commands run one after another on one config (as a certification
+does) build them once; ``sweep`` builds its own draws.  The outputs are the
+same as from a fresh process.
 """
 
 from __future__ import annotations
@@ -153,6 +158,24 @@ def _require_params(cfg: RunConfig) -> FamilyParams:
     return cfg.params
 
 
+# The last pair built in this process ("params", "pair") and its K and L on
+# the last n ("n", "KL"), so the commands of one certification build them
+# once.  One entry: the key is repr(params), whose exact bits keep 0.0 and
+# -0.0 apart, and the old entry is dropped before a new build, so peak memory
+# does not grow.  Builds look up the module's names at call time, so code
+# that rebinds them (a tracer) sees every build.
+_MEMO: dict = {}
+
+
+def _build_pair(params: FamilyParams) -> CommutingPair:
+    key = repr(params)
+    if _MEMO.get("params") != key:
+        _MEMO.clear()
+        _MEMO["pair"] = make_pair(params)
+        _MEMO["params"] = key
+    return _MEMO["pair"]
+
+
 def _sample_kernel(pair: CommutingPair):
     z = np.linspace(-2.0, 2.0, KERNEL_SAMPLES)
     if pair.kernel.singular:
@@ -173,7 +196,7 @@ def cmd_pair(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary
     }
     if not adm.ok:
         return report
-    pair = make_pair(params)
+    pair = _build_pair(params)
     bres = pair.op.boundary_residual()
     summary.add("boundary_abs", bres, cfg.tol("boundary_abs"))
     report["boundary_residual"] = bres
@@ -198,7 +221,7 @@ def cmd_pair(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary
 
 
 def cmd_verify(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary) -> dict:
-    pair = make_pair(_require_params(cfg))
+    pair = _build_pair(_require_params(cfg))
     rep1 = residual_R1(pair)
     summary.add("r1_rel", rep1.max_abs / max(rep1.scale, 1e-300), cfg.tol("r1_rel"))
     rep2 = residual_R2(pair.kernel, pair.op, pair.op)
@@ -229,16 +252,22 @@ def _dump_matrices(outdir: Path, K, L) -> None:
     reportio.write_csv(outdir / "L_matrix.csv", L.entries.tolist())
 
 
-def _build_matrices(cfg: RunConfig, pair: CommutingPair):
-    grid = build_grid(cfg.n)
-    K = nystrom_K_pv(pair, grid) if pair.kernel.singular else nystrom_K(pair, grid)
-    L = collocation_L(pair.op, grid)
-    return K, L
+def _build_matrices(cfg: RunConfig):
+    """The pair of cfg.params with its K and L on cfg.n nodes, from ``_MEMO``."""
+    pair = _build_pair(_require_params(cfg))
+    if _MEMO.get("n") != cfg.n:
+        _MEMO.pop("n", None)
+        _MEMO.pop("KL", None)
+        grid = build_grid(cfg.n)
+        K = nystrom_K_pv(pair, grid) if pair.kernel.singular else nystrom_K(pair, grid)
+        L = collocation_L(pair.op, grid)
+        K.entries.flags.writeable = L.entries.flags.writeable = False
+        _MEMO["KL"], _MEMO["n"] = (K, L), cfg.n
+    return (pair, *_MEMO["KL"])
 
 
 def cmd_commutator(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary) -> dict:
-    pair = make_pair(_require_params(cfg))
-    K, L = _build_matrices(cfg, pair)
+    pair, K, L = _build_matrices(cfg)
     singular = pair.kernel.singular
     norm = commutator_norm(K, L)
     tol_name = "commutator_pv_rel" if singular else "commutator_rel"
@@ -260,8 +289,7 @@ def cmd_commutator(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.S
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary) -> dict:
-    pair = make_pair(_require_params(cfg))
-    K, L = _build_matrices(cfg, pair)
+    pair, K, L = _build_matrices(cfg)
     spec = joint_diagonalization(K, L, cfg.m)
     summary.add("offdiag", spec.offdiag_energy, cfg.tol("offdiag"))
     ray = spec.rayleigh[np.argsort(-np.abs(spec.rayleigh))]
@@ -286,7 +314,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Sum
 
 
 def cmd_normality(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary) -> dict:
-    pair = make_pair(_require_params(cfg))
+    pair = _build_pair(_require_params(cfg))
     op = pair.op
     y = interior_points()
     twice = adjoint_coeffs(adjoint_coeffs(op))

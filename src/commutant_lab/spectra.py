@@ -200,7 +200,8 @@ def _interior_slice(M: OperatorMatrix) -> np.ndarray:
 
 
 def commutator_norm(K: OperatorMatrix, L: OperatorMatrix) -> float:
-    """Relative commutator norm ||KL - LK|| / (||K|| ||L|| + tiny).
+    """Relative commutator norm ||KL - LK|| / (||K|| ||L||); ValueError if
+    the normalizer is 0.
 
     For a pv K (``K.kernel.singular``) the commutator and the normalizing
     factors are restricted to nodes strictly inside (-1, 1): K's diagonal
@@ -220,7 +221,10 @@ def commutator_norm(K: OperatorMatrix, L: OperatorMatrix) -> float:
     else:
         C = K.entries @ L.entries - L.entries @ K.entries
         nK, nL = spectral_norm(K.entries), spectral_norm(L.entries)
-    return spectral_norm(C) / (nK * nL + _TINY)
+    if not nK * nL > 0:
+        # n = 3 leaves a pv K one interior entry, which can be 0
+        raise ValueError(f"the commutator's normalizer ||K|| ||L|| = {nK:.3g} * {nL:.3g} is 0")
+    return spectral_norm(C) / (nK * nL)
 
 
 def _pv_commutator(K: OperatorMatrix, L: OperatorMatrix) -> np.ndarray:
@@ -382,7 +386,8 @@ def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> Spect
     Modes are the m smallest-|eigenvalue| L-eigenvectors (prolate-style
     ordering), found with their left eigenvectors by shift-invert Arnoldi
     (``_l_modes``) and scaled to unit quadrature-weighted norm (over
-    interior nodes for a pv K, ``K.kernel.singular``).  G = (U^H V)^-1 U^H K V,
+    interior nodes for a pv K, ``K.kernel.singular``, so m may not exceed
+    their count, else ValueError).  G = (U^H V)^-1 U^H K V,
     with the left modes U, equals (V^-1 K V)[:m, :m] of the full
     eigenbasis V; it gives the Rayleigh quotients (its diagonal) and the
     off-diagonal energy (its largest off-diagonal entry over the largest
@@ -398,8 +403,10 @@ def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> Spect
     """
     if not K.grid.same_as(L.grid):
         raise GridMismatchError("K and L must share a grid")
-    if m > K.grid.n:
-        raise ValueError("m exceeds the grid size")
+    mask = K.grid.interior() if K.kernel.singular else np.ones(K.grid.n, dtype=bool)
+    nodes = np.count_nonzero(mask)
+    if m > nodes:
+        raise ValueError(f"m = {m} exceeds the {nodes} nodes the modes are normalized over")
     lam, V, U = _l_modes(L, m)
     mu_top = _k_dominant(K.entries, m)
 
@@ -409,7 +416,6 @@ def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> Spect
     vw = np.einsum("i,ij->j", w, np.abs(V) ** 2)
     uw = np.einsum("i,ij->j", 1.0 / w, np.abs(U) ** 2)
     mode_cond = np.sqrt(vw * uw) / np.abs(np.einsum("ij,ij->j", U.conj(), V))
-    mask = K.grid.interior() if K.kernel.singular else np.ones(K.grid.n, dtype=bool)
     wi = w[mask]
 
     norms = np.sqrt(np.einsum("i,ij->j", wi, np.abs(V[mask]) ** 2))

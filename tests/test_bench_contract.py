@@ -8,6 +8,7 @@ not only in ``bench/tests``.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,37 @@ def test_report_writers_take_the_path_first(tmp_path):
     reportio.write_json(json_path, {"schema": 1})
     reportio.write_csv(csv_path, [["name", "value"], ["x", 1.0]])
     assert json_path.stat().st_size > 0 and csv_path.stat().st_size > 0
+
+
+@pytest.mark.parametrize("variant", ["analytic", "pole"])
+def test_cold_job_calls_each_traced_build_once(tracing, tmp_path, variant):
+    # the tracer rebinds cli's make_pair and build aliases; a job whose pair
+    # is not in the CLI's memo must reach each of them once, so the traced
+    # pass, which follows an untraced pass over the same jobs, sees every build
+    from commutant_lab import cli
+
+    params = {
+        "variant": "general",
+        "lambda": [0.5, 0.0],
+        "mu": [0.0, 1.0],
+        "alpha1": [1.0, 0.0],
+        "alpha2": [1.0 if variant == "pole" else 0.0, 0.0],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params, "n": 32, "m": 4}))
+    nystrom = "discretize.nystrom_K_pv" if variant == "pole" else "discretize.nystrom_K"
+    cli._MEMO.clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for cmd in ("pair", "verify", "normality", "commutator", "spectrum"):
+            cli.main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd), "--quiet"])
+    finally:
+        tracer.uninstall()
+        cli._MEMO.clear()
+    assert tracer.leftovers() == []
+    calls = tracer.calls()
+    for name in ("families.make_pair", "discretize.build_grid", nystrom, "discretize.collocation_L"):
+        assert calls[name] == 1, name
+    for cmd in ("pair", "verify", "normality", "commutator", "spectrum"):
+        assert calls[f"cli.{cmd}"] == 1, cmd

@@ -1,11 +1,12 @@
 import json
 import csv
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from commutant_lab import build_grid, make_pair, params_from_json
+from commutant_lab import build_grid, cli, make_pair, params_from_json
 from commutant_lab.cli import main
 
 SINC = {
@@ -17,6 +18,24 @@ SINC = {
 }
 CASE1 = {"variant": "case1", "m": 0, "alpha": [1.0, 0.0], "beta": [1.0, 0.0]}
 CASE4 = {"variant": "case4", "beta": [0.0, 0.0], "p": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+INADMISSIBLE = {
+    "variant": "general",
+    "lambda": [0.0, float(1.2 * np.pi)],
+    "mu": [0.3, 0.0],
+    "alpha1": [1.0, 0.0],
+    "alpha2": [1.0, 0.0],
+}
+# the commands of one certification, in the benchmark's order
+CERTIFY = ("pair", "verify", "normality", "commutator", "spectrum")
+
+
+@pytest.fixture
+def cold_memo():
+    """An empty pair memo, before and after the test: a test that patches a
+    build layer must not read a pair or matrices built without the patch."""
+    cli._MEMO.clear()
+    yield
+    cli._MEMO.clear()
 
 
 def write_config(path, **kwargs):
@@ -137,6 +156,7 @@ def test_matrix_commands_same_bytes_on_cold_and_warm_grid(tmp_path, params):
     runs = {}
     for warmth in ("cold", "warm"):
         for cmd, names in files.items():
+            cli._MEMO.clear()
             if warmth == "cold":
                 build_grid.cache_clear()
             out = tmp_path / warmth / cmd
@@ -226,14 +246,7 @@ def test_malformed_config(tmp_path):
 
 
 def test_inadmissible_params_error_status(tmp_path):
-    bad = {
-        "variant": "general",
-        "lambda": [0.0, float(1.2 * np.pi)],
-        "mu": [0.3, 0.0],
-        "alpha1": [1.0, 0.0],
-        "alpha2": [1.0, 0.0],
-    }
-    cfg = write_config(tmp_path / "cfg.json", params=bad)
+    cfg = write_config(tmp_path / "cfg.json", params=INADMISSIBLE)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 1
 
@@ -264,3 +277,96 @@ def test_matrix_csv_cell_format(tmp_path):
     assert len(row) == 8
     re_part, im_part = row[0].split(",")
     float(re_part), float(im_part)
+
+
+def run_commands(cfg, root, cold):
+    """Exit status and written files of each certify command, by command."""
+    out = {}
+    for cmd in CERTIFY:
+        if cold:
+            cli._MEMO.clear()
+        outdir = root / cmd
+        status = main([cmd, "--config", cfg, "--out", str(outdir), "--quiet", "--dump"])
+        out[cmd] = status, {f.name: f.read_bytes() for f in sorted(outdir.iterdir())}
+    return out
+
+
+@pytest.mark.parametrize("params", [SINC, CASE1], ids=["analytic", "pole"])
+def test_commands_same_bytes_on_cold_and_warm_memo(tmp_path, params):
+    cfg = write_config(tmp_path / "cfg.json", params=params, n=48, m=6)
+    cold = run_commands(cfg, tmp_path / "cold", cold=True)
+    main(["spectrum", "--config", cfg, "--out", str(tmp_path / "warmup"), "--quiet"])
+    pair, K, L = cli._MEMO["pair"], *cli._MEMO["KL"]
+    warm = run_commands(cfg, tmp_path / "warm", cold=False)
+    assert cli._MEMO["pair"] is pair and cli._MEMO["KL"] == (K, L)
+    assert set(cold["commutator"][1]) >= {"report.json", "summary.csv", "K_matrix.csv", "L_matrix.csv"}
+    assert warm == cold
+
+
+def test_commutator_then_spectrum_builds_matrices_once(tmp_path, monkeypatch, cold_memo):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("make_pair", "build_grid", "nystrom_K", "nystrom_K_pv", "collocation_L"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+
+    def run(cmd, params, n):
+        cfg = write_config(tmp_path / "cfg.json", params=params, n=n, m=4)
+        main([cmd, "--config", cfg, "--out", str(tmp_path / cmd), "--quiet"])
+
+    run("commutator", CASE1, 32)
+    run("spectrum", CASE1, 32)
+    assert calls == Counter(make_pair=1, build_grid=1, nystrom_K_pv=1, collocation_L=1)
+    # another n: K and L again, not the pair
+    run("spectrum", CASE1, 40)
+    assert calls == Counter(make_pair=1, build_grid=2, nystrom_K_pv=2, collocation_L=2)
+    # other params: the pair too
+    run("commutator", SINC, 40)
+    assert calls == Counter(make_pair=2, build_grid=3, nystrom_K_pv=2, nystrom_K=1, collocation_L=3)
+    # one entry: the first config is built again
+    run("commutator", CASE1, 32)
+    assert calls == Counter(make_pair=3, build_grid=4, nystrom_K_pv=3, nystrom_K=1, collocation_L=4)
+
+
+def test_signed_zero_params_keep_their_own_entry(tmp_path):
+    # equal as numbers, so a memo keyed on equality would echo the first
+    for sign in (1.0, -1.0, 1.0):
+        params = {**SINC, "lambda": [0.5, math.copysign(0.0, sign)]}
+        cfg = write_config(tmp_path / "cfg.json", params=params, n=16, m=4)
+        for cmd in CERTIFY:
+            out = tmp_path / cmd
+            main([cmd, "--config", cfg, "--out", str(out), "--quiet"])
+            echoed = json.loads((out / "report.json").read_text())["result"]["params"]["lambda"]
+            assert math.copysign(1.0, echoed[1]) == sign, (cmd, sign)
+
+
+def test_cached_matrices_are_read_only(tmp_path, cold_memo):
+    cfg = cli.load_config(write_config(tmp_path / "cfg.json", params=CASE1, n=16), "commutator")
+    pair, K, L = cli._build_matrices(cfg)
+    for M in (K, L):
+        with pytest.raises(ValueError, match="read-only"):
+            M.entries[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("command", CERTIFY)
+def test_inadmissible_params_exit_1_after_warm_memo(tmp_path, command):
+    good = write_config(tmp_path / "good.json", params=SINC, n=16, m=4)
+    bad = write_config(tmp_path / "bad.json", params=INADMISSIBLE, n=16, m=4)
+    main(["spectrum", "--config", good, "--out", str(tmp_path / "good"), "--quiet"])
+    assert main([command, "--config", bad, "--out", str(tmp_path / "bad"), "--quiet"]) == 1
+
+
+def test_smallest_grid_modes_fail_cleanly(tmp_path, capsys):
+    # n = 3, m = 2 passes the config's m <= n check, but two pv modes cannot
+    # be normalized over the one interior node: joint_diagonalization's
+    # ValueError must come out as exit 1
+    params = {**SINC, "lambda": [0.5, 0.0], "mu": [0.0, 1.0], "alpha2": [1.0, 0.0]}
+    cfg = write_config(tmp_path / "cfg.json", params=params, n=3, m=2)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert "error: ValueError" in capsys.readouterr().err

@@ -141,10 +141,27 @@ def test_grid_mismatch(sinc_pair):
 
 
 def test_pv_commutator_needs_an_interior_node(case4_pair):
-    # at n = 2 both nodes are +-1, so the restricted commutator would be 0/0
-    g = build_grid(2)
-    with pytest.raises(ValueError, match="interior"):
-        commutator_norm(nystrom_K_pv(case4_pair, g), collocation_L(case4_pair.op, g))
+    # n = 2: both nodes are +-1, so the restricted commutator would be 0/0;
+    # n = 3: the one interior entry of this case4 K is 0, so the normalizer
+    # ||K|| ||L|| on the interior is 0 and the quotient would mean nothing
+    cases = [
+        (2, case4_pair, "interior"),
+        (3, make_pair(Case4(beta=0.7, p=(0.2, -0.5, 1.1))), "normalizer"),
+    ]
+    for n, pair, match in cases:
+        g = build_grid(n)
+        with pytest.raises(ValueError, match=match):
+            commutator_norm(nystrom_K_pv(pair, g), collocation_L(pair.op, g))
+
+
+def test_pv_modes_need_as_many_interior_nodes():
+    # at n = 3 two pv modes would be normalized over one interior node
+    pair = make_pair(General(lam=0.5, mu=1j, alpha1=1.0, alpha2=1.0))
+    g = build_grid(3)
+    K, L = nystrom_K_pv(pair, g), collocation_L(pair.op, g)
+    with pytest.raises(ValueError, match="exceeds the 1 nodes"):
+        joint_diagonalization(K, L, 2)
+    assert joint_diagonalization(K, L, 1).offdiag_energy == 0.0
 
 
 def test_joint_diagonalization_sinc(sinc_pair):
