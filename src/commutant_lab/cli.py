@@ -30,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, reportio
+from . import __version__, reportio, spectra
 from .discretize import build_grid, collocation_L, nystrom_K, nystrom_K_pv, pv_rowsum_error
-from .errors import CommutantError, ConfigError
+from .errors import CommutantError, ConfigError, EigFailure
 from .families import (
     CommutingPair,
     FamilyParams,
@@ -290,7 +290,19 @@ def cmd_commutator(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.S
 
 def cmd_spectrum(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary) -> dict:
     pair, K, L = _build_matrices(cfg)
-    spec = joint_diagonalization(K, L, cfg.m)
+    if dump:
+        _dump_matrices(outdir, K, L)
+    report = {"params": params_to_json(pair.params), "n": cfg.n, "m": cfg.m}
+    try:
+        spec = joint_diagonalization(K, L, cfg.m)
+    except EigFailure as exc:
+        if exc.backward is None:
+            raise
+        # a mode that fails its certificate is a failing check with its
+        # value, so the run still writes a report
+        summary.add("eig_certificate", exc.backward, spectra._BACKWARD_TOL)
+        report["eig_certificate"] = {"mode": exc.mode, "backward_error": exc.backward, "reason": str(exc)}
+        return report
     summary.add("offdiag", spec.offdiag_energy, cfg.tol("offdiag"))
     ray = spec.rayleigh[np.argsort(-np.abs(spec.rayleigh))]
     direct = spec.K_eigenvalues_direct
@@ -301,15 +313,8 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Sum
         outdir / "modes.csv",
         [["idx", "L_eig_re", "L_eig_im", "rayleigh_re", "rayleigh_im", "residual"]] + spec.rows(),
     )
-    if dump:
-        _dump_matrices(outdir, K, L)
-    report = {
-        "params": params_to_json(pair.params),
-        "n": cfg.n,
-        "m": cfg.m,
-        "spectral": spec,
-        "rayleigh_match_rel": match,
-    }
+    report["spectral"] = spec
+    report["rayleigh_match_rel"] = match
     return report
 
 

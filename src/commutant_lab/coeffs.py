@@ -15,10 +15,10 @@ derivative evaluations are analytic rather than finite differences:
   Q = sum_j C(m,j) r^j P^(m-j) and evaluates it in one Horner pass;
   ``f(y, order=(m1, m2, ...))`` returns every requested order from one
   call, with one exp(r*y) per term;
-* ``f.at_differences(x, y)`` evaluates f on the difference grid
-  x_i - y_j from x.size + y.size exponentials per term, since
-  e^{r(x_i - y_j)} = e^{r x_i} e^{-r y_j}; kernel matrices are built this
-  way;
+* ``f.at_differences(x, y, order=...)`` evaluates f (or its derivatives)
+  on the difference grid x_i - y_j from x.size + y.size exponentials per
+  term, since e^{r(x_i - y_j)} = e^{r x_i} e^{-r y_j}; kernel matrices
+  and the kernel values of the residuals are built this way;
 * ``f.taylor(z0, n)`` builds Taylor coefficients by series arithmetic (P
   shifted to z0, times the exponential series), without evaluating f.
 
@@ -85,6 +85,35 @@ def _exp_real(rate: complex, x: np.ndarray) -> np.ndarray:
     pr, er = _two_product(rate.real, x)
     pi, ei = _two_product(rate.imag, x)
     return np.exp(pr + 1j * pi) * (1.0 + (er + 1j * ei))
+
+
+def _orders(order) -> tuple[bool, tuple[int, ...]]:
+    """(whether ``order`` is a single int, the orders as a tuple)."""
+    single = isinstance(order, (int, np.integer))
+    return single, (order,) if single else tuple(order)
+
+
+def _ladder(poly: tuple[complex, ...], top: int) -> list[tuple[complex, ...]]:
+    """[P, P', ..., P^(top)]."""
+    derivs = [poly]
+    for _ in range(top):
+        derivs.append(polyder(derivs[-1]))
+    return derivs
+
+
+def _leibniz(rate: complex, derivs, m: int) -> list[complex]:
+    """Coefficients of Q with d^m/dy^m [P e^{ry}] = e^{ry} Q, from P's ladder.
+
+    Q = sum_j C(m,j) r^j P^{(m-j)}, assembled coefficient-wise so that it
+    takes one Horner pass; at rate 0 only P^{(m)} is left.
+    """
+    jmax = m if rate != 0 else 0
+    q = [0j] * len(derivs[m - jmax])
+    for j in range(jmax + 1):
+        w = math.comb(m, j) * rate**j
+        for k, c in enumerate(derivs[m - j]):
+            q[k] += w * c
+    return q
 
 
 def _trim(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -217,25 +246,15 @@ class ExpPoly:
         ladder and exp(rate*y) are computed once for all of them.  Scalar y
         gives complex values, array y ndarrays.
         """
-        single = isinstance(order, (int, np.integer))
-        orders = (order,) if single else tuple(order)
+        single, orders = _orders(order)
         arr = np.asarray(y, dtype=complex)
         outs = [np.zeros_like(arr) for _ in orders]
         top = max(orders, default=0)
         for rate, poly in self.terms:
-            derivs = [poly]
-            for _ in range(top):
-                derivs.append(polyder(derivs[-1]))
+            derivs = _ladder(poly, top)
             e = None
             for out, m in zip(outs, orders):
-                # d^m/dy^m [P e^{ry}] = e^{ry} Q with Q = sum_j C(m,j) r^j P^{(m-j)};
-                # Q is assembled coefficient-wise, then evaluated in one Horner pass
-                jmax = m if rate != 0 else 0  # at rate 0 only P^{(m)} is left
-                q = [0j] * len(derivs[m - jmax])
-                for j in range(jmax + 1):
-                    w = math.comb(m, j) * rate**j
-                    for k, c in enumerate(derivs[m - j]):
-                        q[k] += w * c
+                q = _leibniz(rate, derivs, m)
                 if not q:
                     continue
                 acc = polyval(q, arr)
@@ -251,24 +270,33 @@ class ExpPoly:
             outs = [complex(o) for o in outs]
         return outs[0] if single else tuple(outs)
 
-    def at_differences(self, x, y) -> np.ndarray:
-        """Matrix of values f(x_i - y_j) for real point arrays x, y.
+    def at_differences(self, x, y, order: int | tuple[int, ...] = 0):
+        """Matrix of values f^(order)(x_i - y_j) for real point arrays x, y.
 
         Each exponential factors exactly, e^{r(x_i - y_j)} = e^{r x_i}
         e^{-r y_j}, so a term costs x.size + y.size exponentials and one
-        outer product; only a non-constant P_t takes a Horner pass over the
-        difference matrix.
+        outer product; only a non-constant P_t (or Leibniz polynomial Q of
+        a derivative) takes a Horner pass over the difference matrix.
+        ``order`` may be a tuple of orders, as for ``__call__``.
         """
+        single, orders = _orders(order)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = np.zeros((x.size, y.size), dtype=complex)
+        outs = [np.zeros((x.size, y.size), dtype=complex) for _ in orders]
+        top = max(orders, default=0)
         for rate, poly in self.terms:
+            derivs = _ladder(poly, top)
             ex, ey = _exp_real(rate, x), _exp_real(-rate, y)
-            if len(poly) == 1:
-                out += np.multiply.outer(poly[0] * ex, ey)
-            else:
-                out += polyval(poly, np.subtract.outer(x, y)) * np.multiply.outer(ex, ey)
-        return out
+            for out, m in zip(outs, orders):
+                # P itself at order 0: K keeps its arithmetic to the bit
+                q = poly if m == 0 else _leibniz(rate, derivs, m)
+                if len(q) == 1:
+                    out += np.multiply.outer(q[0] * ex, ey)
+                elif q:
+                    # no n x n buffer is kept across terms or orders: at
+                    # n = 256 that made K slower (the allocator maps fresh pages)
+                    out += polyval(q, np.subtract.outer(x, y)) * np.multiply.outer(ex, ey)
+        return outs[0] if single else tuple(outs)
 
     def taylor(self, z0: complex, nterms: int) -> tuple[complex, ...]:
         """Taylor coefficients (f(z0), f'(z0), f''(z0)/2!, ...) of length nterms.

@@ -42,7 +42,16 @@ class GridMismatchError(CommutantError):
 
 
 class EigFailure(CommutantError):
-    """An eigensolver did not converge, or its modes failed their certificate."""
+    """An eigensolver did not converge, or its modes failed their certificate.
+
+    A failed certificate names the ``mode`` it read (such as "L left mode
+    7") and its finite ``backward`` error; otherwise both are None.
+    """
+
+    def __init__(self, message: str, mode: str | None = None, backward: float | None = None):
+        super().__init__(message)
+        self.mode = mode
+        self.backward = backward
 
 
 class ConfigError(CommutantError):

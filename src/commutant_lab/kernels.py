@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import ExpPoly, polyder, polyval
+from .coeffs import ExpPoly, _orders, polyder, polyval
 from .errors import PoleError
 
 SERIES_TERMS = 16
@@ -200,32 +200,44 @@ def kernel_values(spec: KernelSpec, z, orders: tuple[int, ...] = (0,)):
     return tuple(o.reshape(np.shape(z)) for o in out)
 
 
-def kernel_matrix(spec: KernelSpec, x, y) -> np.ndarray:
-    """Matrix of k(x_i - y_j) for real point arrays x, y.
+def kernel_matrix(spec: KernelSpec, x, y, order: int | tuple[int, ...] = 0):
+    """Matrix of k^(order)(x_i - y_j) for real point arrays x, y.
 
-    N and D come from ``ExpPoly.at_differences`` and are divided where no
-    switch window applies; entries within the switch radius of 0 or of a
-    removable zero are taken from ``kernel_values``, so the series and
-    Laurent branches are the same as pointwise.  For a singular kernel,
-    entries with x_i - y_j exactly 0 are left at 0 for the caller.
+    N, D and their derivatives come from ``ExpPoly.at_differences``;
+    where no switch window applies k is their ratio and its derivatives the
+    quotient rule's, as in ``kernel_values``.  Entries within the switch
+    radius of 0 or of a removable zero are taken from ``kernel_values``, so
+    the series and Laurent branches are the same as pointwise.  For a
+    singular kernel, entries with x_i - y_j exactly 0 are left at 0 for the
+    caller.  ``order`` may be a tuple of orders, which gives a tuple of
+    matrices.
     """
+    single, orders = _orders(order)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     Z = x[:, None] - y[None, :]
     near = np.abs(Z) < spec.switch_radius
     for z0 in spec.removable_zeros:
         near |= np.abs(Z - z0) < spec.switch_radius
-    out = np.divide(
-        spec.numerator.at_differences(x, y),
-        spec.denominator.at_differences(x, y),
-        out=np.zeros(Z.shape, dtype=complex),
-        where=~near,
-    )
+    need = range(max(orders) + 1)
+    nd = spec.numerator.at_differences(x, y, order=need)
+    dd = spec.denominator.at_differences(x, y, order=need)
+    if max(orders) > 0:
+        # the quotient rule divides by powers of D, which may vanish (or be
+        # subnormal) inside the windows: those entries are overwritten below
+        dd = (np.where(near, 1.0, dd[0]),) + dd[1:]
+    outs = [
+        np.divide(nd[0], dd[0], out=np.zeros(Z.shape, dtype=complex), where=~near)
+        if m == 0
+        else np.where(near, 0j, _ratio_derivative(nd, dd, m))
+        for m in orders
+    ]
     if spec.singular:
         near &= Z != 0
     if np.any(near):
-        (out[near],) = kernel_values(spec, Z[near])
-    return out
+        for out, vals in zip(outs, kernel_values(spec, Z[near], orders)):
+            out[near] = vals
+    return outs[0] if single else tuple(outs)
 
 
 def _ratio_derivative(nd, dd, order: int):

@@ -9,10 +9,13 @@ is the two-variable functional equation
 on y in [-1,1], y+z in [-1,1].  For simple-pole kernels F itself blows up
 like z^-3 while z^3 F extends continuously to z = 0, so the reported
 residual for singular kernels is the weighted value z^3 F (the continuous
-extension); regular kernels report F directly.  Coefficient differences
-a(y+z) - a(y) are evaluated as written: the coefficients are entire and
-their evaluation is relatively accurate, and the z^3 weighting keeps the
-near-pole samples from amplifying rounding.
+extension); regular kernels report F directly.  F is sampled on the tensor
+grid y_i x x_j of Chebyshev points, z = x_j - y_i, so each coefficient is
+evaluated once per axis and k, k', k'' come from one difference-grid
+``kernel_matrix`` call.  Coefficient differences a(x) - a(y) are evaluated
+as written: the coefficients are entire and their evaluation is relatively
+accurate, and the z^3 weighting keeps the near-pole samples from
+amplifying rounding.
 
 The same module hosts the derivative-at-zero checks: the Taylor system
 obtained by differentiating F n times in z at z = 0, the three coefficient
@@ -35,7 +38,7 @@ from .errors import (
     SingularKernelError,
 )
 from .families import CommutingPair, DiffOp, gauge_transform
-from .kernels import KernelSpec, kernel_values
+from .kernels import KernelSpec, kernel_matrix, kernel_values
 
 # pole kernels drop the samples with |z| <= Z_EXCLUSION
 Z_EXCLUSION = 1e-2
@@ -52,14 +55,8 @@ class ResidualReport:
     scale: float
 
 
-def chebyshev_points(
-    n: int, lo: float | np.ndarray = -1.0, hi: float | np.ndarray = 1.0
-) -> np.ndarray:
-    """Chebyshev-Lobatto points, ascending, mapped to [lo, hi].
-
-    Array-valued ``lo``/``hi`` broadcast against the n points, giving one
-    mapped row per interval.
-    """
+def chebyshev_points(n: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
+    """Chebyshev-Lobatto points, ascending, mapped to [lo, hi]."""
     t = np.cos(np.pi * np.arange(n - 1, -1, -1) / (n - 1))
     return lo + (hi - lo) * (t + 1.0) / 2.0
 
@@ -74,35 +71,35 @@ def _mixed_residual(
     if ny < 2 or nz < 2:
         raise GridError("residual grid needs ny >= 2 and nz >= 2")
 
-    # tensor grid: row i holds y_i and nz points z with y_i + z in [-1, 1];
-    # the kept points are flattened in row-major order; a row's endpoints
-    # -1 - y_i and 1 - y_i are 2 apart, so every row keeps one of them
+    # tensor grid: row i holds y_i, column j holds x_j = y_i + z, both
+    # Chebyshev points on [-1, 1]; the kept points (|z| > Z_EXCLUSION for a
+    # pole) are read in row-major order
     ys = chebyshev_points(ny)
-    Z = chebyshev_points(nz, -1.0 - ys[:, None], 1.0 - ys[:, None])
+    xs = chebyshev_points(nz)
+    Z = xs[None, :] - ys[:, None]
     keep = np.abs(Z) > Z_EXCLUSION if kernel.singular else np.ones(Z.shape, dtype=bool)
-    row = np.nonzero(keep)[0]
-    z = Z[keep]
-    yz = ys[row] + z
 
-    # L1's coefficients at y (each row's y repeated over its kept points)
-    a, da, dda = (v[row] for v in opL.a(ys, order=(0, 1, 2)))
-    b, db = (v[row] for v in opL.b(ys, order=(0, 1)))
-    c = opL.c(ys)[row]
-    k0, k1, k2 = kernel_values(kernel, z, orders=(0, 1, 2))
-    P = opR.a(yz) - a
-    Q = 2.0 * da + opR.b(yz) - b
-    R = opR.c(yz) - c + db - dda
+    # L1's coefficients once at the ny points y (one per row), L2's once at
+    # the nz points x (one per column), k, k', k'' on the difference grid
+    a, da, dda = (v[:, None] for v in opL.a(ys, order=(0, 1, 2)))
+    b, db = (v[:, None] for v in opL.b(ys, order=(0, 1)))
+    c = opL.c(ys)[:, None]
+    k0, k1, k2 = (k.T for k in kernel_matrix(kernel, xs, ys, order=(0, 1, 2)))
+    P = opR.a(xs) - a
+    Q = 2.0 * da + opR.b(xs) - b
+    R = opR.c(xs) - c + db - dda
     F = P * k2 + Q * k1 + R * k0
     if kernel.singular:
-        F = F * z**3
-    mags = np.abs(F)
+        F = F * Z**3
+    mags = np.abs(F[keep])
     j = int(np.argmax(mags))  # first maximum in row-major order
+    row, col = (int(v[j]) for v in np.nonzero(keep))
     return ResidualReport(
         max_abs=float(mags[j]),
         rms=math.sqrt(float(np.mean(mags**2))),
-        argmax=(float(ys[row[j]]), float(z[j])),
-        n_points=int(z.size),
-        scale=float(np.max(np.abs(k0))),
+        argmax=(float(ys[row]), float(Z[row, col])),
+        n_points=int(mags.size),
+        scale=float(np.max(np.abs(k0[keep]))),
     )
 
 

@@ -145,13 +145,17 @@ def _hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _certify(what: str, lam: np.ndarray, R: np.ndarray, V: np.ndarray, scale: float) -> None:
     """EigFailure unless every backward error ||R_i|| / (scale ||V_i||) of the
-    eigenpairs (lam_i, V_i), residual columns R_i, is within ``_BACKWARD_TOL``."""
+    eigenpairs (lam_i, V_i), residual columns R_i, is within ``_BACKWARD_TOL``.
+    The failure carries the first failing mode and, when finite, its error."""
     backward = np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0) / scale
     failed = ~(backward <= _BACKWARD_TOL)
     if np.any(failed):
         i = int(np.argmax(failed))
+        err = float(backward[i])
         raise EigFailure(
-            f"{what} {i} (eigenvalue {lam[i]:.6g}): backward error {backward[i]:.2e} exceeds {_BACKWARD_TOL:g}"
+            f"{what} {i} (eigenvalue {lam[i]:.6g}): backward error {err:.2e} exceeds {_BACKWARD_TOL:g}",
+            mode=f"{what} {i}",
+            backward=err if np.isfinite(err) else None,
         )
 
 

@@ -370,3 +370,25 @@ def test_smallest_grid_modes_fail_cleanly(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", params=params, n=3, m=2)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
     assert "error: ValueError" in capsys.readouterr().err
+
+
+def test_failed_eig_certificate_still_writes_a_report(tmp_path, monkeypatch, cold_memo):
+    # a mode that fails its backward-error certificate is a failing check
+    # with its finite value, the mode and the reason, and exit status 1;
+    # a re-run writes the same bytes
+    monkeypatch.setattr(cli.spectra, "_BACKWARD_TOL", 1e-30)
+    cfg = write_config(tmp_path / "cfg.json", params=CASE1, n=16, m=4)
+    written = []
+    for run in ("first", "again"):
+        out = tmp_path / run
+        assert main(["spectrum", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert not (out / "modes.csv").exists()
+        written.append([(out / name).read_bytes() for name in ("report.json", "summary.csv")])
+    assert written[0] == written[1]
+    report = json.loads(written[0][0])
+    (check,) = report["checks"]
+    assert check["name"] == "eig_certificate" and check["pass"] is False
+    assert math.isfinite(check["value"]) and check["value"] > check["tolerance"] == 1e-30
+    cert = report["result"]["eig_certificate"]
+    assert cert["backward_error"] == check["value"]
+    assert cert["mode"] == "L mode 0" and cert["reason"].startswith("L mode 0 ")

@@ -144,18 +144,30 @@ def test_derivative_matches_finite_differences(rate, y):
 
 
 def test_at_differences_matches_pointwise():
-    # one term of each kind: polynomial times exponential (Horner pass),
-    # constant times exponential (outer product only), plain polynomial
-    f = (
-        ExpPoly.exponential(0.5 + 2.0j, (1.0, 2.0, -3.0j))
-        + ExpPoly.exponential(-1.5, (3.0,))
-        + ExpPoly.polynomial((0.5, -1.0, 0.25))
-    )
     x = np.linspace(-1.0, 1.0, 7)
     y = np.array([-0.9, -0.2, 0.0, 0.45, 1.0])
-    got = f.at_differences(x, y)
-    assert got.shape == (7, 5)
-    np.testing.assert_allclose(got, f(np.subtract.outer(x, y)), rtol=1e-14, atol=1e-14)
+    diff = np.subtract.outer(x, y)
+    for f, rtol in (
+        # one term of each kind: polynomial times exponential (Horner pass),
+        # constant times exponential (outer product only), plain polynomial
+        (
+            ExpPoly.exponential(0.5 + 2.0j, (1.0, 2.0, -3.0j))
+            + ExpPoly.exponential(-1.5, (3.0,))
+            + ExpPoly.polynomial((0.5, -1.0, 0.25)),
+            1e-14,
+        ),
+        (ExpPoly.polynomial((0.5, -1.0, 0.25, 2.0)), 1e-14),
+        # |r z| ~ 100: __call__'s exp(r z) carries the rounding of r*z
+        (ExpPoly.exponential(20.0 - 45.0j, (1.0, 0.5)), 1e-13),
+    ):
+        got = f.at_differences(x, y, order=(0, 1, 2))
+        assert isinstance(got, tuple) and len(got) == 3
+        for m, (g, ref) in enumerate(zip(got, f(diff, order=(0, 1, 2)))):
+            assert g.shape == (7, 5)
+            atol = 1e-14 * np.max(np.abs(ref))
+            np.testing.assert_allclose(g, ref, rtol=rtol, atol=atol, err_msg=f"{f} order {m}")
+        # an int order is the 1-tuple case
+        np.testing.assert_array_equal(f.at_differences(x, y, order=1), got[1])
 
 
 @pytest.mark.parametrize("rate", [60j, 30.0, 20.0 - 45j])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,3 +303,54 @@ def test_kernel_matrix_matches_mpmath(name, lgl256):
             errs.append(float(abs(mpmath.mpc(K[i, j]) - ref) / abs(ref)))
     worst = int(np.argmax(errs))
     assert errs[worst] <= 1e-12, (Z[rows[worst], cols[worst]], errs[worst])
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        General(lam=0.0, mu=0.5j * np.pi, alpha1=1.0, alpha2=0.0),
+        Case1(m=0, alpha=1.0, beta=1.0),
+        WIDE_LAMBDA,
+        MATRIX_PARAMS["general-pole"],
+    ],
+    ids=["sinc", "case1", "wide-lambda", "general-pole"],
+)
+def test_kernel_matrix_derivatives_match_kernel_values(params):
+    # k, k', k'' on a difference grid with entries inside the switch window
+    # of 0 (and of case1's removable zeros +-2, wide-lambda's +-5/3), just
+    # outside it and far from it.  Inside: the pointwise branches, bit for
+    # bit.  Outside, N and D round differently in the two evaluators, which
+    # the quotient rule amplifies next to a window (by ~|z - z0|^-m).
+    spec = make_pair(params).kernel
+    r = spec.switch_radius
+    x = np.array([-1.0, -1.0 + 0.4 * r, -1.0 + 1.9 * r, -0.3, 0.0, 0.3 + 0.3 * r, 0.3 + 2.5 * r, 1.0 - 0.6 * r, 1.0])
+    y = np.array([-1.0, -1.0 + 0.7 * r, -2 / 3 + 0.5 * r, -2 / 3 + 1.5 * r, -0.3 + 0.7 * r, 0.0, 0.3, 1.0 - 1.7 * r, 1.0])
+    Z = np.subtract.outer(x, y)
+    got = kernel_matrix(spec, x, y, order=(0, 1, 2))
+    # order 0 of a tuple is the int-order matrix, the one K is built from
+    np.testing.assert_array_equal(kernel_matrix(spec, x, y), got[0])
+    ok = Z != 0 if spec.singular else np.ones(Z.shape, dtype=bool)
+    for g in got:
+        assert np.all(g[~ok] == 0)  # a pole's exact zeros of z
+    dist = np.min([np.abs(Z - z0) for z0 in (0.0,) + spec.removable_zeros], axis=0)[ok]
+    inside, far = dist < spec.switch_radius, dist >= 0.1
+    edge = ~inside & ~far
+    assert np.any(inside) and np.any(edge & (dist < 3 * r))
+    for m, (g, v) in enumerate(zip(got, kernel_values(spec, Z[ok], orders=(0, 1, 2)))):
+        g = g[ok]
+        np.testing.assert_array_equal(g[inside], v[inside])
+        np.testing.assert_allclose(g[far], v[far], rtol=1e-12, err_msg=f"order {m}")
+        np.testing.assert_allclose(g[edge], v[edge], rtol=1e-6 if m else 1e-12, err_msg=f"order {m}")
+
+
+@pytest.mark.parametrize("lam", [0.5 + 1e-310j, 5e-324 + 1.0j], ids=["subnormal-im", "subnormal-re"])
+@pytest.mark.parametrize("alpha2", [0.0, 1.0], ids=["analytic", "pole"])
+def test_kernel_matrix_masks_window_entries(lam, alpha2):
+    # D vanishes (or is subnormal) on the switch-window entries; the quotient
+    # rule must not divide there, so no warning is raised
+    spec = make_pair(General(lam=lam, mu=1.0, alpha1=1.0, alpha2=alpha2)).kernel
+    x = np.linspace(-1.0, 1.0, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel_matrix(spec, x, x, order=(0, 1, 2))
+    assert all(np.all(np.isfinite(g)) for g in got)

@@ -22,7 +22,7 @@ from commutant_lab import (
     taylor_relation_check,
 )
 from commutant_lab import reportio
-from commutant_lab.kernels import kernel_values
+from commutant_lab.kernels import kernel_matrix
 from commutant_lab.residuals import Z_EXCLUSION, chebyshev_points
 
 
@@ -67,25 +67,30 @@ def test_argmax_in_domain(case2_pair):
     assert abs(z) > 1e-2  # exclusion zone respected
 
 
-def _reference_R1(pair, ny, nz):
-    """F(y, z) point by point over the tensor grid, rows in ascending y."""
-    a, b, c = pair.op.a, pair.op.b, pair.op.c
-    excl = Z_EXCLUSION if pair.kernel.singular else 0.0
+def _reference_residual(kernel, opL, opR, ny, nz):
+    """F(y, z) point by point over the y x x tensor grid, z = x - y, rows in ascending y.
+
+    k, k' and k'' come from ``kernel_matrix`` on 1 x 1 grids, the same
+    arithmetic as the residual's difference grid, so the exact argmax of a
+    rounding-level F is comparable.
+    """
+    excl = Z_EXCLUSION if kernel.singular else 0.0
     max_abs, argmax, sumsq, count = -1.0, None, 0.0, 0
     for y in chebyshev_points(ny):
-        for z in chebyshev_points(nz, -1.0 - y, 1.0 - y):
+        for x in chebyshev_points(nz):
+            z = x - y
             if excl > 0 and abs(z) <= excl:
                 continue
-            ya, za = np.array([y]), np.array([z])
-            k0, k1, k2 = kernel_values(pair.kernel, za, orders=(0, 1, 2))
+            ya, xa = np.array([y]), np.array([x])
+            k0, k1, k2 = kernel_matrix(kernel, xa, ya, order=(0, 1, 2))
             F = (
-                (a(ya + za) - a(ya)) * k2
-                + (2.0 * a(ya, order=1) + b(ya + za) - b(ya)) * k1
-                + (c(ya + za) - c(ya) + b(ya, order=1) - a(ya, order=2)) * k0
+                (opR.a(xa) - opL.a(ya)) * k2
+                + (2.0 * opL.a(ya, order=1) + opR.b(xa) - opL.b(ya)) * k1
+                + (opR.c(xa) - opL.c(ya) + opL.b(ya, order=1) - opL.a(ya, order=2)) * k0
             )
-            if pair.kernel.singular:
-                F = F * za**3
-            mag = float(np.abs(F[0]))
+            if kernel.singular:
+                F = F * z**3
+            mag = float(np.abs(F[0, 0]))
             if mag > max_abs:  # strict: the first maximum in row-major order wins
                 max_abs, argmax = mag, (float(y), float(z))
             sumsq += mag**2
@@ -93,15 +98,120 @@ def _reference_R1(pair, ny, nz):
     return max_abs, math.sqrt(sumsq / count), argmax, count
 
 
-@pytest.mark.parametrize("fixture", ["analytic_pair", "case2_pair"])
-def test_residual_matches_pointwise_reference(fixture, request):
+@pytest.mark.parametrize(
+    "fixture, shifted_c, ny, nz",
+    [
+        ("analytic_pair", False, 7, 7),
+        ("case2_pair", False, 7, 7),
+        ("case2_pair", False, 41, 17),
+        ("analytic_pair", True, 17, 41),
+        ("case3_pair", True, 9, 5),
+    ],
+    ids=["analytic_pair", "case2_pair", "case2-41x17", "analytic-R2-17x41", "case3-R2-9x5"],
+)
+def test_residual_matches_pointwise_reference(fixture, shifted_c, ny, nz, request):
+    # R1 on square and ny != nz grids, and R2 with L2 = L1 + 0.1 y in c
     pair = request.getfixturevalue(fixture)
-    max_abs, rms, argmax, count = _reference_R1(pair, 7, 7)
-    rep = residual_R1(pair, ny=7, nz=7)
+    op = pair.op
+    L2 = DiffOp(a=op.a, b=op.b, c=op.c + ExpPoly.polynomial((0.0, 0.1))) if shifted_c else op
+    max_abs, rms, argmax, count = _reference_residual(pair.kernel, op, L2, ny, nz)
+    rep = residual_R2(pair.kernel, op, L2, ny=ny, nz=nz)
+    if not shifted_c:
+        assert residual_R1(pair, ny=ny, nz=nz) == rep
     assert rep.n_points == count
     assert rep.max_abs == pytest.approx(max_abs, rel=1e-12)
     assert rep.rms == pytest.approx(rms, rel=1e-12)
     assert rep.argmax == argmax
+
+
+def _mp_terms(mpmath, f):
+    return [(mpmath.mpc(r), [mpmath.mpc(c) for c in reversed(p)]) for r, p in f.terms]
+
+
+def _mp_value(mpmath, terms, t):
+    return mpmath.fsum(mpmath.polyval(p, t) * mpmath.exp(r * t) for r, p in terms)
+
+
+@pytest.mark.parametrize("fixture", ["analytic_pair", "case3_pair"])
+def test_residual_matches_mpmath(fixture, request):
+    # F of the non-commuting pair c + 0.01 y, where F is signal and not
+    # rounding, at 50 digits on a 6 x 5 grid: k and its derivatives by
+    # mpmath.diff of N/D, the coefficients' derivatives exactly
+    mpmath = pytest.importorskip("mpmath")
+    pair = perturb_c(request.getfixturevalue(fixture), ExpPoly.polynomial((0.0, 0.01)))
+    op, kernel = pair.op, pair.kernel
+    ny, nz = 6, 5
+    rep = residual_R1(pair, ny=ny, nz=nz)
+    with mpmath.workdps(50):
+        num, den = _mp_terms(mpmath, kernel.numerator), _mp_terms(mpmath, kernel.denominator)
+
+        def k(t):
+            return _mp_value(mpmath, num, t) / _mp_value(mpmath, den, t)
+
+        def coeff(f, t, m=0):
+            return _mp_value(mpmath, _mp_terms(mpmath, f.derivative(m)), t)
+
+        mags, points = [], []
+        for y in chebyshev_points(ny):
+            for x in chebyshev_points(nz):
+                ym, xm = mpmath.mpf(float(y)), mpmath.mpf(float(x))
+                z = xm - ym
+                if kernel.singular and abs(z) <= Z_EXCLUSION:
+                    continue
+                if z == 0:
+                    k0, k1, k2 = (kernel.series[m] * math.factorial(m) for m in range(3))
+                else:
+                    k0, k1, k2 = (mpmath.diff(k, z, m) for m in range(3))
+                F = (
+                    (coeff(op.a, xm) - coeff(op.a, ym)) * k2
+                    + (2 * coeff(op.a, ym, 1) + coeff(op.b, xm) - coeff(op.b, ym)) * k1
+                    + (coeff(op.c, xm) - coeff(op.c, ym) + coeff(op.b, ym, 1) - coeff(op.a, ym, 2)) * k0
+                )
+                if kernel.singular:
+                    F *= z**3
+                mags.append(abs(F))
+                points.append((float(y), float(x - y)))
+        first = max(range(len(mags)), key=mags.__getitem__)  # first maximum
+        ref_max = float(mags[first])
+        ref_rms = float(mpmath.sqrt(mpmath.fsum(v**2 for v in mags) / len(mags)))
+    assert rep.n_points == len(mags)
+    assert rep.max_abs == pytest.approx(ref_max, rel=1e-12)
+    assert rep.rms == pytest.approx(ref_rms, rel=1e-12)
+    assert rep.argmax == points[first]
+
+
+@pytest.mark.parametrize("fixture", ["analytic_pair", "case1_pair"])
+def test_residual_evaluates_per_axis(fixture, request, monkeypatch):
+    # one residual evaluates the coefficients on the axes (no array longer
+    # than max(ny, nz)) and calls kernel_values on switch-window points only:
+    # z = 0 for the analytic kernel, case1's removable zeros z = +-2
+    from commutant_lab import coeffs, kernels
+
+    pair = request.getfixturevalue(fixture)
+
+    ny, nz = 41, 17
+    sizes, window = [], []
+    call = coeffs.ExpPoly.__call__
+
+    def counting_call(self, y, order=0):
+        sizes.append(np.size(y))
+        return call(self, y, order)
+
+    values = kernels.kernel_values
+
+    def recording_values(spec, z, orders=(0,)):
+        window.append(np.atleast_1d(z))
+        return values(spec, z, orders)
+
+    monkeypatch.setattr(coeffs.ExpPoly, "__call__", counting_call)
+    monkeypatch.setattr(kernels, "kernel_values", recording_values)
+    spec = pair.kernel
+    residual_R1(pair, ny=ny, nz=nz)
+    assert sizes and max(sizes) <= max(ny, nz)
+    assert window
+    z = np.concatenate(window)
+    dist = np.min([np.abs(z - z0) for z0 in (0.0,) + spec.removable_zeros], axis=0)
+    assert np.all(dist < spec.switch_radius)
 
 
 def test_report_json_fields(analytic_pair):
