@@ -212,7 +212,8 @@ def selfadjoint_matrix_defect(op: DiffOp) -> float:
     """Weighted-collocation symmetry defect of L on the low Legendre modes.
 
     Assembles B[p,q] = <L phi_q, phi_p> with quadrature-weighted inner
-    products over Legendre polynomials up to degree MATRIX_KMAX on the
+    products over the grid's orthonormal Legendre polynomials
+    (``Grid.legendre``) up to degree MATRIX_KMAX on the
     MATRIX_N-point grid (well inside the rule's exactness range, so
     boundary terms vanish exactly through the operator's own boundary
     conditions) and returns the relative anti-Hermitian part of B.
@@ -220,11 +221,8 @@ def selfadjoint_matrix_defect(op: DiffOp) -> float:
     from .discretize import build_grid, collocation_L
 
     grid = build_grid(MATRIX_N)
-    x, w = grid.nodes, grid.weights
-    P = np.polynomial.legendre.legvander(x, MATRIX_KMAX)
-    nrm = np.sqrt(2.0 / (2.0 * np.arange(MATRIX_KMAX + 1) + 1.0))
-    Phi = P / nrm[None, :]
+    Phi = grid.legendre[:, : MATRIX_KMAX + 1]
     Lm = collocation_L(op, grid).entries
-    B = (Phi.conj().T * w[None, :]) @ (Lm @ Phi)
+    B = (Phi.conj().T * grid.weights[None, :]) @ (Lm @ Phi)
     defect = np.linalg.norm(B - B.conj().T)
     return float(defect / (np.linalg.norm(B) + _TINY))

@@ -11,17 +11,19 @@ orthogonal; K is projected with L's left eigenvectors instead.
 
 Only the few values that are read are computed, all by one Arnoldi engine
 (``_arnoldi``): L's m modes with their left modes by shift-invert, and, from
-``_KRYLOV_N`` rows on, K's m dominant eigenvalues and every 2-norm (the
-largest eigenvalue of A^H A).  Below that size, where Python overhead per
-Krylov step dominates, K's eigenvalues come from a dense ``eigvals`` and
-2-norms from an SVD.  Every Krylov value must pass an a-posteriori
-certificate, else ``EigFailure``.
+``_KRYLOV_N`` rows on, K's m dominant eigenvalues and the 2-norm ||K|| that
+the commutator is relative to (the root of the largest eigenvalue of
+K^H K).  Below that size, where Python overhead per Krylov step dominates,
+K's eigenvalues come from a dense ``eigvals`` and ||K|| from an SVD.  Every
+Krylov value must pass an a-posteriori certificate, else ``EigFailure``.
 
-Norms are quadrature-weighted (discrete L^2(-1,1)), matching where the
-operators live.  Both measures read what K discretizes from the matrix
-itself: for a pv K (``K.kernel.singular``) the norms are restricted to
-interior nodes, and the commutator takes the split-log form built from
-the grid's D1 and log weight and from L's own coefficients.
+The commutator is read on the grid's orthonormal Legendre columns
+p_0 .. p_{n/2}, with quadrature-weighted (discrete L^2(-1,1)) norms of C p_k
+and L p_k; ||K|| is the plain 2-norm of K's matrix.  Mode normalizations
+and residuals are weighted too.  Both measures read what K discretizes
+from the matrix itself: for a pv K (``K.kernel.singular``) they are
+restricted to interior nodes, and the commutator takes the split-log form
+built from the grid's D1 and log weight and from L's own coefficients.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigFailure, GridMismatchError
-from .discretize import OperatorMatrix, add_diagonal
+from .discretize import OperatorMatrix
 
 _TINY = 1e-300
 
@@ -59,9 +61,9 @@ _START_SEED = 20211
 # thread) both Krylov reads lose at n = 96 and win at n = 128.  L's modes
 # always come from Arnoldi.
 _KRYLOV_N = 128
-# first check of a 2-norm read; at n = 256 those of K and the commutator
-# converge by k = 8 to 24, that of L by k = 29 to 61
-_NORM_START = 32
+# first check of a 2-norm read; at n = 256 that of K, the one the matrix
+# path takes, converges by k = 8 to 24 on the benchmark draws
+_NORM_START = 24
 
 
 def _project_out(Qk: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -198,60 +200,87 @@ def spectral_norm(A: np.ndarray) -> float:
     return float(np.sqrt(theta))
 
 
-def _interior_slice(M: OperatorMatrix) -> np.ndarray:
-    mask = M.grid.interior()
-    return M.entries[np.ix_(mask, mask)]
+def commutator_norm(K: OperatorMatrix, L: OperatorMatrix) -> tuple[float, int]:
+    """Relative commutator C = KL - LK on Legendre degrees <= n/2, with the
+    degree where it peaks: (read, k).
 
+    Reads max_k ||C p_k||_W / (||K|| s_k) over the grid's orthonormal
+    Legendre columns p_0 .. p_{n/2} (``Grid.legendre``), with weighted
+    (quadrature) norms ||.||_W and the 2-norm ||K|| of K's matrix.  The
+    grid resolves these degrees, so the read sits at rounding for a
+    commuting pair; the grid's top modes alias, so the full n x n C does
+    not.  s_k = max_{j <= max(k, 1)} ||L p_j||_W is the size of L on
+    degrees <= max(k, 1): a scale of L that the read can be relative to
+    also when L p_0 = c = 0.  k is the first degree attaining the max.
+    ValueError if the normalizer ||K|| s_0 is 0.
 
-def commutator_norm(K: OperatorMatrix, L: OperatorMatrix) -> float:
-    """Relative commutator norm ||KL - LK|| / (||K|| ||L||); ValueError if
-    the normalizer is 0.
-
-    For a pv K (``K.kernel.singular``) the commutator and the normalizing
-    factors are restricted to nodes strictly inside (-1, 1): K's diagonal
-    carries r*l with the endpoint log l = log((1+x)/(1-x)), and L applied
-    to l*u is not a polynomial, so L.K would collocate it with O(1)
-    error.  The commutator is formed from the split K = r diag(l) + S
-    instead (see ``_pv_commutator``).
+    For a pv K (``K.kernel.singular``) the read and ||K|| are restricted to
+    nodes strictly inside (-1, 1): K's diagonal carries r*l with the
+    endpoint log l = log((1+x)/(1-x)), and L applied to l*u is not a
+    polynomial, so L.K would collocate it with O(1) error.  C is applied
+    in the split K = r diag(l) + S instead (see ``_commutator_columns``).
     """
     if not K.grid.same_as(L.grid):
         raise GridMismatchError("K and L must share a grid")
+    grid = K.grid
     if K.kernel.singular:
-        mask = K.grid.interior()
-        if not np.any(mask):
+        rows = grid.interior()
+        if not np.any(rows):
             raise ValueError("the grid has no interior node to restrict the pv commutator to")
-        C = _pv_commutator(K, L)[np.ix_(mask, mask)]
-        nK, nL = spectral_norm(_interior_slice(K)), spectral_norm(_interior_slice(L))
+        nK = spectral_norm(K.entries[np.ix_(rows, rows)])
     else:
-        C = K.entries @ L.entries - L.entries @ K.entries
-        nK, nL = spectral_norm(K.entries), spectral_norm(L.entries)
-    if not nK * nL > 0:
+        rows = slice(None)
+        nK = spectral_norm(K.entries)
+    CP, LP = _commutator_columns(K, L, grid.legendre, grid.dlegendre)
+    w = grid.weights[rows]
+    c = np.sqrt(w @ np.abs(CP[rows]) ** 2)
+    s = np.maximum.accumulate(np.sqrt(w @ np.abs(LP[rows]) ** 2))
+    s[0] = s[1]
+    if not nK * s[0] > 0:
         # n = 3 leaves a pv K one interior entry, which can be 0
-        raise ValueError(f"the commutator's normalizer ||K|| ||L|| = {nK:.3g} * {nL:.3g} is 0")
-    return spectral_norm(C) / (nK * nL)
+        raise ValueError(f"the commutator's normalizer ||K|| s_0 = {nK:.3g} * {s[0]:.3g} is 0")
+    reads = c / (nK * s)
+    k = int(np.argmax(reads))
+    return float(reads[k]), k
 
 
-def _pv_commutator(K: OperatorMatrix, L: OperatorMatrix) -> np.ndarray:
-    """KL - LK for K = r diag(l) + S, exact calculus on the log part.
+def _commutator_columns(K: OperatorMatrix, L: OperatorMatrix, X: np.ndarray, DX: np.ndarray):
+    """(C X, L X) for C = KL - LK and grid vectors X, one per column; DX = D1 X.
 
-    L(u l) = l Lu + 2 a l' u' + [(a l')' + (b - a') l'] u, so
+    K(LX) and L(KX) take the same products in the same order, so a pair
+    that commutes exactly in floating point (L = I) reads 0.  For a pv K,
+    C is formed from the split K = r diag(l) + S, exact calculus on the log
+    part: L(u l) = l Lu + 2 a l' u' + [(a l')' + (b - a') l'] u, so
     [r diag(l), L] = -r (2 diag(a l') D1 + diag((a l')' + (b - a') l')).
     With a(+-1) = 0 and b(+-1) = a'(+-1) both brackets are smooth:
     a l' = 2a/(1-x^2) extends to -+a'(+-1) at x = +-1 and is differentiated
     by D1; (b - a') l' is only needed on interior rows.  Endpoint rows
-    of the result are not meaningful.
+    of C X are then not meaningful.
     """
+    KX, LX = K.entries @ X, L.entries @ X
+    if not K.kernel.singular:
+        CX = K.entries @ LX
+        CX -= L.entries @ KX
+        return CX, LX
     grid, op = K.grid, L.op
-    n, r = grid.n, K.kernel.residue()
-    S = K.entries.copy()
-    S.flat[:: n + 1] -= r * grid.log_weight()
+    r, ell = K.kernel.residue(), grid.log_weight()[:, None]
     x = grid.nodes
     (a, da), b = op.a(x, order=(0, 1)), op.b(x)
     mask = grid.interior()
     one_m_x2 = np.where(mask, 1.0 - x**2, 1.0)
     al = np.where(mask, 2.0 * a / one_m_x2, -np.sign(x) * da)
     bracket = grid.D1 @ al + np.where(mask, 2.0 * (b - da) / one_m_x2, 0.0)
-    return S @ L.entries - L.entries @ S - r * add_diagonal(2.0 * al[:, None] * grid.D1, bracket)
+    KX -= r * ell * X  # S X
+    CX = K.entries @ LX
+    CX -= L.entries @ KX
+    # S L X = K L X - r l L X; in place, as fresh n x n/2 temporaries cost
+    # page faults comparable to the products
+    log_part = 2.0 * al[:, None] * DX
+    log_part += bracket[:, None] * X
+    log_part += ell * LX
+    log_part *= r
+    CX -= log_part
+    return CX, LX
 
 
 @dataclass(frozen=True)

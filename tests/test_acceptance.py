@@ -149,7 +149,7 @@ def test_criterion_03_series_system():
 def _sinc_commutator(n: int) -> float:
     pair = make_pair(SINC)
     grid = build_grid(n)
-    return commutator_norm(nystrom_K(pair, grid), collocation_L(pair.op, grid))
+    return commutator_norm(nystrom_K(pair, grid), collocation_L(pair.op, grid))[0]
 
 
 def test_criterion_04a_regular_commutator():
@@ -211,7 +211,7 @@ def test_criterion_06_pv_commutation():
     mask = grid.interior()
     rowsum = (K.entries @ np.ones(grid.n))[mask]
     rowsum_err = float(np.max(np.abs(rowsum - pv_log_weight(grid.nodes[mask]))))
-    comm = commutator_norm(K, L)
+    comm = commutator_norm(K, L)[0]
     ok = rowsum_err <= 1e-12 and comm <= 1e-3
     announce("06", ok, f"interior commutator {comm:.2e}; rowsum err {rowsum_err:.2e}")
     assert rowsum_err <= 1e-12

@@ -57,7 +57,10 @@ def test_verify_regular(tmp_path):
     assert report["schema"] == 1
     assert report["command"] == "verify"
     names = {row["name"] for row in read_summary(out)}
-    assert {"r1_rel", "r2_rel", "taylor_abs", "lemma_abs"} <= names
+    assert {"r1_rel", "taylor_abs", "lemma_abs"} <= names
+    # R2 with L1 = L2 = L equals R1 bit for bit, so verify does not report it
+    assert "r2_rel" not in names
+    assert "residual_R2" not in report["result"]
 
 
 def test_verify_singular_case4(tmp_path):
@@ -117,6 +120,7 @@ def test_commutator_regular(tmp_path):
     assert (out / "L_matrix.csv").exists()
     report = json.loads((out / "report.json").read_text())
     assert report["result"]["commutator_rel"] <= 1e-8
+    assert report["result"]["worst_degree"] in range(33)
 
 
 def test_commutator_rowsum_scales_with_kernel(tmp_path):
@@ -219,6 +223,7 @@ def test_malformed_config(tmp_path):
         ("verify", {"params": SINC, "tolerances": [1]}),
         ("verify", {"params": SINC, "tolerances": {"r1_rel": "x"}}),
         ("commutator", {"params": CASE4, "tolerances": {"rowsum_abs": 1e-12}}),
+        ("verify", {"params": SINC, "tolerances": {"r2_rel": 1e-9}}),
         ("verify", {"params": SINC, "grid_kind": "gauss_legendre"}),
         ("verify", {"params": SINC, "output_path": 5}),
         ("commutator", {"params": SINC, "n": "abc"}),

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.polynomial.legendre import legvander
+from numpy.polynomial.legendre import legder, legval, legvander
 from scipy.special import roots_jacobi
 
 from commutant_lab import (
@@ -93,6 +93,21 @@ def test_quadrature_exactness_degrees(n):
         assert np.sum(gl.weights * gl.nodes**deg) == pytest.approx(exact, abs=1e-13)
 
 
+@pytest.mark.parametrize("n", [3, 9, 64, 256])
+def test_legendre_columns_orthonormal_with_exact_derivatives(n):
+    # p_0 .. p_{n/2}: products of degree <= n, inside the rule's 2n - 3
+    g = build_grid(n)
+    P = g.legendre
+    assert P.shape == (n, n // 2 + 1)
+    gram = P.T @ (g.weights[:, None] * P)
+    assert np.max(np.abs(gram - np.eye(n // 2 + 1))) <= 1e-13
+    d = n // 2
+    scale = np.sqrt((2.0 * np.arange(d + 1) + 1.0) / 2.0)
+    dP = legval(g.nodes, legder(np.eye(d + 1))).T * scale
+    err = np.max(np.abs(g.dlegendre - dP)) / np.max(np.abs(dP))
+    assert err <= 1e-12, err
+
+
 def test_size_validation():
     with pytest.raises(ValueError):
         build_grid(1)
@@ -109,7 +124,10 @@ def test_grid_is_built_once_per_n():
     assert not build_grid(48).same_as(build_grid(49))
 
 
-@pytest.mark.parametrize("field", ["nodes", "weights", "D1", "D2", "pv_sums"])
+GRID_ARRAYS = ["nodes", "weights", "D1", "D2", "pv_sums", "legendre", "dlegendre"]
+
+
+@pytest.mark.parametrize("field", GRID_ARRAYS)
 def test_grid_arrays_are_read_only(field):
     arr = getattr(build_grid(16), field)
     with pytest.raises(ValueError):
@@ -122,7 +140,7 @@ def test_grid_arrays_are_read_only(field):
 def test_cached_grid_equals_uncached_build(n):
     cached, fresh = build_grid(n), build_grid.__wrapped__(n)
     assert cached is not fresh
-    for field in ("nodes", "weights", "D1", "D2", "pv_sums"):
+    for field in GRID_ARRAYS:
         a, b = getattr(cached, field), getattr(fresh, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 

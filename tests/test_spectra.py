@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,11 +24,17 @@ from commutant_lab import (
     make_pair,
     nystrom_K,
     nystrom_K_pv,
+    params_from_json,
     spectral_norm,
 )
 from commutant_lab import reportio
 from commutant_lab import spectra
-from commutant_lab.spectra import _pv_commutator
+from commutant_lab.cli import DEFAULT_TOLERANCES
+from commutant_lab.spectra import _commutator_columns
+
+import mutations
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def test_spectral_norm_against_svd():
@@ -64,14 +72,14 @@ def test_identity_commutes_exactly(sinc_pair):
     g = build_grid(32)
     K = nystrom_K(sinc_pair, g)
     L = collocation_L(identity_op(), g)
-    assert commutator_norm(K, L) == 0.0
+    assert commutator_norm(K, L)[0] == 0.0
 
 
 def test_sinc_commutator_small(sinc_pair):
     g = build_grid(64)
     K = nystrom_K(sinc_pair, g)
     L = collocation_L(sinc_pair.op, g)
-    assert commutator_norm(K, L) <= 1e-8
+    assert commutator_norm(K, L)[0] <= 1e-8
 
 
 def test_perturbed_c_breaks_commutation(sinc_pair):
@@ -82,8 +90,8 @@ def test_perturbed_c_breaks_commutation(sinc_pair):
     bad = DiffOp(a=op.a, b=op.b, c=op.c + ExpPoly.polynomial((0.0, 0.1)))
     g = build_grid(8)
     K = nystrom_K(sinc_pair, g)
-    base = commutator_norm(K, collocation_L(op, g))
-    broken = commutator_norm(K, collocation_L(bad, g))
+    base = commutator_norm(K, collocation_L(op, g))[0]
+    broken = commutator_norm(K, collocation_L(bad, g))[0]
     assert broken >= 1e-3
     assert broken >= 1e3 * max(base, 1e-16)
 
@@ -94,12 +102,12 @@ def test_perturbed_c_breaks_pv_commutation(case4_pair):
     op = case4_pair.op
     g = build_grid(8)
     K = nystrom_K_pv(case4_pair, g)
-    base = commutator_norm(K, collocation_L(op, g))
+    base = commutator_norm(K, collocation_L(op, g))[0]
     assert base <= 1e-14
     broken = []
     for eps in (1e-2, 1e-4):
         bad = DiffOp(a=op.a, b=op.b, c=op.c + ExpPoly.polynomial((0.0, eps)))
-        broken.append(commutator_norm(K, collocation_L(bad, g)))
+        broken.append(commutator_norm(K, collocation_L(bad, g))[0])
     assert broken[0] >= 1e-5
     assert broken[0] / broken[1] == pytest.approx(100.0, rel=1e-3)
 
@@ -114,7 +122,7 @@ def test_pv_split_commutator_exact_on_low_degrees(fixture, request):
     L = collocation_L(pair.op, g)
     mask = g.interior()
     V = legvander(g.nodes, 32)
-    C = _pv_commutator(K, L)[mask] @ V
+    C = _commutator_columns(K, L, V, g.D1 @ V)[0][mask]
     scale = (
         spectral_norm(K.entries[np.ix_(mask, mask)])
         * spectral_norm(L.entries[np.ix_(mask, mask)])
@@ -127,10 +135,10 @@ def test_commutator_scale_invariance(sinc_pair):
     g = build_grid(32)
     K = nystrom_K(sinc_pair, g)
     L = collocation_L(sinc_pair.op, g)
-    base = commutator_norm(K, L)
+    base = commutator_norm(K, L)[0]
     K2 = dataclasses.replace(K, entries=7.5 * K.entries)
     L2 = dataclasses.replace(L, entries=(0.2 - 0.1j) * L.entries)
-    assert commutator_norm(K2, L2) == pytest.approx(base, rel=1e-6)
+    assert commutator_norm(K2, L2)[0] == pytest.approx(base, rel=1e-6)
 
 
 def test_grid_mismatch(sinc_pair):
@@ -143,7 +151,7 @@ def test_grid_mismatch(sinc_pair):
 def test_pv_commutator_needs_an_interior_node(case4_pair):
     # n = 2: both nodes are +-1, so the restricted commutator would be 0/0;
     # n = 3: the one interior entry of this case4 K is 0, so the normalizer
-    # ||K|| ||L|| on the interior is 0 and the quotient would mean nothing
+    # ||K|| s_0 on the interior is 0 and the quotient would mean nothing
     cases = [
         (2, case4_pair, "interior"),
         (3, make_pair(Case4(beta=0.7, p=(0.2, -0.5, 1.1))), "normalizer"),
@@ -152,6 +160,54 @@ def test_pv_commutator_needs_an_interior_node(case4_pair):
         g = build_grid(n)
         with pytest.raises(ValueError, match=match):
             commutator_norm(nystrom_K_pv(pair, g), collocation_L(pair.op, g))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("alpha2", [0.0, 1.0])
+def test_commutator_reads_an_L_that_annihilates_constants(alpha2, n):
+    # lambda^2/4 = mu^2 gives nu = 0, so c = nu a = 0 and L p_0 = 0: a
+    # normalizer ||L p_k|| per degree would divide by 0 at k = 0, and by
+    # rounding-sized ||L p_0|| in floating point
+    pair = make_pair(General(lam=2.0, mu=1.0, alpha1=1.0, alpha2=alpha2))
+    K, L = matrices(pair.params, n)
+    assert np.all(pair.op.c(K.grid.nodes) == 0.0)
+    read, degree = commutator_norm(K, L)
+    check = "commutator_pv_rel" if pair.kernel.singular else "commutator_rel"
+    assert np.isfinite(read) and read <= DEFAULT_TOLERANCES[check]
+    assert 0 <= degree <= n // 2
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+def test_benchmark_draws_pass_the_commutator_check(n):
+    # every pair commutes by construction: the 36 draws of certify seed 1,
+    # 6 analytic and 30 with a pole, at both benchmark grid sizes and at
+    # n = 512, the largest n the default tolerances hold for (the read's
+    # floor grows with n; at 1024 pole draws read up to 2.6e-8)
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    worst = {}
+    for i in range(36):
+        params = params_from_json(workloads.job_config("certify", 1, i)["params"])
+        K, L = matrices(params, n)
+        check = "commutator_pv_rel" if K.kernel.singular else "commutator_rel"
+        worst[check] = max(worst.get(check, 0.0), commutator_norm(K, L)[0])
+    print(f"n = {n}: largest reads {worst}")
+    assert all(read <= DEFAULT_TOLERANCES[check] for check, read in worst.items()), worst
+    assert len(worst) == 2
+
+
+@pytest.mark.parametrize("n", mutations.NS)
+@pytest.mark.parametrize("mutation", sorted(mutations.MUTATIONS))
+@pytest.mark.parametrize("path", sorted(mutations.PATHS))
+def test_commutator_mutation_matrix(path, mutation, n):
+    # the CLI check passes the pair and fails each breaking mutation at the
+    # detection eps; moving alpha1 keeps the kernel in L's commutant
+    tol = DEFAULT_TOLERANCES[mutations.CHECKS[path]]
+    assert mutations.read(path, mutation, n, 0.0) <= tol
+    breaks = mutations.MUTATIONS[mutation][1]
+    for eps in (mutations.DETECT_EPS,) if breaks else (mutations.DETECT_EPS, 1e-3):
+        assert (mutations.read(path, mutation, n, eps) > tol) == breaks
 
 
 def test_pv_modes_need_as_many_interior_nodes():
@@ -219,7 +275,7 @@ def test_mode_residual_bounded_by_commutator_over_gap(sinc_pair):
     g = build_grid(96)
     K = nystrom_K(sinc_pair, g)
     L = collocation_L(sinc_pair.op, g)
-    comm = commutator_norm(K, L)
+    comm = commutator_norm(K, L)[0]
     spec = joint_diagonalization(K, L, 4)
     lam = spec.L_eigenvalues
     C = 0.0
@@ -419,13 +475,15 @@ def test_l_modes_certified_with_the_shift_next_to_an_eigenvalue():
 
 
 def krylov_read_matrices(K, L):
-    """The matrices whose 2-norms commutator_norm reads: K, L and the
-    commutator, on interior slices for a pv K."""
+    """K, L and the commutator (the column helper applied to I), on
+    interior slices for a pv K: the n x n matrices whose 2-norms the
+    Krylov read must get right."""
+    C = _commutator_columns(K, L, np.eye(K.grid.n), K.grid.D1)[0]
     if not K.kernel.singular:
-        return [K.entries, L.entries, K.entries @ L.entries - L.entries @ K.entries]
+        return [K.entries, L.entries, C]
     mask = K.grid.interior()
     cut = np.ix_(mask, mask)
-    return [K.entries[cut], L.entries[cut], _pv_commutator(K, L)[cut]]
+    return [K.entries[cut], L.entries[cut], C[cut]]
 
 
 @pytest.mark.parametrize("n", [128, 256])
