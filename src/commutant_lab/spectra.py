@@ -303,27 +303,6 @@ class SpectralReport:
         return out
 
 
-def _inverse_step(X: np.ndarray, B: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """One step of inverse iteration, V -> B^-1 V with unit columns, through
-    X = inv(B) and one step of iterative refinement.
-
-    ``_l_modes`` takes it for the left modes, as B^T z = conj(u).  inv solves
-    B X = I column by column, so X B - I can be cond(B) times larger than
-    B X - I, and Arnoldi on X^H finds the left modes of a matrix that is not
-    quite inv(B^H).  Their error is rough, so L amplifies it, and it grows as
-    ||X|| / |theta|, which is large for every other mode when sigma lies near
-    an eigenvalue.  For a case2 L at n = 256 with sigma 0.003 from an
-    eigenvalue, B X - I read 4.9e-10 and X B - I 6.3e-7 in the 2-norm, and a
-    left mode kept a backward error of 1.8e-12.  The refined solve is
-    accurate, so the step damps the error by theta_j / theta in every other
-    mode j.  The right modes need no step, and one would raise their share
-    of the mode nearest sigma, which G reads.
-    """
-    Y = X @ V
-    Y += X @ (V - B @ Y)
-    return Y / np.linalg.norm(Y, axis=0)
-
-
 def _l_modes(L: OperatorMatrix, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The m smallest-|eigenvalue| modes of L and their left modes.
 
@@ -334,10 +313,19 @@ def _l_modes(L: OperatorMatrix, m: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     converged relative to |theta|.  Returns (lam, V, U), ascending in |lam|,
     with L V = V diag(lam) and U^H L = diag(lam) U^H column by column.  Left
     candidates are paired one to one with the right modes, nearest
-    eigenvalue first, so equal eigenvalues are not paired twice, and then
-    take one refined inverse-iteration step (``_inverse_step``).  Each pair
+    eigenvalue first, so equal eigenvalues are not paired twice.  Each pair
     must pass the a-posteriori certificate ``_BACKWARD_TOL`` on both sides,
     else ``EigFailure``.
+
+    inv solves B X = I column by column, B = L - sigma I, so X is a right
+    inverse to rounding, and the right run needs nothing more.  X B - I can
+    be cond(B) times larger, and Arnoldi on X^H alone would find the left
+    modes of a matrix that is not quite inv(B^H): for a case2 L at n = 256
+    with sigma 0.003 from an eigenvalue, B X - I read 4.9e-10 and X B - I
+    6.3e-7 in the 2-norm.  So the left run applies X^H with one step of
+    iterative refinement, y = X^H q, y <- y + X^H (q - B^H y), which solves
+    B^H y = q to working accuracy (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed. 2002, ch. 12).
     """
     A = L.entries
     n = A.shape[0]
@@ -362,9 +350,14 @@ def _l_modes(L: OperatorMatrix, m: int) -> tuple[np.ndarray, np.ndarray, np.ndar
         xnorm = float(np.linalg.norm(X))
         # X's spectrum 1/(lambda - sigma) does not grade H, so plain eig serves
         theta_r, V = _arnoldi(X.dot, n, xnorm, 4 * m, near_sigma, np.linalg.eig, rng)
-        theta_l, U = _arnoldi(
-            lambda q: (X.T @ q.conj()).conj(), n, xnorm, 4 * m, near_sigma, np.linalg.eig, rng
-        )
+        Xh, Bh = X.conj().T, B.conj().T
+
+        def left(q):
+            y = Xh @ q
+            y += Xh @ (q - Bh @ y)
+            return y
+
+        theta_l, U = _arnoldi(left, n, xnorm, 4 * m, near_sigma, np.linalg.eig, rng)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
     lam_r = sigma + 1.0 / theta_r
@@ -379,7 +372,6 @@ def _l_modes(L: OperatorMatrix, m: int) -> tuple[np.ndarray, np.ndarray, np.ndar
         free[j] = False
         match.append(j)
     lam_l, U = lam_l[match], U[:, match]
-    U = _inverse_step(X.T, B.T, U.conj()).conj()
 
     scale = float(np.linalg.norm(A))
     _certify("L mode", lam, A @ V - lam * V, V, scale)

@@ -1,0 +1,93 @@
+"""Certificate table of L's modes over the benchmark draws.
+
+``spectrum`` reads L's m smallest-|eigenvalue| modes and their left modes
+(``spectra._l_modes``), and each must pass the backward-error certificate
+||L v - lam v|| / (||L||_F ||v||) <= 1e-12 on its side.  This script draws
+the configs of ``bench/workloads.py`` (loaded read-only, not imported as a
+package) for seeds 1-10: certify jobs 0-47 at n = 64 and spectral jobs 0-23
+at n = 256.  For each workload and variant it prints the number of draws,
+the worst right and the worst left backward error, and the number of draws
+that fail a certificate.  A draw whose right modes fail is not read on
+the left, which then reads nan.
+
+Run as a script to print the table that the README quotes:
+
+    PYTHONPATH=src python tests/certificates.py
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from commutant_lab import (
+    EigFailure,
+    build_grid,
+    collocation_L,
+    make_pair,
+    params_from_json,
+)
+from commutant_lab import spectra
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+SEEDS = range(1, 11)
+# workload -> number of jobs per seed
+JOBS = {"certify": 48, "spectral": 24}
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def backward_errors(params, n: int, m: int) -> tuple[float, float, bool]:
+    """(worst right, worst left, failed) backward error of L's m modes, as
+    the certificates read them: ``spectra._certify`` is wrapped to record
+    its input before it judges it."""
+    L = collocation_L(make_pair(params).op, build_grid(n))
+    reads = {}
+    certify = spectra._certify
+
+    def recording(what, lam, R, V, scale):
+        reads[what] = float(np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0) / scale))
+        certify(what, lam, R, V, scale)
+
+    spectra._certify = recording
+    try:
+        spectra._l_modes(L, m)
+        failed = False
+    except EigFailure:
+        failed = True
+    finally:
+        spectra._certify = certify
+    return reads.get("L mode", np.nan), reads.get("L left mode", np.nan), failed
+
+
+def table(seeds=SEEDS) -> list[str]:
+    workloads = _workloads()
+    rows = {}
+    for workload, jobs in JOBS.items():
+        for seed in seeds:
+            for i in range(jobs):
+                cfg = workloads.job_config(workload, seed, i)
+                key = (workload, cfg["n"], workloads.variant_of(i))
+                right, left, failed = backward_errors(params_from_json(cfg["params"]), cfg["n"], cfg["m"])
+                draws, worst_r, worst_l, fails = rows.get(key, (0, 0.0, 0.0, 0))
+                rows[key] = (draws + 1, np.fmax(worst_r, right), np.fmax(worst_l, left), fails + failed)
+    lines = [f"{'workload':9s} {'n':>4s} {'variant':17s} {'draws':>5s} {'worst right':>11s} {'worst left':>11s} {'failed':>6s}"]
+    for (workload, n, variant), (draws, worst_r, worst_l, fails) in rows.items():
+        lines.append(f"{workload:9s} {n:4d} {variant:17s} {draws:5d} {worst_r:11.1e} {worst_l:11.1e} {fails:6d}")
+    total = [sum(r[0] for r in rows.values()), sum(r[3] for r in rows.values())]
+    lines.append(
+        f"seeds {seeds[0]}-{seeds[-1]}: {total[0]} draws, {total[1]} failed, "
+        f"certificate {spectra._BACKWARD_TOL:g}"
+    )
+    return lines
+
+
+if __name__ == "__main__":
+    print("\n".join(table()))

@@ -1,7 +1,11 @@
 import json
 import csv
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,3 +401,24 @@ def test_failed_eig_certificate_still_writes_a_report(tmp_path, monkeypatch, col
     cert = report["result"]["eig_certificate"]
     assert cert["backward_error"] == check["value"]
     assert cert["mode"] == "L mode 0" and cert["reason"].startswith("L mode 0 ")
+
+
+def test_commands_import_no_scipy(tmp_path):
+    # numpy is the one runtime dependency; importing scipy.sparse.linalg
+    # alone takes about as long as a whole certify setup
+    cfg = write_config(tmp_path / "cfg.json", params=CASE1, n=16, m=4, count=2)
+    script = "\n".join(
+        [
+            "import json, sys",
+            "from commutant_lab.cli import main",
+            f"status = [main([c, '--config', {cfg!r}, '--out', {str(tmp_path)!r} + '/' + c, '--quiet'])"
+            f" for c in {sorted(cli.COMMANDS)!r}]",
+            "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))",
+        ]
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    status, scipy_modules = json.loads(run.stdout)
+    assert len(status) == 6 and all(s in (0, 1) for s in status), status
+    assert scipy_modules == []

@@ -25,11 +25,12 @@ from commutant_lab import (
     nystrom_K,
     nystrom_K_pv,
     params_from_json,
+    params_to_json,
     spectral_norm,
 )
 from commutant_lab import reportio
 from commutant_lab import spectra
-from commutant_lab.cli import DEFAULT_TOLERANCES
+from commutant_lab.cli import DEFAULT_TOLERANCES, main
 from commutant_lab.spectra import _commutator_columns
 
 import mutations
@@ -472,6 +473,32 @@ def test_l_modes_certified_with_the_shift_next_to_an_eigenvalue():
     Uh = U.conj().T
     left = np.linalg.norm(Uh @ A - lam[:, None] * Uh, axis=1) / np.linalg.norm(U, axis=0)
     assert np.max(np.maximum(right, left)) <= 1e-13 * scale
+
+
+def test_l_modes_certified_on_a_benign_left_mode(tmp_path):
+    # certify benchmark seed 1508 job 790: left mode 7 (eigenvalue
+    # 10.78 - 42.96i, condition 1.76) read 1.19e-12 when the left run
+    # applied X^H without refinement and repaired its modes afterwards
+    params = Case3(
+        beta=-0.715941418452439 + 1.2373471749031455j,
+        p=(0.14203216638408178 - 0.6195488089553944j, 0j, 0.12178057032842271 - 0.32489834106628535j),
+    )
+    K, L = matrices(params, 64)
+    joint_diagonalization(K, L, 8)
+    lam, V, U = spectra._l_modes(L, 8)
+    A = L.entries
+    scale = np.linalg.norm(A)
+    right = np.linalg.norm(A @ V - lam * V, axis=0) / np.linalg.norm(V, axis=0)
+    Uh = U.conj().T
+    left = np.linalg.norm(Uh @ A - lam[:, None] * Uh, axis=1) / np.linalg.norm(U, axis=0)
+    assert np.max(np.maximum(right, left)) <= spectra._BACKWARD_TOL * scale
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params_to_json(params), "n": 64, "m": 8}))
+    out = tmp_path / "out"
+    main(["spectrum", "--config", str(cfg), "--out", str(out), "--quiet"])
+    names = [check["name"] for check in json.loads((out / "report.json").read_text())["checks"]]
+    assert names == ["offdiag", "rayleigh_rel"]
 
 
 def krylov_read_matrices(K, L):
