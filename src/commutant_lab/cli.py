@@ -64,8 +64,10 @@ DEFAULT_TOLERANCES = {
     "taylor_abs": 1e-10,
     "lemma_abs": 1e-9,
     "singular_relation_abs": 1e-10,
-    # the commutator read's floor grows with n: these two hold for n <= 512
-    # (pole draws read <= 4.9e-9 there, up to 2.6e-8 at n = 1024)
+    # the commutator read (relative to K's and L's sizes on the Legendre
+    # columns) has a floor that grows with n: these two hold to n = 256 on
+    # the benchmark draws (pole reads <= 4.7e-10), and at n = 512 on seed 1
+    # (<= 4.87e-9) but not on one seed-2 draw (1.23e-8); 2.6e-8 at n = 1024
     "commutator_rel": 1e-8,
     "commutator_pv_rel": 1e-8,
     "rowsum_rel": 1e-12,
@@ -287,6 +289,13 @@ def cmd_commutator(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.S
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary) -> dict:
+    # a pv K's modes are normalized over the n - 2 nodes inside (-1, 1);
+    # checked on the pair, before any matrix is built
+    if _build_pair(_require_params(cfg)).kernel.singular and cfg.m > cfg.n - 2:
+        raise ConfigError(
+            f"m = {cfg.m} exceeds the {cfg.n - 2} interior nodes of n = {cfg.n} "
+            "that a pole kernel's modes are normalized over"
+        )
     pair, K, L = _build_matrices(cfg)
     if dump:
         _dump_matrices(outdir, K, L)

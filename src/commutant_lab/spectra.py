@@ -9,21 +9,21 @@ up to commutator-sized off-diagonal entries, and its diagonal reproduces
 K's dominant spectrum.  L need not be normal, so its modes need not be
 orthogonal; K is projected with L's left eigenvectors instead.
 
-Only the few values that are read are computed, all by one Arnoldi engine
+Only the few values that are read are computed, by one Arnoldi engine
 (``_arnoldi``): L's m modes with their left modes by shift-invert, and, from
-``_KRYLOV_N`` rows on, K's m dominant eigenvalues and the 2-norm ||K|| that
-the commutator is relative to (the root of the largest eigenvalue of
-K^H K).  Below that size, where Python overhead per Krylov step dominates,
-K's eigenvalues come from a dense ``eigvals`` and ||K|| from an SVD.  Every
-Krylov value must pass an a-posteriori certificate, else ``EigFailure``.
+``_KRYLOV_N`` rows on, K's m dominant eigenvalues.  Below that size, where
+Python overhead per Krylov step dominates, K's eigenvalues come from a dense
+``eigvals``.  Every Krylov value must pass an a-posteriori certificate, else
+``EigFailure``.
 
 The commutator is read on the grid's orthonormal Legendre columns
-p_0 .. p_{n/2}, with quadrature-weighted (discrete L^2(-1,1)) norms of C p_k
-and L p_k; ||K|| is the plain 2-norm of K's matrix.  Mode normalizations
-and residuals are weighted too.  Both measures read what K discretizes
-from the matrix itself: for a pv K (``K.kernel.singular``) they are
-restricted to interior nodes, and the commutator takes the split-log form
-built from the grid's D1 and log weight and from L's own coefficients.
+p_0 .. p_{n/2}, with quadrature-weighted (discrete L^2(-1,1)) norms of C p_k,
+K p_k and L p_k, so it takes matrix products and column norms and no
+solver.  Mode normalizations and residuals are weighted too.  Both measures
+read what K discretizes from the matrix itself: for a pv K
+(``K.kernel.singular``) they are restricted to interior nodes, and the
+commutator takes the split-log form built from the grid's D1 and log weight
+and from L's own coefficients.
 """
 
 from __future__ import annotations
@@ -40,30 +40,23 @@ _TINY = 1e-300
 
 # One Arnoldi engine reads every few-value quantity on the matrix path: L's
 # modes by shift-invert (Saad, Numerical Methods for Large Eigenvalue
-# Problems, 2nd ed. 2011, ch. 7; Ericsson & Ruhe, Math. Comp. 35, 1980), K's
-# dominant eigenvalues (ibid., ch. 6) and 2-norms as sqrt of the largest
-# eigenvalue of A^H A, which Lanczos with a random start finds with an error
-# bounded in probability (Kuczynski & Wozniakowski, SIAM J. Matrix Anal.
-# Appl. 13, 1992).  For L the shift is real, so X^H has the eigenvalues
-# 1/(conj(lambda) - sigma) and its Arnoldi run gives the left modes the same
-# way.  a is L's leading coefficient, and the eigenvalues of L near 0 lie
-# O(max|a|) apart (-k(k+1) for a = 1 - y^2); the shift keeps a fraction of
-# that distance from an exact zero eigenvalue, where X's norm would
-# otherwise swamp the Ritz values of the farther modes.
+# Problems, 2nd ed. 2011, ch. 7; Ericsson & Ruhe, Math. Comp. 35, 1980) and
+# K's dominant eigenvalues (ibid., ch. 6).  For L the shift is real, so X^H
+# has the eigenvalues 1/(conj(lambda) - sigma) and its Arnoldi run gives the
+# left modes the same way.  a is L's leading coefficient, and the eigenvalues
+# of L near 0 lie O(max|a|) apart (-k(k+1) for a = 1 - y^2); the shift keeps
+# a fraction of that distance from an exact zero eigenvalue, where X's norm
+# would otherwise swamp the Ritz values of the farther modes.
 _SHIFT = 0.37
 _RITZ_TOL = 1e-14  # Ritz residual estimate, relative to the scale pick names
-# residual of a returned eigenpair, relative to ||A||_F ||v|| (L, K) or to
-# theta ||v|| (A^H A of a 2-norm)
+# residual of a returned eigenpair, relative to ||A||_F ||v||
 _BACKWARD_TOL = 1e-12
 _START_SEED = 20211
-# Smallest matrix whose K eigenvalues and 2-norms are Krylov reads.  Below it
-# the dense eigvals(K) and SVD are faster: on the benchmark draws (BLAS on one
-# thread) both Krylov reads lose at n = 96 and win at n = 128.  L's modes
-# always come from Arnoldi.
+# Smallest matrix whose K eigenvalues are a Krylov read.  Below it the dense
+# eigvals(K) is faster: on the benchmark draws (BLAS on one thread) the
+# Krylov read loses at n = 96 and wins at n = 128.  L's modes always come
+# from Arnoldi.
 _KRYLOV_N = 128
-# first check of a 2-norm read; at n = 256 that of K, the one the matrix
-# path takes, converges by k = 8 to 24 on the benchmark draws
-_NORM_START = 24
 
 
 def _project_out(Qk: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -139,12 +132,6 @@ def _graded_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, P @ Y
 
 
-def _hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of H's Hermitian part: H of a Hermitian operator is Hermitian up
-    to rounding, and eigh costs a tenth of eig at k = 32 to 64."""
-    return np.linalg.eigh(0.5 * (H + H.conj().T))
-
-
 def _certify(what: str, lam: np.ndarray, R: np.ndarray, V: np.ndarray, scale: float) -> None:
     """EigFailure unless every backward error ||R_i|| / (scale ||V_i||) of the
     eigenpairs (lam_i, V_i), residual columns R_i, is within ``_BACKWARD_TOL``.
@@ -162,90 +149,69 @@ def _certify(what: str, lam: np.ndarray, R: np.ndarray, V: np.ndarray, scale: fl
 
 
 def spectral_norm(A: np.ndarray) -> float:
-    """2-norm (largest singular value) of A; 0.0 for an empty matrix.
-
-    Below ``_KRYLOV_N`` rows or columns by SVD.  From there on it is
-    sqrt(theta) for the largest Ritz value theta of A^H A, applied as
-    q -> A^H (A q) by the Arnoldi engine (Lanczos, with full
-    reorthogonalization) from a fixed seed.  The unit Ritz vector v must pass
-    ||A^H A v - theta v|| <= ``_BACKWARD_TOL`` theta, which puts theta that
-    close to an eigenvalue of A^H A.  A non-finite A or a failed certificate
-    raises ``EigFailure``.
-    """
+    """2-norm (largest singular value) of A by SVD; 0.0 for an empty matrix.
+    A non-finite A or an SVD that does not converge raises ``EigFailure``."""
     if A.size == 0:
         return 0.0
-
-    def gram(q):
-        return ((A @ q).conj() @ A).conj()
-
-    def largest(theta):
-        return [-1], theta[-1]
-
+    if not np.all(np.isfinite(A)):
+        raise EigFailure("matrix is not finite")
     try:
-        if min(A.shape) < _KRYLOV_N:
-            return float(np.linalg.norm(A, 2))
-        if not np.all(np.isfinite(A)):
-            raise EigFailure("matrix is not finite")
-        rng = np.random.default_rng(_START_SEED)
-        anorm = float(np.linalg.norm(A)) ** 2
-        theta, v = _arnoldi(gram, A.shape[1], anorm, _NORM_START, largest, _hermitian_eig, rng)
+        return float(np.linalg.norm(A, 2))
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
-    theta, v = float(theta[0]), v[:, 0]
-    residual = float(np.linalg.norm(gram(v) - theta * v))
-    if not residual <= _BACKWARD_TOL * theta:
-        raise EigFailure(
-            f"2-norm Ritz pair: residual {residual:.2e} exceeds {_BACKWARD_TOL:g} theta = {theta:.6g}"
-        )
-    return float(np.sqrt(theta))
 
 
 def commutator_norm(K: OperatorMatrix, L: OperatorMatrix) -> tuple[float, int]:
     """Relative commutator C = KL - LK on Legendre degrees <= n/2, with the
     degree where it peaks: (read, k).
 
-    Reads max_k ||C p_k||_W / (||K|| s_k) over the grid's orthonormal
-    Legendre columns p_0 .. p_{n/2} (``Grid.legendre``), with weighted
-    (quadrature) norms ||.||_W and the 2-norm ||K|| of K's matrix.  The
-    grid resolves these degrees, so the read sits at rounding for a
-    commuting pair; the grid's top modes alias, so the full n x n C does
-    not.  s_k = max_{j <= max(k, 1)} ||L p_j||_W is the size of L on
-    degrees <= max(k, 1): a scale of L that the read can be relative to
-    also when L p_0 = c = 0.  k is the first degree attaining the max.
-    ValueError if the normalizer ||K|| s_0 is 0.
+    Reads max_k ||C p_k||_W / (t s_k) over the grid's orthonormal Legendre
+    columns p_0 .. p_{n/2} (``Grid.legendre``), with weighted (quadrature)
+    norms ||.||_W.  The grid resolves these degrees, so the read sits at
+    rounding for a commuting pair; the grid's top modes alias, so the full
+    n x n C does not.  K and L are measured on the same columns:
+    t = max_j ||K p_j||_W is the size of K on degrees <= n/2, and
+    s_k = max_{j <= max(k, 1)} ||L p_j||_W the size of L on degrees
+    <= max(k, 1), a scale of L that the read can be relative to also when
+    L p_0 = c = 0.  k is the first degree attaining the max.  Only matrix
+    products and column norms are taken, no eigen- or singular-value
+    solver.  ValueError if the normalizer t s_0 is 0.
 
-    For a pv K (``K.kernel.singular``) the read and ||K|| are restricted to
-    nodes strictly inside (-1, 1): K's diagonal carries r*l with the
-    endpoint log l = log((1+x)/(1-x)), and L applied to l*u is not a
-    polynomial, so L.K would collocate it with O(1) error.  C is applied
-    in the split K = r diag(l) + S instead (see ``_commutator_columns``).
+    For a pv K (``K.kernel.singular``) every norm is restricted to nodes
+    strictly inside (-1, 1): K's diagonal carries r*l with the endpoint log
+    l = log((1+x)/(1-x)), and L applied to l*u is not a polynomial, so L.K
+    would collocate it with O(1) error.  C is applied in the split
+    K = r diag(l) + S instead (see ``_commutator_columns``).
     """
     if not K.grid.same_as(L.grid):
         raise GridMismatchError("K and L must share a grid")
     grid = K.grid
-    if K.kernel.singular:
-        rows = grid.interior()
-        if not np.any(rows):
-            raise ValueError("the grid has no interior node to restrict the pv commutator to")
-        nK = spectral_norm(K.entries[np.ix_(rows, rows)])
-    else:
-        rows = slice(None)
-        nK = spectral_norm(K.entries)
-    CP, LP = _commutator_columns(K, L, grid.legendre, grid.dlegendre)
-    w = grid.weights[rows]
-    c = np.sqrt(w @ np.abs(CP[rows]) ** 2)
-    s = np.maximum.accumulate(np.sqrt(w @ np.abs(LP[rows]) ** 2))
+    if K.kernel.singular and not np.any(grid.interior()):
+        raise ValueError("the grid has no interior node to restrict the pv commutator to")
+    CP, LP, k_sizes = _commutator_columns(K, L, grid.legendre, grid.dlegendre)
+    c = _read_norms(K, CP)
+    s = np.maximum.accumulate(_read_norms(K, LP))
     s[0] = s[1]
-    if not nK * s[0] > 0:
-        # n = 3 leaves a pv K one interior entry, which can be 0
-        raise ValueError(f"the commutator's normalizer ||K|| s_0 = {nK:.3g} * {s[0]:.3g} is 0")
-    reads = c / (nK * s)
+    t = float(np.max(k_sizes))
+    if not t * s[0] > 0:
+        raise ValueError(f"the commutator's normalizer t s_0 = {t:.3g} * {s[0]:.3g} is 0")
+    reads = c / (t * s)
     k = int(np.argmax(reads))
     return float(reads[k]), k
 
 
+def _read_norms(K: OperatorMatrix, Y: np.ndarray) -> np.ndarray:
+    """Weighted norms ||.||_W of Y's columns on the rows the commutator read
+    uses: every node, or for a pv K the interior ones."""
+    grid = K.grid
+    rows = grid.interior() if K.kernel.singular else slice(None)
+    return np.sqrt(grid.weights[rows] @ np.abs(Y[rows]) ** 2)
+
+
 def _commutator_columns(K: OperatorMatrix, L: OperatorMatrix, X: np.ndarray, DX: np.ndarray):
-    """(C X, L X) for C = KL - LK and grid vectors X, one per column; DX = D1 X.
+    """(C X, L X, ||K X||_W) for C = KL - LK and grid vectors X, one per
+    column; DX = D1 X.  ||K X||_W holds the weighted norms of K X's columns
+    on the rows the read uses (``_read_norms``).
 
     K(LX) and L(KX) take the same products in the same order, so a pair
     that commutes exactly in floating point (L = I) reads 0.  For a pv K,
@@ -258,10 +224,11 @@ def _commutator_columns(K: OperatorMatrix, L: OperatorMatrix, X: np.ndarray, DX:
     of C X are then not meaningful.
     """
     KX, LX = K.entries @ X, L.entries @ X
+    KX_norms = _read_norms(K, KX)
     if not K.kernel.singular:
         CX = K.entries @ LX
         CX -= L.entries @ KX
-        return CX, LX
+        return CX, LX, KX_norms
     grid, op = K.grid, L.op
     r, ell = K.kernel.residue(), grid.log_weight()[:, None]
     x = grid.nodes
@@ -280,7 +247,7 @@ def _commutator_columns(K: OperatorMatrix, L: OperatorMatrix, X: np.ndarray, DX:
     log_part += ell * LX
     log_part *= r
     CX -= log_part
-    return CX, LX
+    return CX, LX, KX_norms
 
 
 @dataclass(frozen=True)
@@ -311,11 +278,14 @@ def _l_modes(L: OperatorMatrix, m: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     lambda within r_m + |sigma| of sigma, r_m the m-th smallest |lambda|, so
     they hold the m smallest-|lambda| modes whatever side of 0 they lie, each
     converged relative to |theta|.  Returns (lam, V, U), ascending in |lam|,
-    with L V = V diag(lam) and U^H L = diag(lam) U^H column by column.  Left
+    with L V = V diag(lam) column by column and U the left modes.  Left
     candidates are paired one to one with the right modes, nearest
-    eigenvalue first, so equal eigenvalues are not paired twice.  Each pair
-    must pass the a-posteriori certificate ``_BACKWARD_TOL`` on both sides,
-    else ``EigFailure``.
+    eigenvalue first, so equal eigenvalues are not paired twice.  Each right
+    mode must pass the a-posteriori certificate ``_BACKWARD_TOL`` against
+    its lam, and each left mode u against its own left Ritz value lam_l,
+    u^H L = lam_l u^H, else ``EigFailure``.  lam_l is not returned: on an
+    ill-conditioned mode it differs from lam, and ||u^H L - lam u^H|| can
+    exceed the certified bound (6.3e-11 relative on case1 benchmark draws).
 
     inv solves B X = I column by column, B = L - sigma I, so X is a right
     inverse to rounding, and the right run needs nothing more.  X B - I can

@@ -371,14 +371,27 @@ def test_inadmissible_params_exit_1_after_warm_memo(tmp_path, command):
     assert main([command, "--config", bad, "--out", str(tmp_path / "bad"), "--quiet"]) == 1
 
 
-def test_smallest_grid_modes_fail_cleanly(tmp_path, capsys):
-    # n = 3, m = 2 passes the config's m <= n check, but two pv modes cannot
-    # be normalized over the one interior node: joint_diagonalization's
-    # ValueError must come out as exit 1
-    params = {**SINC, "lambda": [0.5, 0.0], "mu": [0.0, 1.0], "alpha2": [1.0, 0.0]}
-    cfg = write_config(tmp_path / "cfg.json", params=params, n=3, m=2)
-    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
-    assert "error: ValueError" in capsys.readouterr().err
+def test_smallest_grid_modes_fail_cleanly(tmp_path, monkeypatch, capsys, cold_memo):
+    # m <= n passes the config check, but m pv modes cannot be normalized
+    # over fewer than m interior nodes: a config error, exit 2, with the
+    # interior node count, before any grid or matrix is built and without a
+    # report; an analytic pair keeps the m <= n rule
+    def no_grid(n):
+        raise AssertionError("built a grid")
+
+    monkeypatch.setattr(cli, "build_grid", no_grid)
+    pole = {**SINC, "lambda": [0.5, 0.0], "mu": [0.0, 1.0], "alpha2": [1.0, 0.0]}
+    for params, n, m in ((pole, 3, 2), (CASE4, 4, 4)):
+        cfg = write_config(tmp_path / "cfg.json", params=params, n=n, m=m)
+        out = tmp_path / f"out{n}"
+        assert main(["spectrum", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert f"m = {m} exceeds the {n - 2} interior nodes of n = {n}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+    monkeypatch.undo()
+    cfg = write_config(tmp_path / "cfg.json", params=SINC, n=4, m=4)
+    out = tmp_path / "analytic"
+    assert main(["spectrum", "--config", cfg, "--out", str(out), "--quiet"]) != 2
+    assert (out / "report.json").exists()
 
 
 def test_failed_eig_certificate_still_writes_a_report(tmp_path, monkeypatch, cold_memo):
