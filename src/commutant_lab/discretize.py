@@ -52,7 +52,11 @@ class Grid:
         return self is other or np.array_equal(self.nodes, other.nodes)
 
     def interior(self) -> np.ndarray:
-        """Boolean mask of nodes strictly inside (-1, 1)."""
+        """Boolean mask of nodes strictly inside (-1, 1).
+
+        The nodes ascend from -1 to 1, so these are nodes 1 .. n-2, and
+        interior rows of a grid matrix can be read as the view ``[1:-1]``.
+        """
         return np.abs(self.nodes) < 1.0 - 1e-14
 
     def log_weight(self) -> np.ndarray:
@@ -69,12 +73,18 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Matrix of K (``kernel`` set) or of L (``op`` set) on ``grid``."""
+    """Matrix of K (``kernel`` set) or of L (``op`` set) on ``grid``.
+
+    A pv K keeps ``samples``, the read-only kernel values k(x_i - x_j) its
+    entries were assembled from (0 where i = j), so its row-sum check
+    (``pv_rowsum_error``) does not evaluate the kernel again.
+    """
 
     entries: np.ndarray
     grid: Grid
     kernel: KernelSpec | None = None
     op: DiffOp | None = None
+    samples: np.ndarray | None = None
 
 
 def build_grid(n: int) -> Grid:
@@ -168,12 +178,19 @@ def nystrom_K(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     return OperatorMatrix(entries=entries, grid=grid, kernel=pair.kernel)
 
 
-def k_reg_values(pair: CommutingPair, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Regular remainder k(z) - r/z at z = x_i - y_j, via Laurent data for |z| <= 0.1."""
+def k_reg_values(
+    pair: CommutingPair, x: np.ndarray, y: np.ndarray, samples: np.ndarray | None = None
+) -> np.ndarray:
+    """Regular remainder k(z) - r/z at z = x_i - y_j, via Laurent data for |z| <= 0.1.
+
+    ``samples`` holds k(x_i - y_j) where the caller has it (rows of a pv K's
+    ``samples``), and is not written to; without it the kernel is evaluated.
+    Each entry is computed pointwise, so both give the same bits.
+    """
     series = pair.kernel.series
     Z = np.subtract.outer(x, y)
     near = np.abs(Z) <= 0.1
-    out = kernel_matrix(pair.kernel, x, y)
+    out = kernel_matrix(pair.kernel, x, y) if samples is None else samples.copy()
     out -= np.divide(series[0], Z, out=np.zeros_like(out), where=~near)
     out[near] = polyval(series[1:], Z[near])
     return out
@@ -196,17 +213,19 @@ def nystrom_K_pv(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     The rule is exact on polynomials the grid's quadrature integrates
     exactly (pv of P_k/(x-y) is 2 Q_k by Neumann's formula).  The diagonal
     log term is ``grid.log_weight()``, which drops the weight at the
-    endpoints, so K = r diag(grid.log_weight()) + S with S smooth.
+    endpoints, so K = r diag(grid.log_weight()) + S with S smooth.  The
+    kernel values are kept, read-only, as the matrix's ``samples``.
     """
     if not pair.kernel.singular:
         raise RegularKernelError("kernel is analytic: use nystrom_K")
     x, w = grid.nodes, grid.weights
     r = pair.kernel.residue()
-    entries = kernel_matrix(pair.kernel, x, x)
-    entries *= w[None, :]
+    samples = kernel_matrix(pair.kernel, x, x)
+    samples.flags.writeable = False
+    entries = samples * w[None, :]
     np.fill_diagonal(entries, w * pair.kernel.series[1] - r * grid.pv_sums + r * grid.log_weight())
     entries -= r * w[:, None] * grid.D1
-    return OperatorMatrix(entries=entries, grid=grid, kernel=pair.kernel)
+    return OperatorMatrix(entries=entries, grid=grid, kernel=pair.kernel, samples=samples)
 
 
 def pv_rowsum_error(pair: CommutingPair, K: OperatorMatrix) -> float:
@@ -215,15 +234,17 @@ def pv_rowsum_error(pair: CommutingPair, K: OperatorMatrix) -> float:
     For u = 1 the pole contributes r*log((1+x)/(1-x)) exactly; the regular
     remainder k - r/z is integrated with the grid's own quadrature.  The
     error is relative to max(1, ||K||_inf) over interior rows, since the
-    row sums round in proportion to the entries' size.
+    row sums round in proportion to the entries' size.  Interior rows are
+    the views ``[1:-1]`` (``Grid.interior``).  k is read from K's
+    ``samples`` when K was built from this pair's kernel, else evaluated.
     """
     grid = K.grid
-    mask = grid.interior()
-    x = grid.nodes[mask]
-    rowsum = (K.entries @ np.ones(grid.n))[mask]
-    reg = k_reg_values(pair, x, grid.nodes) @ grid.weights
+    x = grid.nodes[1:-1]
+    rowsum = (K.entries @ np.ones(grid.n))[1:-1]
+    samples = K.samples[1:-1] if K.samples is not None and K.kernel is pair.kernel else None
+    reg = k_reg_values(pair, x, grid.nodes, samples) @ grid.weights
     err = np.max(np.abs(rowsum - reg - pair.kernel.residue() * pv_log_weight(x)))
-    return float(err / max(1.0, np.max(np.abs(K.entries[mask]).sum(axis=1))))
+    return float(err / max(1.0, np.max(np.abs(K.entries[1:-1]).sum(axis=1))))
 
 
 def collocation_L(op: DiffOp, grid: Grid) -> OperatorMatrix:

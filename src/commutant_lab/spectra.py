@@ -202,9 +202,10 @@ def commutator_norm(K: OperatorMatrix, L: OperatorMatrix) -> tuple[float, int]:
 
 def _read_norms(K: OperatorMatrix, Y: np.ndarray) -> np.ndarray:
     """Weighted norms ||.||_W of Y's columns on the rows the commutator read
-    uses: every node, or for a pv K the interior ones."""
+    uses: every node, or for a pv K the interior ones, the view [1:-1]
+    (``Grid.interior``)."""
     grid = K.grid
-    rows = grid.interior() if K.kernel.singular else slice(None)
+    rows = slice(1, -1) if K.kernel.singular else slice(None)
     return np.sqrt(grid.weights[rows] @ np.abs(Y[rows]) ** 2)
 
 
@@ -223,7 +224,8 @@ def _commutator_columns(K: OperatorMatrix, L: OperatorMatrix, X: np.ndarray, DX:
     by D1; (b - a') l' is only needed on interior rows.  Endpoint rows
     of C X are then not meaningful.
     """
-    KX, LX = K.entries @ X, L.entries @ X
+    Xc = X.astype(complex)  # cast once, not inside each product
+    KX, LX = K.entries @ Xc, L.entries @ Xc
     KX_norms = _read_norms(K, KX)
     if not K.kernel.singular:
         CX = K.entries @ LX

@@ -8,7 +8,12 @@ package) for seeds 1-10: certify jobs 0-47 at n = 64 and spectral jobs 0-23
 at n = 256.  For each workload and variant it prints the number of draws,
 the worst right and the worst left backward error, and the number of draws
 that fail a certificate.  A draw whose right modes fail is not read on
-the left, which then reads nan.
+the left, which then reads nan.  Two more rows read one draw each, the
+draws known to separate left-mode designs, which seeds 1-10 do not: with
+the left modes repaired by one refined inverse-iteration step after an
+unrefined left Arnoldi run, certify seed 1508 job 790 reads 1.2e-12 on the
+left and fails, and spectral seed 1410 job 231 read 1.8e-12 before that
+step was refined.
 
 Run as a script to print the table that the README quotes:
 
@@ -35,6 +40,8 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 SEEDS = range(1, 11)
 # workload -> number of jobs per seed
 JOBS = {"certify": 48, "spectral": 24}
+# single (workload, seed, job) draws that separate left-mode designs
+DRAWS = (("certify", 1508, 790), ("spectral", 1410, 231))
 
 
 def _workloads():
@@ -78,10 +85,15 @@ def table(seeds=SEEDS) -> list[str]:
                 right, left, failed = backward_errors(params_from_json(cfg["params"]), cfg["n"], cfg["m"])
                 draws, worst_r, worst_l, fails = rows.get(key, (0, 0.0, 0.0, 0))
                 rows[key] = (draws + 1, np.fmax(worst_r, right), np.fmax(worst_l, left), fails + failed)
+    total = [sum(r[0] for r in rows.values()), sum(r[3] for r in rows.values())]
+    for workload, seed, i in DRAWS:
+        cfg = workloads.job_config(workload, seed, i)
+        label = f"{workloads.variant_of(i)} {seed}/{i}"
+        right, left, failed = backward_errors(params_from_json(cfg["params"]), cfg["n"], cfg["m"])
+        rows[(workload, cfg["n"], label)] = (1, right, left, int(failed))
     lines = [f"{'workload':9s} {'n':>4s} {'variant':17s} {'draws':>5s} {'worst right':>11s} {'worst left':>11s} {'failed':>6s}"]
     for (workload, n, variant), (draws, worst_r, worst_l, fails) in rows.items():
         lines.append(f"{workload:9s} {n:4d} {variant:17s} {draws:5d} {worst_r:11.1e} {worst_l:11.1e} {fails:6d}")
-    total = [sum(r[0] for r in rows.values()), sum(r[3] for r in rows.values())]
     lines.append(
         f"seeds {seeds[0]}-{seeds[-1]}: {total[0]} draws, {total[1]} failed, "
         f"certificate {spectra._BACKWARD_TOL:g}"

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from commutant_lab import build_grid, cli, make_pair, params_from_json
+from commutant_lab import build_grid, cli, discretize, kernels, make_pair, params_from_json, residuals
 from commutant_lab.cli import main
+
+import digests
 
 SINC = {
     "variant": "general",
@@ -22,6 +24,7 @@ SINC = {
 }
 CASE1 = {"variant": "case1", "m": 0, "alpha": [1.0, 0.0], "beta": [1.0, 0.0]}
 CASE4 = {"variant": "case4", "beta": [0.0, 0.0], "p": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+GENERAL_POLE = {**SINC, "lambda": [0.5, 0.3], "mu": [1.0, -0.5], "alpha2": [1.0, 0.0]}
 INADMISSIBLE = {
     "variant": "general",
     "lambda": [0.0, float(1.2 * np.pi)],
@@ -358,9 +361,36 @@ def test_signed_zero_params_keep_their_own_entry(tmp_path):
 def test_cached_matrices_are_read_only(tmp_path, cold_memo):
     cfg = cli.load_config(write_config(tmp_path / "cfg.json", params=CASE1, n=16), "commutator")
     pair, K, L = cli._build_matrices(cfg)
-    for M in (K, L):
+    for array in (K.entries, L.entries, K.samples):
         with pytest.raises(ValueError, match="read-only"):
-            M.entries[0, 0] = 1.0
+            array[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("params", [CASE1, GENERAL_POLE], ids=["case1", "general-pole"])
+def test_cold_pole_commutator_evaluates_the_kernel_once(tmp_path, monkeypatch, cold_memo, params):
+    # the row-sum check reads the kernel samples K was built from
+    calls = []
+    evaluate = kernels.kernel_matrix
+
+    def recording(spec, x, y, *args, **kwargs):
+        calls.append((np.shape(x), np.shape(y)))
+        return evaluate(spec, x, y, *args, **kwargs)
+
+    for module in (kernels, discretize, residuals):
+        monkeypatch.setattr(module, "kernel_matrix", recording)
+    cfg = write_config(tmp_path / "cfg.json", params=params, n=64)
+    main(["commutator", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+    assert "rowsum_rel" in json.loads((tmp_path / "report.json").read_text())["result"]
+    assert calls == [((64,), (64,))]
+
+
+def test_digests_are_reproducible(cold_memo):
+    # one job per workload: every output file and every exit code, twice
+    jobs = {"certify": 1, "spectral": 1}
+    first = digests.digests(seeds=(1,), jobs=jobs)
+    assert len(first) == 25  # 18 for the five certify calls, 7 for the two spectral
+    assert {v for k, v in first.items() if k.endswith("/exit")} <= {0, 1}
+    assert digests.digests(seeds=(1,), jobs=jobs) == first
 
 
 @pytest.mark.parametrize("command", CERTIFY)

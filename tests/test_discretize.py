@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -23,7 +24,8 @@ from commutant_lab import (
     nystrom_K_pv,
     pv_log_weight,
 )
-from commutant_lab.discretize import add_diagonal, k_reg_values
+from commutant_lab.discretize import add_diagonal, k_reg_values, pv_rowsum_error
+from commutant_lab.kernels import kernel_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +145,19 @@ def test_cached_grid_equals_uncached_build(n):
     for field in GRID_ARRAYS:
         a, b = getattr(cached, field), getattr(fresh, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+# every n to 1024 takes about 40 s of grid builds; these cover one and two
+# interior nodes, both parities, the benchmark sizes and the largest n, where
+# the interior nodes come closest to +-1
+INTERIOR_NS = [*range(3, 131), 255, 256, 257, 511, 512, 513, 1023, 1024]
+
+
+@pytest.mark.parametrize("n", INTERIOR_NS)
+def test_interior_is_the_inner_slice(n):
+    # matrix reads take interior rows as the view [1:-1]
+    g = build_grid.__wrapped__(n)
+    np.testing.assert_array_equal(np.flatnonzero(g.interior()), np.arange(1, n - 1))
 
 
 def test_pv_sums_leave_out_the_singular_node():
@@ -377,3 +392,35 @@ def test_k_reg_series_matches_direct(case2_pair):
     vals = k_reg_values(case2_pair, z, np.zeros(1))[:, 0]
     expected = 1 / np.sinh(z) - 1 / z
     np.testing.assert_allclose(vals, expected, atol=1e-13)
+
+
+GENERAL_POLE = General(lam=0.5 + 0.3j, mu=1.0 - 0.5j, alpha1=1.0, alpha2=1.0)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("name", ["case1", "case2", "case3", "case4", "general"])
+def test_rowsum_check_from_kept_samples_matches_a_fresh_evaluation(name, n, request):
+    pair = make_pair(GENERAL_POLE) if name == "general" else request.getfixturevalue(f"{name}_pair")
+    g = build_grid(n)
+    K = nystrom_K_pv(pair, g)
+    fresh = kernel_matrix(pair.kernel, g.nodes, g.nodes)
+    assert not K.samples.flags.writeable
+    assert K.samples.tobytes() == fresh.tobytes()
+    x = g.nodes[1:-1]
+    kept = k_reg_values(pair, x, g.nodes, K.samples[1:-1])
+    assert kept.tobytes() == k_reg_values(pair, x, g.nodes).tobytes()
+    err = pv_rowsum_error(pair, K)
+    assert err == pv_rowsum_error(pair, dataclasses.replace(K, samples=None))
+    assert err < 1e-12
+
+
+def test_rowsum_check_evaluates_another_pairs_kernel(case3_pair, case4_pair):
+    # K's samples are k of its own kernel; another pair's k is evaluated
+    K = nystrom_K_pv(case4_pair, build_grid(32))
+    got = pv_rowsum_error(case3_pair, K)
+    assert got == pv_rowsum_error(case3_pair, dataclasses.replace(K, samples=None))
+    assert got > 1e-3
+
+
+def test_analytic_K_keeps_no_samples(sinc_pair):
+    assert nystrom_K(sinc_pair, build_grid(16)).samples is None
