@@ -280,7 +280,7 @@ def cmd_commutator(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.S
         "worst_degree": degree,
     }
     if singular:
-        err = pv_rowsum_error(pair, K)
+        err = pv_rowsum_error(K)
         summary.add("rowsum_rel", err, cfg.tol("rowsum_rel"))
         report["rowsum_rel"] = err
     if dump:

@@ -28,8 +28,13 @@ from .kernels import KernelSpec, kernel_matrix
 class Grid:
     """LGL nodes and weights on [-1, 1] with D1, D2 at the nodes.
 
+    The nodes ascend from -1 to 1, so nodes 1 .. n-2 are the interior ones
+    and interior rows of a grid matrix are the view ``[1:-1]``.
     ``pv_sums[i]`` is sum_{j != i} w_j / (x_i - x_j), the grid's quadrature
-    of the pole 1/(x_i - y) with the singular node left out.  ``legendre``
+    of the pole 1/(x_i - y) with the singular node left out.  ``log_weight``
+    is the pv log weight log((1+x)/(1-x)) on interior nodes and 0 at the
+    endpoints, where it diverges: the one-sided endpoint convention of the
+    pv Nystrom rule.  ``legendre``
     holds the orthonormal Legendre polynomials p_0 .. p_{n/2} of L^2(-1, 1)
     at the nodes, one per column, and ``dlegendre`` is D1 of them.  Their
     products have degree <= n <= 2n - 3, which the grid's quadrature
@@ -41,6 +46,7 @@ class Grid:
     D1: np.ndarray
     D2: np.ndarray
     pv_sums: np.ndarray
+    log_weight: np.ndarray
     legendre: np.ndarray
     dlegendre: np.ndarray
 
@@ -51,33 +57,14 @@ class Grid:
     def same_as(self, other: "Grid") -> bool:
         return self is other or np.array_equal(self.nodes, other.nodes)
 
-    def interior(self) -> np.ndarray:
-        """Boolean mask of nodes strictly inside (-1, 1).
-
-        The nodes ascend from -1 to 1, so these are nodes 1 .. n-2, and
-        interior rows of a grid matrix can be read as the view ``[1:-1]``.
-        """
-        return np.abs(self.nodes) < 1.0 - 1e-14
-
-    def log_weight(self) -> np.ndarray:
-        """pv log weight log((1+x)/(1-x)) on interior nodes, 0 at the endpoints.
-
-        The weight diverges at +-1; dropping it there is the one-sided
-        endpoint convention of the pv Nystrom rule.
-        """
-        mask = self.interior()
-        out = np.zeros(self.n)
-        out[mask] = pv_log_weight(self.nodes[mask])
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Matrix of K (``kernel`` set) or of L (``op`` set) on ``grid``.
 
     A pv K keeps ``samples``, the read-only kernel values k(x_i - x_j) its
-    entries were assembled from (0 where i = j), so its row-sum check
-    (``pv_rowsum_error``) does not evaluate the kernel again.
+    entries were assembled from (0 where i = j), which its row-sum check
+    (``pv_rowsum_error``) reads instead of evaluating the kernel again.
     """
 
     entries: np.ndarray
@@ -130,14 +117,14 @@ def _lgl_grid(n: int) -> Grid:
     Z = nodes[:, None] - nodes[None, :]
     off = ~np.eye(n, dtype=bool)
     pv_sums = np.sum(np.divide(weights[None, :], Z, out=np.zeros((n, n)), where=off), axis=1)
+    log_weight = np.zeros(n)
+    log_weight[1:-1] = pv_log_weight(nodes[1:-1])
     d = n // 2
     legendre = np.polynomial.legendre.legvander(nodes, d) / np.sqrt(2.0 / (2.0 * np.arange(d + 1) + 1.0))
     dlegendre = D1 @ legendre
-    for a in (nodes, weights, D1, D2, pv_sums, legendre, dlegendre):
+    for a in (nodes, weights, D1, D2, pv_sums, log_weight, legendre, dlegendre):
         a.flags.writeable = False
-    return Grid(
-        nodes=nodes, weights=weights, D1=D1, D2=D2, pv_sums=pv_sums, legendre=legendre, dlegendre=dlegendre
-    )
+    return Grid(nodes, weights, D1, D2, pv_sums, log_weight, legendre, dlegendre)
 
 
 build_grid.cache_clear = _lgl_grid.cache_clear
@@ -178,20 +165,20 @@ def nystrom_K(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     return OperatorMatrix(entries=entries, grid=grid, kernel=pair.kernel)
 
 
-def k_reg_values(
-    pair: CommutingPair, x: np.ndarray, y: np.ndarray, samples: np.ndarray | None = None
-) -> np.ndarray:
-    """Regular remainder k(z) - r/z at z = x_i - y_j, via Laurent data for |z| <= 0.1.
+def k_reg_values(spec: KernelSpec, x: np.ndarray, y: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Regular remainder k(z) - r/z at z = x_i - y_j from the samples k(z).
 
-    ``samples`` holds k(x_i - y_j) where the caller has it (rows of a pv K's
-    ``samples``), and is not written to; without it the kernel is evaluated.
-    Each entry is computed pointwise, so both give the same bits.
+    Where the subtraction cancels, |z| <= min(0.1, rho), the Laurent series
+    is summed instead; rho is where its last stored terms s_j rho^j (the
+    Taylor series of z k) fall to u |s_0|, so the truncated series has
+    converged there also for fast kernels.  ``samples`` is not written to.
     """
-    series = pair.kernel.series
+    series, last = spec.series, len(spec.series) - 1
+    u = np.finfo(float).eps / 2
+    rho = [(u * abs(series[0]) / abs(series[j])) ** (1 / j) for j in (last - 1, last) if series[j]]
     Z = np.subtract.outer(x, y)
-    near = np.abs(Z) <= 0.1
-    out = kernel_matrix(pair.kernel, x, y) if samples is None else samples.copy()
-    out -= np.divide(series[0], Z, out=np.zeros_like(out), where=~near)
+    near = np.abs(Z) <= min([0.1] + rho)
+    out = samples - np.divide(series[0], Z, out=np.zeros_like(samples), where=~near)
     out[near] = polyval(series[1:], Z[near])
     return out
 
@@ -212,8 +199,8 @@ def nystrom_K_pv(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     whose sum the grid keeps as ``pv_sums``.
     The rule is exact on polynomials the grid's quadrature integrates
     exactly (pv of P_k/(x-y) is 2 Q_k by Neumann's formula).  The diagonal
-    log term is ``grid.log_weight()``, which drops the weight at the
-    endpoints, so K = r diag(grid.log_weight()) + S with S smooth.  The
+    log term is ``grid.log_weight``, which drops the weight at the
+    endpoints, so K = r diag(grid.log_weight) + S with S smooth.  The
     kernel values are kept, read-only, as the matrix's ``samples``.
     """
     if not pair.kernel.singular:
@@ -223,27 +210,26 @@ def nystrom_K_pv(pair: CommutingPair, grid: Grid) -> OperatorMatrix:
     samples = kernel_matrix(pair.kernel, x, x)
     samples.flags.writeable = False
     entries = samples * w[None, :]
-    np.fill_diagonal(entries, w * pair.kernel.series[1] - r * grid.pv_sums + r * grid.log_weight())
+    np.fill_diagonal(entries, w * pair.kernel.series[1] - r * grid.pv_sums + r * grid.log_weight)
     entries -= r * w[:, None] * grid.D1
     return OperatorMatrix(entries=entries, grid=grid, kernel=pair.kernel, samples=samples)
 
 
-def pv_rowsum_error(pair: CommutingPair, K: OperatorMatrix) -> float:
-    """Max interior error of K's row sums against the pv integral of k(x - y).
+def pv_rowsum_error(K: OperatorMatrix) -> float:
+    """Max interior error of a pv K's row sums against the pv integral of k(x - y).
 
     For u = 1 the pole contributes r*log((1+x)/(1-x)) exactly; the regular
-    remainder k - r/z is integrated with the grid's own quadrature.  The
-    error is relative to max(1, ||K||_inf) over interior rows, since the
-    row sums round in proportion to the entries' size.  Interior rows are
-    the views ``[1:-1]`` (``Grid.interior``).  k is read from K's
-    ``samples`` when K was built from this pair's kernel, else evaluated.
+    remainder k - r/z is integrated with the grid's own quadrature, from
+    the kernel samples K was assembled from.  The error is relative to
+    max(1, ||K||_inf) over interior rows, since the row sums round in
+    proportion to the entries' size.
     """
+    if K.samples is None:
+        raise RegularKernelError("the pv row-sum check needs a pv K (nystrom_K_pv)")
     grid = K.grid
-    x = grid.nodes[1:-1]
     rowsum = (K.entries @ np.ones(grid.n))[1:-1]
-    samples = K.samples[1:-1] if K.samples is not None and K.kernel is pair.kernel else None
-    reg = k_reg_values(pair, x, grid.nodes, samples) @ grid.weights
-    err = np.max(np.abs(rowsum - reg - pair.kernel.residue() * pv_log_weight(x)))
+    reg = k_reg_values(K.kernel, grid.nodes[1:-1], grid.nodes, K.samples[1:-1]) @ grid.weights
+    err = np.max(np.abs(rowsum - reg - K.kernel.residue() * grid.log_weight[1:-1]))
     return float(err / max(1.0, np.max(np.abs(K.entries[1:-1]).sum(axis=1))))
 
 

@@ -11,7 +11,8 @@ Admissible parameters leave at most removable zeros of D elsewhere in
 [-2, 2] (e.g. z = +-2 for the cos/sin kernels), where direct evaluation
 loses digits.
 
-Evaluation strategy:
+One evaluator, ``kernel_matrix``, gives k(x_i - y_j) and its derivatives
+on a difference grid; ``kernel_values`` is its column y = 0.
 
 * away from all zeros of D: direct ratio, with quotient-rule derivatives;
 * within the switch radius of z = 0: stored Taylor data (Taylor series of
@@ -160,65 +161,46 @@ def _laurent_eval(series, z, order: int):
 
 
 def kernel_values(spec: KernelSpec, z, orders: tuple[int, ...] = (0,)):
-    """Evaluate k and requested derivative orders at (array of) points z.
+    """Evaluate k and requested derivative orders at real (array of) points z.
 
-    Returns a tuple of arrays matching ``orders``.  Raises PoleError if a
-    singular kernel is evaluated at exactly z = 0.
+    This is ``kernel_matrix(spec, z, [0.0], orders)`` in the shape of z, a
+    tuple of arrays matching ``orders`` (of complex scalars for a scalar z).
+    Raises TypeError for complex z, and PoleError if a singular kernel is
+    evaluated at exactly z = 0.
     """
-    arr = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.iscomplexobj(z):
+        raise TypeError("kernel_values takes real z")
+    arr = np.asarray(z, dtype=float)
     if spec.singular and np.any(arr == 0):
         raise PoleError("singular kernel evaluated at its pole z = 0")
-
-    out = [np.zeros_like(arr) for _ in orders]
-    near0 = np.abs(arr) < spec.switch_radius
-    handled = near0.copy()
-    for i, m in enumerate(orders):
-        if np.any(near0):
-            if spec.singular:
-                out[i][near0] = _laurent_eval(spec.series, arr[near0], m)
-            else:
-                out[i][near0] = polyval(polyder(spec.series, m), arr[near0])
-
-    for z0 in spec.removable_zeros:
-        mask = (np.abs(arr - z0) < spec.switch_radius) & ~handled
-        if np.any(mask):
-            delta = arr[mask] - z0
-            for i, m in enumerate(orders):
-                out[i][mask] = polyval(polyder(spec.local_series[z0], m), delta)
-            handled |= mask
-
-    rest = ~handled
-    if np.any(rest):
-        zz = arr[rest]
-        need = range(max(orders) + 1)
-        nd, dd = spec.numerator(zz, order=need), spec.denominator(zz, order=need)
-        for i, m in enumerate(orders):
-            out[i][rest] = _ratio_derivative(nd, dd, m)
-
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return tuple(complex(o[0]) for o in out)
-    return tuple(o.reshape(np.shape(z)) for o in out)
+    out = kernel_matrix(spec, arr.reshape(-1), np.zeros(1), tuple(orders))
+    if arr.ndim == 0:
+        return tuple(complex(o[0, 0]) for o in out)
+    return tuple(o.reshape(arr.shape) for o in out)
 
 
 def kernel_matrix(spec: KernelSpec, x, y, order: int | tuple[int, ...] = 0):
     """Matrix of k^(order)(x_i - y_j) for real point arrays x, y.
 
-    N, D and their derivatives come from ``ExpPoly.at_differences``;
-    where no switch window applies k is their ratio and its derivatives the
-    quotient rule's, as in ``kernel_values``.  Entries within the switch
-    radius of 0 or of a removable zero are taken from ``kernel_values``, so
-    the series and Laurent branches are the same as pointwise.  For a
-    singular kernel, entries with x_i - y_j exactly 0 are left at 0 for the
-    caller.  ``order`` may be a tuple of orders, which gives a tuple of
-    matrices.
+    N, D and their derivatives come from ``ExpPoly.at_differences``; k is
+    their ratio and its derivatives the quotient rule's, except in the
+    switch windows, |z - z0| < ``switch_radius`` around each expansion
+    centre z0: 0 with ``series`` (the Laurent series at a pole), then each
+    removable zero with its local series.  An entry in two windows takes
+    the first.  For a singular kernel, entries with x_i - y_j exactly 0 are
+    left at 0 for the caller.  ``order`` may be a tuple of orders, which
+    gives a tuple of matrices.
     """
     single, orders = _orders(order)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     Z = x[:, None] - y[None, :]
-    near = np.abs(Z) < spec.switch_radius
-    for z0 in spec.removable_zeros:
-        near |= np.abs(Z - z0) < spec.switch_radius
+    centres = [(0.0, spec.series)] + [(z0, spec.local_series[z0]) for z0 in spec.removable_zeros]
+    near, windows = np.zeros(Z.shape, dtype=bool), []
+    for z0, series in centres:
+        mask = (np.abs(Z - z0) < spec.switch_radius) & ~near
+        near |= mask
+        windows.append((z0, series, mask))
     need = range(max(orders) + 1)
     nd = spec.numerator.at_differences(x, y, order=need)
     dd = spec.denominator.at_differences(x, y, order=need)
@@ -232,11 +214,14 @@ def kernel_matrix(spec: KernelSpec, x, y, order: int | tuple[int, ...] = 0):
         else np.where(near, 0j, _ratio_derivative(nd, dd, m))
         for m in orders
     ]
-    if spec.singular:
-        near &= Z != 0
-    if np.any(near):
-        for out, vals in zip(outs, kernel_values(spec, Z[near], orders)):
-            out[near] = vals
+    for z0, series, mask in windows:
+        pole = spec.singular and z0 == 0.0
+        if pole:
+            mask &= Z != 0
+        if np.any(mask):
+            h = Z[mask].astype(complex) - z0
+            for out, m in zip(outs, orders):
+                out[mask] = _laurent_eval(series, h, m) if pole else polyval(polyder(series, m), h)
     return outs[0] if single else tuple(outs)
 
 

@@ -186,7 +186,7 @@ def commutator_norm(K: OperatorMatrix, L: OperatorMatrix) -> tuple[float, int]:
     if not K.grid.same_as(L.grid):
         raise GridMismatchError("K and L must share a grid")
     grid = K.grid
-    if K.kernel.singular and not np.any(grid.interior()):
+    if K.kernel.singular and grid.n < 3:
         raise ValueError("the grid has no interior node to restrict the pv commutator to")
     CP, LP, k_sizes = _commutator_columns(K, L, grid.legendre, grid.dlegendre)
     c = _read_norms(K, CP)
@@ -202,8 +202,7 @@ def commutator_norm(K: OperatorMatrix, L: OperatorMatrix) -> tuple[float, int]:
 
 def _read_norms(K: OperatorMatrix, Y: np.ndarray) -> np.ndarray:
     """Weighted norms ||.||_W of Y's columns on the rows the commutator read
-    uses: every node, or for a pv K the interior ones, the view [1:-1]
-    (``Grid.interior``)."""
+    uses: every node, or for a pv K the interior ones, the view [1:-1]."""
     grid = K.grid
     rows = slice(1, -1) if K.kernel.singular else slice(None)
     return np.sqrt(grid.weights[rows] @ np.abs(Y[rows]) ** 2)
@@ -232,13 +231,14 @@ def _commutator_columns(K: OperatorMatrix, L: OperatorMatrix, X: np.ndarray, DX:
         CX -= L.entries @ KX
         return CX, LX, KX_norms
     grid, op = K.grid, L.op
-    r, ell = K.kernel.residue(), grid.log_weight()[:, None]
+    r, ell = K.kernel.residue(), grid.log_weight[:, None]
     x = grid.nodes
     (a, da), b = op.a(x, order=(0, 1)), op.b(x)
-    mask = grid.interior()
-    one_m_x2 = np.where(mask, 1.0 - x**2, 1.0)
-    al = np.where(mask, 2.0 * a / one_m_x2, -np.sign(x) * da)
-    bracket = grid.D1 @ al + np.where(mask, 2.0 * (b - da) / one_m_x2, 0.0)
+    one_m_x2 = 1.0 - x[1:-1] ** 2
+    al = -np.sign(x) * da
+    al[1:-1] = 2.0 * a[1:-1] / one_m_x2
+    bracket = grid.D1 @ al
+    bracket[1:-1] += 2.0 * (b - da)[1:-1] / one_m_x2
     KX -= r * ell * X  # S X
     CX = K.entries @ LX
     CX -= L.entries @ KX
@@ -400,26 +400,26 @@ def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> Spect
     """
     if not K.grid.same_as(L.grid):
         raise GridMismatchError("K and L must share a grid")
-    mask = K.grid.interior() if K.kernel.singular else np.ones(K.grid.n, dtype=bool)
-    nodes = np.count_nonzero(mask)
-    if m > nodes:
-        raise ValueError(f"m = {m} exceeds the {nodes} nodes the modes are normalized over")
+    rows = slice(1, -1) if K.kernel.singular else slice(None)
+    w, wi = K.grid.weights, K.grid.weights[rows]
+    if m > wi.size:
+        raise ValueError(f"m = {m} exceeds the {wi.size} nodes the modes are normalized over")
     lam, V, U = _l_modes(L, m)
     mu_top = _k_dominant(K.entries, m)
 
-    w = K.grid.weights
     # in the weighted metric the left mode is W^-1 u, so the condition
     # ||u|| ||v|| / |u^H v| takes sqrt(v^H W v) and sqrt(u^H W^-1 u)
     vw = np.einsum("i,ij->j", w, np.abs(V) ** 2)
     uw = np.einsum("i,ij->j", 1.0 / w, np.abs(U) ** 2)
     mode_cond = np.sqrt(vw * uw) / np.abs(np.einsum("ij,ij->j", U.conj(), V))
-    wi = w[mask]
 
-    norms = np.sqrt(np.einsum("i,ij->j", wi, np.abs(V[mask]) ** 2))
+    # weighted norms from a C-contiguous copy of the rows: a strided view
+    # sums in another order
+    norms = np.sqrt(np.einsum("i,ij->j", wi, np.abs(np.ascontiguousarray(V[rows])) ** 2))
     V /= norms[None, :]
-    Vni = V[mask]
+    Vni = V[rows]
     KVm = K.entries @ V
-    KV = KVm[mask, :]
+    KV = KVm[rows]
     # U holds L's left eigenvectors, so G is diagonal for a commuting pair
     # also when L is not normal
     Uh = U.conj().T

@@ -11,7 +11,11 @@ trees, with this script from either one, and comparing the two files:
 
     PYTHONPATH=src python tests/digests.py change.json
     PYTHONPATH=/path/to/parent/src python tests/digests.py parent.json
-    diff parent.json change.json && echo identical
+    python tests/digests.py --compare parent.json change.json
+
+``--compare`` prints the entries that differ, or that one file lacks,
+grouped by workload/command/file (``certify/pair/kernel_samples.csv``),
+and exits 1 if there are any.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from commutant_lab import cli
-
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 SEEDS = (1, 2)
 # workload -> number of jobs per seed
@@ -49,6 +51,8 @@ def _workloads():
 
 def digests(seeds=SEEDS, jobs=JOBS) -> dict[str, str | int]:
     """sha256 of every output file and the exit code of every call, by path."""
+    from commutant_lab import cli  # here, so --compare runs without the package
+
     workloads = _workloads()
     out: dict[str, str | int] = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -69,9 +73,36 @@ def digests(seeds=SEEDS, jobs=JOBS) -> dict[str, str | int]:
     return out
 
 
-if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUT.json")
+def compare(a: dict, b: dict) -> dict[str, list[str]]:
+    """Keys whose entries differ between a and b, or that one lacks, grouped
+    by workload/command/file: the key without its seed and job."""
+    groups: dict[str, list[str]] = {}
+    for key in sorted(a.keys() | b.keys()):
+        if a.get(key) != b.get(key):
+            workload, _seed, _job, *rest = key.split("/")
+            groups.setdefault("/".join([workload, *rest]), []).append(key)
+    return groups
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        a, b = (json.loads(Path(p).read_text()) for p in argv[1:])
+        groups = compare(a, b)
+        for group, keys in groups.items():
+            print(f"{group}: {len(keys)} differ")
+            for key in keys:
+                print(f"  {key}: {a.get(key, '-')} {b.get(key, '-')}")
+        differ = sum(len(keys) for keys in groups.values())
+        print(f"{differ} of {len(a.keys() | b.keys())} entries differ")
+        return 1 if differ else 0
+    if len(argv) != 1:
+        print(f"usage: {sys.argv[0]} OUT.json | --compare A.json B.json", file=sys.stderr)
+        return 2
     result = digests()
-    Path(sys.argv[1]).write_text(json.dumps(result, indent=0, sort_keys=True) + "\n")
-    print(f"{len(result)} digests and exit codes written to {sys.argv[1]}")
+    Path(argv[0]).write_text(json.dumps(result, indent=0, sort_keys=True) + "\n")
+    print(f"{len(result)} digests and exit codes written to {argv[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

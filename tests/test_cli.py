@@ -393,6 +393,37 @@ def test_digests_are_reproducible(cold_memo):
     assert digests.digests(seeds=(1,), jobs=jobs) == first
 
 
+def test_digests_compare_groups_differences(tmp_path, capsys):
+    # two synthetic digest files: a changed hash in two jobs of one file, a
+    # changed exit code and an entry only one side has
+    a = {
+        "certify/1/0/pair/kernel_samples.csv": "aa",
+        "certify/2/5/pair/kernel_samples.csv": "bb",
+        "certify/1/0/pair/report.json": "cc",
+        "certify/1/0/verify/exit": 0,
+        "spectral/1/3/spectrum/modes.csv": "dd",
+    }
+    b = {**a, "certify/1/0/pair/kernel_samples.csv": "ab", "certify/2/5/pair/kernel_samples.csv": "bc"}
+    b["certify/1/0/verify/exit"] = 1
+    del b["spectral/1/3/spectrum/modes.csv"]
+    b["spectral/2/0/commutator/exit"] = 0
+    paths = []
+    for name, data in (("a.json", a), ("b.json", b)):
+        paths.append(str(tmp_path / name))
+        Path(paths[-1]).write_text(json.dumps(data))
+    assert digests.main(["--compare", *paths]) == 1
+    out = capsys.readouterr().out
+    assert "certify/pair/kernel_samples.csv: 2 differ" in out
+    assert "certify/verify/exit: 1 differ" in out
+    assert "  certify/1/0/verify/exit: 0 1" in out
+    assert "spectral/spectrum/modes.csv: 1 differ" in out
+    assert "spectral/commutator/exit: 1 differ" in out
+    assert "report.json" not in out
+    assert out.splitlines()[-1] == "5 of 6 entries differ"
+    assert digests.main(["--compare", paths[0], paths[0]]) == 0
+    assert capsys.readouterr().out == "0 of 5 entries differ\n"
+
+
 @pytest.mark.parametrize("command", CERTIFY)
 def test_inadmissible_params_exit_1_after_warm_memo(tmp_path, command):
     good = write_config(tmp_path / "good.json", params=SINC, n=16, m=4)

@@ -89,6 +89,66 @@ def test_removable_zero_series_matches_mpmath(pair, closed, zeros):
                 assert abs(mpmath.mpc(g) - w) <= 1e-11 * abs(w), (m, zz, g, complex(w))
 
 
+def test_derivatives_next_to_removable_zero_match_mpmath(wide_lambda_pair):
+    # just outside the windows at wide-lambda's removable zeros +-5/3, where
+    # N and D both vanish: the quotient rule on the difference-grid
+    # evaluator's compensated exponentials keeps k' and k'' within 1e-9 of
+    # 40-digit mpmath (the uncompensated pointwise ratio lost up to 3.7e-7)
+    mpmath = pytest.importorskip("mpmath")
+    spec = wide_lambda_pair.kernel
+    offsets = np.geomspace(1.9e-3, 0.3, 9)
+    z = np.concatenate([z0 + s * offsets for z0 in spec.removable_zeros for s in (-1, 1)])
+    z = z[np.abs(z) <= 2.0]
+    got = kernel_values(spec, z, orders=(1, 2))
+    with mpmath.workdps(40):
+        k = _wide_lambda_closed_form(mpmath)
+        for m, values in zip((1, 2), got):
+            for g, zz in zip(values, z):
+                w = mpmath.diff(k, mpmath.mpf(float(zz)), m)
+                assert abs(mpmath.mpc(g) - w) <= 1e-9 * abs(w), (m, zz, g, complex(w))
+
+
+def test_kernel_values_is_kernel_matrix_at_zero(wide_lambda_pair, case2_pair, monkeypatch):
+    # one evaluator: kernel_values reads the column y = 0 of kernel_matrix,
+    # with no ExpPoly.__call__ (the uncompensated pointwise ratio), and
+    # kernel_matrix does not hand its window entries back to kernel_values
+    from commutant_lab import coeffs, kernels
+
+    calls = []
+    call, values = coeffs.ExpPoly.__call__, kernels.kernel_values
+
+    def recording_call(self, y, order=0):
+        calls.append("ExpPoly.__call__")
+        return call(self, y, order)
+
+    def recording_values(spec, z, orders=(0,)):
+        calls.append("kernel_values")
+        return values(spec, z, orders)
+
+    monkeypatch.setattr(coeffs.ExpPoly, "__call__", recording_call)
+    monkeypatch.setattr(kernels, "kernel_values", recording_values)
+    for spec in (wide_lambda_pair.kernel, case2_pair.kernel):
+        r = spec.switch_radius
+        # window points of 0 and of +-5/3, and direct points, in a 2 x 4 array
+        z = np.array([[0.5 * r, -0.3, 5 / 3 - 0.5 * r, 1.9], [-5 / 3 + 0.2 * r, -r, 0.7, -1.999]])
+        got = values(spec, z, orders=(0, 1, 2))
+        assert not calls
+        for m, g in enumerate(got):
+            assert g.shape == z.shape
+            assert g.tobytes() == kernels.kernel_matrix(spec, z.ravel(), [0.0], m).reshape(z.shape).tobytes()
+        (scalar,) = values(spec, 0.7)
+        assert type(scalar) is complex and scalar == got[0][1, 2]
+        kernels.kernel_matrix(spec, z.ravel(), z.ravel(), (0, 1, 2))
+        assert not calls
+
+
+@pytest.mark.parametrize("z", [0.5 + 0j, 0.5 + 1e-3j, np.array([0.1, 0.2], dtype=complex), [0.1j]])
+def test_kernel_values_refuses_complex_z(case2_pair, z):
+    # the difference grid is real; an imaginary part is an error, not dropped
+    with pytest.raises(TypeError):
+        kernel_values(case2_pair.kernel, z)
+
+
 GENERAL_POLE = General(lam=1.1 + 0.6j, mu=0.5 - 0.3j, alpha1=0.4 + 0.2j, alpha2=1.0 - 0.5j)
 CASE2 = Case2(lam=1.5 + 0.7j, alpha=1.0, beta=1.0)
 
@@ -318,9 +378,10 @@ def test_kernel_matrix_matches_mpmath(name, lgl256):
 def test_kernel_matrix_derivatives_match_kernel_values(params):
     # k, k', k'' on a difference grid with entries inside the switch window
     # of 0 (and of case1's removable zeros +-2, wide-lambda's +-5/3), just
-    # outside it and far from it.  Inside: the pointwise branches, bit for
-    # bit.  Outside, N and D round differently in the two evaluators, which
-    # the quotient rule amplifies next to a window (by ~|z - z0|^-m).
+    # outside it and far from it.  Inside: the same series at the same
+    # offsets, bit for bit.  Outside, N and D from the split exponentials
+    # e^{r x_i} e^{-r y_j} round differently from those at (z, 0), which the
+    # quotient rule amplifies next to a window (by ~|z - z0|^-m).
     spec = make_pair(params).kernel
     r = spec.switch_radius
     x = np.array([-1.0, -1.0 + 0.4 * r, -1.0 + 1.9 * r, -0.3, 0.0, 0.3 + 0.3 * r, 0.3 + 2.5 * r, 1.0 - 0.6 * r, 1.0])

@@ -183,14 +183,15 @@ def test_residual_matches_mpmath(fixture, request):
 @pytest.mark.parametrize("fixture", ["analytic_pair", "case1_pair"])
 def test_residual_evaluates_per_axis(fixture, request, monkeypatch):
     # one residual evaluates the coefficients on the axes (no array longer
-    # than max(ny, nz)) and calls kernel_values on switch-window points only:
-    # z = 0 for the analytic kernel, case1's removable zeros z = +-2
+    # than max(ny, nz)) and takes k, k', k'' from kernel_matrix alone, with
+    # no kernel_values call, also for the window points z = 0 of the
+    # analytic kernel and case1's removable zeros z = +-2
     from commutant_lab import coeffs, kernels
 
     pair = request.getfixturevalue(fixture)
 
     ny, nz = 41, 17
-    sizes, window = [], []
+    sizes, pointwise = [], []
     call = coeffs.ExpPoly.__call__
 
     def counting_call(self, y, order=0):
@@ -200,18 +201,14 @@ def test_residual_evaluates_per_axis(fixture, request, monkeypatch):
     values = kernels.kernel_values
 
     def recording_values(spec, z, orders=(0,)):
-        window.append(np.atleast_1d(z))
+        pointwise.append(np.atleast_1d(z))
         return values(spec, z, orders)
 
     monkeypatch.setattr(coeffs.ExpPoly, "__call__", counting_call)
     monkeypatch.setattr(kernels, "kernel_values", recording_values)
-    spec = pair.kernel
     residual_R1(pair, ny=ny, nz=nz)
     assert sizes and max(sizes) <= max(ny, nz)
-    assert window
-    z = np.concatenate(window)
-    dist = np.min([np.abs(z - z0) for z0 in (0.0,) + spec.removable_zeros], axis=0)
-    assert np.all(dist < spec.switch_radius)
+    assert not pointwise
 
 
 def test_report_json_fields(analytic_pair):
