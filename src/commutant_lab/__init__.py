@@ -68,7 +68,6 @@ from .normality import (
     interior_points,
     is_normal,
     is_selfadjoint,
-    selfadjoint_matrix_defect,
 )
 
 __version__ = "0.1.0"

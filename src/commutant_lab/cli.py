@@ -137,8 +137,6 @@ def load_config(path: str, command: str) -> RunConfig:
     # n = 2 has no interior node, where the pv measures and L's modes live
     n = _int_field(raw, "n", 64, 3)
     m = _int_field(raw, "m", 8, 1)
-    if command == "spectrum" and m > n:
-        raise ConfigError(f"m = {m} exceeds the grid size n = {n}")
     output_path = raw.get("output_path", "out")
     if not isinstance(output_path, str):
         raise ConfigError("output_path must be a string")
@@ -289,13 +287,16 @@ def cmd_commutator(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.S
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary) -> dict:
-    # a pv K's modes are normalized over the n - 2 nodes inside (-1, 1);
-    # checked on the pair, before any matrix is built
-    if _build_pair(_require_params(cfg)).kernel.singular and cfg.m > cfg.n - 2:
-        raise ConfigError(
-            f"m = {cfg.m} exceeds the {cfg.n - 2} interior nodes of n = {cfg.n} "
-            "that a pole kernel's modes are normalized over"
-        )
+    # a pv K's modes are normalized over the n - 2 nodes inside (-1, 1),
+    # other modes over all n; checked on the pair, before any matrix is built
+    if _build_pair(_require_params(cfg)).kernel.singular:
+        if cfg.m > cfg.n - 2:
+            raise ConfigError(
+                f"m = {cfg.m} exceeds the {cfg.n - 2} interior nodes of n = {cfg.n} "
+                "that a pole kernel's modes are normalized over"
+            )
+    elif cfg.m > cfg.n:
+        raise ConfigError(f"m = {cfg.m} exceeds the grid size n = {cfg.n}")
     pair, K, L = _build_matrices(cfg)
     if dump:
         _dump_matrices(outdir, K, L)

@@ -12,18 +12,20 @@ coefficient triple
     c(y) = (lambda^2/4 - mu^2) a(y).
 
 Four special parameter choices admit strictly larger commuting operators;
-their parts reproduce the corresponding closed forms verbatim and assert,
-at construction time, that the stated parameter specialisation collapses
-them back onto the general family.  ``make_pair`` is the one constructor
-of a pair, whatever the variant.
+their parts reproduce the corresponding closed forms (case2 in the general
+family's Taylor forms below SERIES_RATE) and assert, at construction time,
+that the stated parameter specialisation collapses them back onto the
+general family: the kernels are proportional, and (a, b, c) is one multiple
+of the general (a, b, nu a).  ``make_pair`` is the one constructor of a
+pair, whatever the variant.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -88,7 +90,7 @@ class Case4:
     p: tuple[complex, complex, complex]
 
 
-FamilyParams = Union[General, Case1, Case2, Case3, Case4]
+FamilyParams = General | Case1 | Case2 | Case3 | Case4
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,7 @@ def check_admissibility(params: FamilyParams) -> Admissibility:
     """
     if isinstance(params, General):
         lam = _effective(params.lam)
-        if lam == 0:
-            return Admissibility(True)
-        if not _is_imaginary(lam):
+        if lam == 0 or not _is_imaginary(lam):
             return Admissibility(True)
         s = abs(lam.imag)
         k = round(s / math.pi)
@@ -171,7 +171,9 @@ def check_admissibility(params: FamilyParams) -> Admissibility:
         if s < 2 * math.pi and params.alpha1 == 0 and _odd_integer_ratio(params.mu, lam):
             return Admissibility(True)
         return Admissibility(False, "non-removable singularity inside [-2,2]")
-    if isinstance(params, Case1):
+    if isinstance(params, Case3) and params.beta == 0:
+        return Admissibility(False, "case3 requires beta != 0")
+    if isinstance(params, (Case1, Case3, Case4)):
         return Admissibility(True)
     if isinstance(params, Case2):
         lam = complex(params.lam)
@@ -179,12 +181,6 @@ def check_admissibility(params: FamilyParams) -> Admissibility:
             return Admissibility(False, "lambda = 0 degenerates 1/sinh(lambda z/2)")
         if _is_imaginary(lam) and abs(lam.imag) >= math.pi - 1e-12:
             return Admissibility(False, "non-removable singularity inside [-2,2]")
-        return Admissibility(True)
-    if isinstance(params, Case3):
-        if params.beta == 0:
-            return Admissibility(False, "case3 requires beta != 0")
-        return Admissibility(True)
-    if isinstance(params, Case4):
         return Admissibility(True)
     raise TypeError(f"unknown params variant: {params!r}")
 
@@ -300,26 +296,30 @@ def _case1_kernel(m: int):
     return ExpPoly.cosh(1j * (2 * m + 1) * math.pi / 4.0), ExpPoly.sinh(1j * math.pi / 2.0, -1j)
 
 
-def _case1_triple(m: int, alpha: complex, beta: complex):
+def _case1_triple(alpha: complex, beta: complex, nu: float):
     lam = 1j * math.pi
     a = (
         ExpPoly.exponential(lam, (alpha,))
         + ExpPoly.exponential(-lam, (beta,))
         + ExpPoly.constant(alpha + beta)  # -e^{+-i pi} = +1
     )
-    nu = (math.pi**2 / 4.0) * ((2 * m + 1) ** 2 / 4.0 - 1.0)
-    return a, a.derivative(), nu
+    return a, a.derivative(), nu * a
 
 
 def _case1_parts(params: Case1):
-    num, den = _case1_kernel(params.m)
-    a, b, nu = _case1_triple(params.m, params.alpha, params.beta)
-    _assert_recovery_case1(params)
-    return num, den, (a, b, nu * a), nu
+    m, lam = params.m, 1j * math.pi
+    kernel = _case1_kernel(m)
+    nu = (math.pi**2 / 4.0) * ((2 * m + 1) ** 2 / 4.0 - 1.0)
+    general = General(lam=lam, mu=(2 * m + 1) / 4.0 * lam, alpha1=0.0, alpha2=1.0)
+    _assert_recovery("case1", kernel, _case1_triple(1.0, 1.0, nu), general, None)
+    return (*kernel, _case1_triple(params.alpha, params.beta, nu), nu)
 
 
 def _case2_triple(lam: complex, alpha: complex, beta: complex):
-    a0 = ExpPoly.cosh(lam) + ExpPoly.constant(-cmath.cosh(lam))
+    if abs(lam) < SERIES_RATE:
+        a0 = lam**2 * _general_coeffs(lam)[0]
+    else:
+        a0 = ExpPoly.cosh(lam) + ExpPoly.constant(-cmath.cosh(lam))
     a0p = a0.derivative()
     a = alpha * a0
     b = alpha * a0p + beta * a0
@@ -335,10 +335,17 @@ def _case2_parts(params: Case2):
         raise AdmissibilityError(adm.reason)
     if params.alpha == 0 and params.beta == 0:
         raise DegenerateError("alpha = beta = 0 gives the zero operator")
-    abc = _case2_triple(params.lam, params.alpha, params.beta)
-    nu = params.lam**2 / 4.0 if (params.beta == 0 and params.alpha != 0) else None
-    _assert_recovery_case2(params)
-    return ExpPoly.constant(1.0), ExpPoly.sinh(params.lam / 2.0), abc, nu
+    lam = params.lam
+    if abs(lam / 2.0) < SERIES_RATE:
+        # 1/sinh(lam z/2) = (1/lam) * the general kernel lam/sinh(lam z/2)
+        num, den = _general_kernel_parts(lam, 0.0, 0.0, 1.0)
+        num = (1.0 / lam) * num
+    else:
+        num, den = ExpPoly.constant(1.0), ExpPoly.sinh(lam / 2.0)
+    general = General(lam=lam, mu=0.0, alpha1=0.0, alpha2=1.0)
+    _assert_recovery("case2", (num, den), _case2_triple(lam, 1.0, 0.0), general, lam**2)
+    nu = lam**2 / 4.0 if (params.beta == 0 and params.alpha != 0) else None
+    return num, den, _case2_triple(lam, params.alpha, params.beta), nu
 
 
 def _case34_a(p):
@@ -359,16 +366,16 @@ def _case3_triple(beta: complex, p):
 
 
 def _case3_parts(params: Case3):
-    if params.beta == 0:
+    beta = params.beta
+    if beta == 0:
         raise ZeroDivisionError("case3 kernel 1/beta + 1/z requires beta != 0")
     p = _normalize_p(params.p)
     if p[1] != 0:
         raise InvalidPolynomialError("case3 requires p'(0) = 0")
-    abc = _case3_triple(params.beta, p)
-    nu = 0j if p[2] == 0 else None
-    _assert_recovery_case34(params)
-    num = ExpPoly.polynomial((1.0, 1.0 / params.beta))  # 1 + z/beta
-    return num, ExpPoly.polynomial((0.0, 1.0)), abc, nu
+    kernel = ExpPoly.polynomial((1.0, 1.0 / beta)), ExpPoly.polynomial((0.0, 1.0))  # 1/beta + 1/z
+    general = General(lam=0.0, mu=0.0, alpha1=1.0 / (2.0 * beta), alpha2=0.5)
+    _assert_recovery("case3", kernel, _case3_triple(beta, (1.0, 0.0, 0.0)), general, 2.0)
+    return (*kernel, _case3_triple(beta, p), 0j if p[2] == 0 else None)
 
 
 def _case4_triple(beta: complex, p):
@@ -380,18 +387,18 @@ def _case4_triple(beta: complex, p):
 
 def _case4_parts(params: Case4):
     p = _normalize_p(params.p)
-    abc = _case4_triple(params.beta, p)
+    kernel = ExpPoly.constant(1.0), ExpPoly.polynomial((0.0, 1.0))  # 1/z
+    general = General(lam=0.0, mu=0.0, alpha1=0.0, alpha2=0.5)
+    _assert_recovery("case4", kernel, _case4_triple(0.0, (1.0, 0.0, 0.0)), general, 2.0)
     nu = 0j if (p[1] == 0 and p[2] == 0 and params.beta == 0) else None
-    _assert_recovery_case34(params)
-    return ExpPoly.constant(1.0), ExpPoly.polynomial((0.0, 1.0)), abc, nu
+    return (*kernel, _case4_triple(params.beta, p), nu)
 
 
 def _normalize_p(p) -> tuple[complex, complex, complex]:
     coeffs = tuple(complex(v) for v in p)
     if len(coeffs) > 3 and any(c != 0 for c in coeffs[3:]):
         raise InvalidPolynomialError("p must have degree at most 2")
-    coeffs = (coeffs + (0j, 0j, 0j))[:3]
-    return coeffs
+    return (coeffs + (0j, 0j, 0j))[:3]
 
 
 _PARTS = {
@@ -415,86 +422,49 @@ def make_pair(params: FamilyParams) -> CommutingPair:
 
 
 # ---------------------------------------------------------------------------
-# recovery assertions: specialising each case reproduces the general family
+# recovery check: specialised, each special case reproduces the general family
 
 
 _RECOVERY_Y = np.array([-0.83, -0.31, 0.17, 0.52, 0.94])
 _RECOVERY_Z = np.array([-1.37, -0.42, 0.29, 0.88, 1.63])
 
 
-def _assert_proportional(fvals, gvals, what: str) -> None:
-    scale = max(np.max(np.abs(fvals)), 1e-30)
-    j = int(np.argmax(np.abs(gvals)))
-    if abs(gvals[j]) < 1e-14 * scale:
-        if np.max(np.abs(fvals)) > 1e-12 * scale:
-            raise AssertionError(f"recovery check failed for {what}")
-        return
-    factor = fvals[j] / gvals[j]
-    if np.max(np.abs(fvals - factor * gvals)) > 1e-10 * scale:
-        raise AssertionError(f"recovery check failed for {what}")
-
-
-def _kernel_samples(num: ExpPoly, den: ExpPoly, z):
-    return num(z) / den(z)
-
-
-def _assert_recovery_case1(params: Case1) -> None:
-    m = params.m
-    lam = 1j * math.pi
-    mu = (2 * m + 1) / 4.0 * lam
-    a_s, b_s, nu_s = _case1_triple(m, 1.0, 1.0)
-    a_g, b_g = _general_coeffs(lam)
-    _assert_proportional(a_s(_RECOVERY_Y), a_g(_RECOVERY_Y), "case1 a")
-    if abs(nu_s - _general_nu(lam, mu)) > 1e-10 * max(1.0, abs(nu_s)):
-        raise AssertionError("recovery check failed for case1 nu")
-    num_s, den_s = _case1_kernel(m)
-    num_g, den_g = _general_kernel_parts(lam, mu, 0.0, 1.0)
-    _assert_proportional(
-        _kernel_samples(num_s, den_s, _RECOVERY_Z),
-        _kernel_samples(num_g, den_g, _RECOVERY_Z),
-        "case1 kernel",
-    )
-
-
-def _assert_triple_recovery(special, general, factor: complex, case: str) -> None:
-    """special = factor * general for each of (a, b, c), relative to max |a_s|."""
-    y = _RECOVERY_Y
-    values = [f(y) for f in special]
-    scale = max(np.max(np.abs(values[0])), 1e-30)
-    for v, g, what in zip(values, general, "abc"):
-        if np.max(np.abs(v - factor * g(y))) > 1e-10 * scale:
+def _assert_multiples(case: str, rows, factor) -> None:
+    """special = factor * general to 1e-10 * weight of the first row's max
+    |special| in each row (what, special, general, weight); None fits factor."""
+    first, gvals = rows[0][1], rows[0][2]
+    scale = max(np.max(np.abs(first)), 1e-30)
+    if factor is None:
+        j = int(np.argmax(np.abs(gvals)))
+        if abs(gvals[j]) >= 1e-14 * scale:
+            factor = first[j] / gvals[j]
+        elif np.max(np.abs(first)) > 1e-12 * scale:
+            raise AssertionError(f"recovery check failed for {case} {rows[0][0]}")
+        else:
+            factor = 0.0
+    for what, special, general, weight in rows:
+        if np.max(np.abs(special - factor * general)) > 1e-10 * weight * scale:
             raise AssertionError(f"recovery check failed for {case} {what}")
 
 
-def _assert_recovery_case2(params: Case2) -> None:
-    lam = complex(params.lam)
-    a_s, b_s, c_s = _case2_triple(lam, 1.0, 0.0)
+def _assert_recovery(case: str, kernel, abc, general: General, factor) -> None:
+    """Specialised, a special case collapses onto the general family.
+
+    At fixed points its kernel N/D is a fitted multiple of ``general``'s,
+    and its (a, b, c) is ``factor`` (fitted from a when None) times
+    ``general``'s (a, b, nu*a), to 1e-10 of its largest |k| or |a|.  A
+    fitted c, case1's, holds to 1e-10 max(1, |nu|) |a| as its nu did:
+    c = nu*a carries a's rounding times |nu|, which grows as m^2.
+    """
+    y, z = _RECOVERY_Y, _RECOVERY_Z
+    (num, den), lam, mu = kernel, general.lam, general.mu
+    num_g, den_g = _general_kernel_parts(lam, mu, general.alpha1, general.alpha2)
+    _assert_multiples(case, [("kernel", num(z) / den(z), num_g(z) / den_g(z), 1.0)], None)
     a_g, b_g = _general_coeffs(lam)
-    c_g = _general_nu(lam, 0.0) * a_g
-    # a_s = lam^2 * a_g
-    _assert_triple_recovery((a_s, b_s, c_s), (a_g, b_g, c_g), lam**2, "case2")
-    num_g, den_g = _general_kernel_parts(lam, 0.0, 0.0, 1.0)
-    ks = 1.0 / ExpPoly.sinh(lam / 2.0)(_RECOVERY_Z)
-    _assert_proportional(ks, _kernel_samples(num_g, den_g, _RECOVERY_Z), "case2 kernel")
-
-
-def _assert_recovery_case34(params: Case3 | Case4) -> None:
-    if isinstance(params, Case3):
-        a_s, b_s, c_s = _case3_triple(params.beta, (1.0, 0.0, 0.0))
-        alpha1 = 1.0 / (2.0 * params.beta)
-    else:
-        a_s, b_s, c_s = _case4_triple(0.0, (1.0, 0.0, 0.0))
-        alpha1 = 0.0
-    a_g, b_g = _general_coeffs(0.0)
-    c_g = ExpPoly.zero()
-    _assert_triple_recovery((a_s, b_s, c_s), (a_g, b_g, c_g), 2.0, type(params).__name__)
-    num_g, den_g = _general_kernel_parts(0.0, 0.0, alpha1, 0.5)
-    z = _RECOVERY_Z
-    if isinstance(params, Case3):
-        ks = 1.0 / params.beta + 1.0 / z
-    else:
-        ks = 1.0 / z
-    _assert_proportional(ks, _kernel_samples(num_g, den_g, z), "case3/4 kernel")
+    nu = _general_nu(lam, mu)
+    weights = (1.0, 1.0, 1.0 if factor is not None else max(1.0, abs(nu)))
+    rows = zip("abc", (f(y) for f in abc), (a_g(y), b_g(y), nu * a_g(y)), weights)
+    _assert_multiples(case, list(rows), factor)
 
 
 # ---------------------------------------------------------------------------
@@ -550,53 +520,40 @@ def _j2c(value) -> complex:
     return complex(value[0], value[1])
 
 
+_WIRE_NAMES = {General: "general", Case1: "case1", Case2: "case2", Case3: "case3", Case4: "case4"}
+_WIRE_KEYS = {"lam": "lambda"}  # other fields keep their names
+
+
 def params_to_json(params: FamilyParams) -> dict:
-    if isinstance(params, General):
-        return {
-            "variant": "general",
-            "lambda": _c2j(params.lam),
-            "mu": _c2j(params.mu),
-            "alpha1": _c2j(params.alpha1),
-            "alpha2": _c2j(params.alpha2),
-        }
-    if isinstance(params, Case1):
-        return {"variant": "case1", "m": params.m, "alpha": _c2j(params.alpha), "beta": _c2j(params.beta)}
-    if isinstance(params, Case2):
-        return {
-            "variant": "case2",
-            "lambda": _c2j(params.lam),
-            "alpha": _c2j(params.alpha),
-            "beta": _c2j(params.beta),
-        }
-    if isinstance(params, (Case3, Case4)):
-        return {
-            "variant": "case3" if isinstance(params, Case3) else "case4",
-            "beta": _c2j(params.beta),
-            "p": [_c2j(c) for c in params.p],
-        }
-    raise TypeError(f"unknown params variant: {params!r}")
+    if type(params) not in _WIRE_NAMES:
+        raise TypeError(f"unknown params variant: {params!r}")
+    obj = {"variant": _WIRE_NAMES[type(params)]}
+    for field in dataclasses.fields(params):
+        value = getattr(params, field.name)
+        if field.name == "p":
+            value = [_c2j(c) for c in value]
+        elif field.name != "m":
+            value = _c2j(value)
+        obj[_WIRE_KEYS.get(field.name, field.name)] = value
+    return obj
 
 
 def params_from_json(obj: dict) -> FamilyParams:
     if not isinstance(obj, dict):
         raise ValueError(f"params must be a JSON object, got {obj!r}")
     variant = obj.get("variant")
-    if variant == "general":
-        return General(
-            lam=_j2c(obj["lambda"]),
-            mu=_j2c(obj["mu"]),
-            alpha1=_j2c(obj["alpha1"]),
-            alpha2=_j2c(obj["alpha2"]),
-        )
-    if variant == "case1":
-        m = obj["m"]
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise ValueError(f"m must be an integer, got {m!r}")
-        return Case1(m=m, alpha=_j2c(obj["alpha"]), beta=_j2c(obj["beta"]))
-    if variant == "case2":
-        return Case2(lam=_j2c(obj["lambda"]), alpha=_j2c(obj["alpha"]), beta=_j2c(obj["beta"]))
-    if variant in ("case3", "case4"):
-        p = tuple(_j2c(c) for c in obj["p"])
-        cls = Case3 if variant == "case3" else Case4
-        return cls(beta=_j2c(obj["beta"]), p=_normalize_p(p))
-    raise ValueError(f"unknown variant {variant!r}")
+    cls = next((c for c, name in _WIRE_NAMES.items() if name == variant), None)
+    if cls is None:
+        raise ValueError(f"unknown variant {variant!r}")
+    values = {}
+    for field in dataclasses.fields(cls):
+        value = obj[_WIRE_KEYS.get(field.name, field.name)]
+        if field.name == "m":
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"m must be an integer, got {value!r}")
+        elif field.name == "p":
+            value = _normalize_p(tuple(_j2c(c) for c in value))
+        else:
+            value = _j2c(value)
+        values[field.name] = value
+    return cls(**values)

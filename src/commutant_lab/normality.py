@@ -38,9 +38,6 @@ from .residuals import chebyshev_points
 
 INTERIOR_DELTA = 1e-2
 INTERIOR_POINTS = 21
-# grid size and top Legendre degree of selfadjoint_matrix_defect
-MATRIX_N = 48
-MATRIX_KMAX = 16
 _TINY = 1e-300
 
 
@@ -206,23 +203,3 @@ def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
         normal=bool(normal),
         condition_residuals=res,
     )
-
-
-def selfadjoint_matrix_defect(op: DiffOp) -> float:
-    """Weighted-collocation symmetry defect of L on the low Legendre modes.
-
-    Assembles B[p,q] = <L phi_q, phi_p> with quadrature-weighted inner
-    products over the grid's orthonormal Legendre polynomials
-    (``Grid.legendre``) up to degree MATRIX_KMAX on the
-    MATRIX_N-point grid (well inside the rule's exactness range, so
-    boundary terms vanish exactly through the operator's own boundary
-    conditions) and returns the relative anti-Hermitian part of B.
-    """
-    from .discretize import build_grid, collocation_L
-
-    grid = build_grid(MATRIX_N)
-    Phi = grid.legendre[:, : MATRIX_KMAX + 1]
-    Lm = collocation_L(op, grid).entries
-    B = (Phi.conj().T * grid.weights[None, :]) @ (Lm @ Phi)
-    defect = np.linalg.norm(B - B.conj().T)
-    return float(defect / (np.linalg.norm(B) + _TINY))

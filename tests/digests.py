@@ -2,10 +2,11 @@
 
 Runs the commands of ``bench/workloads.py`` (loaded read-only, not imported
 as a package) through ``cli.main`` in one process, job after job as the
-benchmark does: certify jobs 0-47 at n = 64 and spectral jobs 0-23 at
-n = 256, seeds 1-2, with BLAS on one thread.  It writes one JSON object
-that maps each output file (``certify/1/0/pair/report.json``) to the sha256
-of its bytes and each call (``certify/1/0/pair/exit``) to its exit code.
+benchmark does: certify jobs 0-47 at n = 64, spectral jobs 0-23 at
+n = 256 and sweep jobs 0-23, seeds 1-2, with BLAS on one thread.  It
+writes one JSON object that maps each output file
+(``certify/1/0/pair/report.json``) to the sha256 of its bytes and each
+call (``certify/1/0/pair/exit``) to its exit code.
 A change meant to keep every output byte is checked by running it on both
 trees, with this script from either one, and comparing the two files:
 
@@ -39,7 +40,7 @@ from pathlib import Path
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 SEEDS = (1, 2)
 # workload -> number of jobs per seed
-JOBS = {"certify": 48, "spectral": 24}
+JOBS = {"certify": 48, "spectral": 24, "sweep": 24}
 
 
 def _workloads():

@@ -386,9 +386,10 @@ def test_cold_pole_commutator_evaluates_the_kernel_once(tmp_path, monkeypatch, c
 
 def test_digests_are_reproducible(cold_memo):
     # one job per workload: every output file and every exit code, twice
-    jobs = {"certify": 1, "spectral": 1}
+    jobs = {"certify": 1, "spectral": 1, "sweep": 1}
     first = digests.digests(seeds=(1,), jobs=jobs)
-    assert len(first) == 25  # 18 for the five certify calls, 7 for the two spectral
+    # 18 for the five certify calls, 7 for the two spectral, 4 for sweep
+    assert len(first) == 29
     assert {v for k, v in first.items() if k.endswith("/exit")} <= {0, 1}
     assert digests.digests(seeds=(1,), jobs=jobs) == first
 
@@ -433,10 +434,10 @@ def test_inadmissible_params_exit_1_after_warm_memo(tmp_path, command):
 
 
 def test_smallest_grid_modes_fail_cleanly(tmp_path, monkeypatch, capsys, cold_memo):
-    # m <= n passes the config check, but m pv modes cannot be normalized
-    # over fewer than m interior nodes: a config error, exit 2, with the
-    # interior node count, before any grid or matrix is built and without a
-    # report; an analytic pair keeps the m <= n rule
+    # m pv modes cannot be normalized over fewer than m interior nodes,
+    # even with m <= n: a config error, exit 2, with the interior node
+    # count, before any grid or matrix is built and without a report; an
+    # analytic pair keeps the m <= n rule
     def no_grid(n):
         raise AssertionError("built a grid")
 
@@ -448,6 +449,9 @@ def test_smallest_grid_modes_fail_cleanly(tmp_path, monkeypatch, capsys, cold_me
         assert main(["spectrum", "--config", cfg, "--out", str(out), "--quiet"]) == 2
         assert f"m = {m} exceeds the {n - 2} interior nodes of n = {n}" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+    cfg = write_config(tmp_path / "cfg.json", params=SINC, n=4, m=5)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "over"), "--quiet"]) == 2
+    assert "m = 5 exceeds the grid size n = 4" in capsys.readouterr().err
     monkeypatch.undo()
     cfg = write_config(tmp_path / "cfg.json", params=SINC, n=4, m=4)
     out = tmp_path / "analytic"

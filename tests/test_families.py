@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -12,11 +13,14 @@ from commutant_lab import (
     Case3,
     Case4,
     DegenerateError,
+    ExpPoly,
     General,
     InvalidPolynomialError,
     PoleError,
     check_admissibility,
     classify_trivial,
+    cli,
+    families,
     gauge_transform,
     kernel_values,
     make_pair,
@@ -218,6 +222,65 @@ def test_recovery_clauses_pointwise():
         np.testing.assert_allclose(np.asarray(f(y)), 2 * np.asarray(g(y)), atol=1e-12)
     z = 0.8
     assert kernel_values(c3.kernel, z)[0] == pytest.approx(kernel_values(gen0.kernel, z)[0])
+
+
+# 1e-6 y in a triple, or 1e-6 z in a kernel numerator
+_PERTURBATION = ExpPoly.polynomial((0.0, 1e-6))
+_SPECIAL = {
+    "case1": Case1(m=1, alpha=0.3 + 0.2j, beta=1.1),
+    "case2": Case2(lam=1.0 + 0.8j, alpha=0.5j, beta=0.7),
+    "case3": Case3(beta=0.8 - 0.3j, p=(1.0, 0.0, 0.4)),
+    "case4": Case4(beta=0.7, p=(0.2, -0.5, 1.1)),
+}
+
+
+@pytest.mark.parametrize("what", "abc")
+@pytest.mark.parametrize("case", sorted(_SPECIAL))
+def test_recovery_check_catches_a_perturbed_triple(monkeypatch, case, what):
+    # 1e-6 y on one of a, b, c is 1e4 times the check's relative tolerance
+    builder = f"_{case}_triple"
+    original = getattr(families, builder)
+
+    def perturbed(*args):
+        triple = list(original(*args))
+        triple["abc".index(what)] += _PERTURBATION
+        return tuple(triple)
+
+    monkeypatch.setattr(families, builder, perturbed)
+    with pytest.raises(AssertionError, match=f"recovery check failed for {case} {what}$"):
+        make_pair(_SPECIAL[case])
+
+
+def test_recovery_check_catches_a_perturbed_case1_kernel(monkeypatch):
+    original = families._case1_kernel
+
+    def perturbed(m):
+        num, den = original(m)
+        return num + _PERTURBATION, den
+
+    monkeypatch.setattr(families, "_case1_kernel", perturbed)
+    with pytest.raises(AssertionError, match="recovery check failed for case1 kernel"):
+        make_pair(_SPECIAL["case1"])
+
+
+@pytest.mark.parametrize("m", [1000, 10**5])
+def test_case1_recovery_holds_for_large_m(m):
+    # case1's c = nu*a carries a's rounding times |nu| ~ m^2, so its c is
+    # compared relative to max(1, |nu|)
+    pair = make_pair(Case1(m=m, alpha=0.3 + 0.2j, beta=1.1))
+    assert pair.nu == pytest.approx((np.pi**2 / 4) * ((2 * m + 1) ** 2 / 4 - 1))
+
+
+@pytest.mark.parametrize("lam", [1e-5, 1e-3, 1e-3j, 0.05])
+def test_small_rate_case2_builds_and_verifies(tmp_path, lam):
+    # below SERIES_RATE case2 takes the general family's Taylor forms: the
+    # exponential forms of cosh(lam y) - cosh(lam) and sinh(lam z/2) cancel
+    pair = make_pair(Case2(lam=lam, alpha=0.7, beta=0.3j))
+    rep = residual_R1(pair)
+    assert rep.max_abs <= 1e-9 * rep.scale
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params_to_json(pair.params)}))
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
 
 
 # ---------------------------------------------------------------------------
