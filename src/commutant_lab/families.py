@@ -12,8 +12,8 @@ coefficient triple
     c(y) = (lambda^2/4 - mu^2) a(y).
 
 Four special parameter choices admit strictly larger commuting operators;
-their parts reproduce the corresponding closed forms (case2 in the general
-family's Taylor forms below SERIES_RATE) and assert, at construction time,
+their parts reproduce the corresponding closed forms (case2 small lambda
+in the general family's Taylor forms) and assert, at construction time,
 that the stated parameter specialisation collapses them back onto the
 general family: the kernels are proportional, and (a, b, c) is one multiple
 of the general (a, b, nu a).  ``make_pair`` is the one constructor of a
@@ -316,7 +316,7 @@ def _case1_parts(params: Case1):
 
 
 def _case2_triple(lam: complex, alpha: complex, beta: complex):
-    if abs(lam) < SERIES_RATE:
+    if abs(lam) < SERIES_RATE:  # cosh(lam y) - cosh(lam) cancels in exponential form
         a0 = lam**2 * _general_coeffs(lam)[0]
     else:
         a0 = ExpPoly.cosh(lam) + ExpPoly.constant(-cmath.cosh(lam))
@@ -336,13 +336,20 @@ def _case2_parts(params: Case2):
     if params.alpha == 0 and params.beta == 0:
         raise DegenerateError("alpha = beta = 0 gives the zero operator")
     lam = params.lam
+    general = General(lam=lam, mu=0.0, alpha1=0.0, alpha2=1.0)
     if abs(lam / 2.0) < SERIES_RATE:
-        # 1/sinh(lam z/2) = (1/lam) * the general kernel lam/sinh(lam z/2)
-        num, den = _general_kernel_parts(lam, 0.0, 0.0, 1.0)
-        num = (1.0 / lam) * num
+        # sinh(lam z/2) cancels in exponential form: the kernel (below
+        # SERIES_RATE a0 too) is the general family's own form, so the closed
+        # form, evaluated where it does not cancel, is compared with it too
+        def a0(y):  # cosh(lam y) - cosh(lam)
+            return 2.0 * np.sinh(lam * (y + 1.0) / 2.0) * np.sinh(lam * (y - 1.0) / 2.0)
+
+        closed = (a0, lambda y: lam * np.sinh(lam * y), lambda y: lam**2 / 4.0 * a0(y))
+        kernel = (np.ones_like, lambda z: np.sinh(lam * z / 2.0))
+        _assert_recovery("case2 closed form", kernel, closed, general, lam**2)
+        num, den = ExpPoly.constant(2.0 / lam), _sinh_over_rate(lam / 2.0)
     else:
         num, den = ExpPoly.constant(1.0), ExpPoly.sinh(lam / 2.0)
-    general = General(lam=lam, mu=0.0, alpha1=0.0, alpha2=1.0)
     _assert_recovery("case2", (num, den), _case2_triple(lam, 1.0, 0.0), general, lam**2)
     nu = lam**2 / 4.0 if (params.beta == 0 and params.alpha != 0) else None
     return num, den, _case2_triple(lam, params.alpha, params.beta), nu

@@ -9,7 +9,10 @@ from commutant_lab import (
     Case2,
     Case3,
     Case4,
+    DiffOp,
     General,
+    build_grid,
+    collocation_L,
     make_pair,
 )
 
@@ -32,6 +35,29 @@ class CallableCoeff:
 
     def __rmul__(self, scalar: complex) -> "CallableCoeff":
         return CallableCoeff(tuple(lambda y, f=f: scalar * f(y) for f in self.derivs))
+
+
+# grid size and top Legendre degree of selfadjoint_matrix_defect
+MATRIX_N = 48
+MATRIX_KMAX = 16
+
+
+def selfadjoint_matrix_defect(op: DiffOp) -> float:
+    """Weighted-collocation symmetry defect of L on the low Legendre modes.
+
+    A reference for ``is_selfadjoint``: assembles B[p,q] = <L phi_q, phi_p>
+    with quadrature-weighted inner products over the grid's orthonormal
+    Legendre polynomials (``Grid.legendre``) up to degree MATRIX_KMAX on the
+    MATRIX_N-point grid (well inside the rule's exactness range, so
+    boundary terms vanish exactly through the operator's own boundary
+    conditions) and returns the relative anti-Hermitian part of B.
+    """
+    grid = build_grid(MATRIX_N)
+    Phi = grid.legendre[:, : MATRIX_KMAX + 1]
+    Lm = collocation_L(op, grid).entries
+    B = (Phi.conj().T * grid.weights[None, :]) @ (Lm @ Phi)
+    defect = np.linalg.norm(B - B.conj().T)
+    return float(defect / (np.linalg.norm(B) + 1e-300))
 
 
 SINC_PARAMS = General(lam=0.0, mu=1j * np.pi / 2, alpha1=1.0, alpha2=0.0)

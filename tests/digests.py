@@ -3,10 +3,11 @@
 Runs the commands of ``bench/workloads.py`` (loaded read-only, not imported
 as a package) through ``cli.main`` in one process, job after job as the
 benchmark does: certify jobs 0-47 at n = 64, spectral jobs 0-23 at
-n = 256 and sweep jobs 0-23, seeds 1-2, with BLAS on one thread.  It
-writes one JSON object that maps each output file
-(``certify/1/0/pair/report.json``) to the sha256 of its bytes and each
-call (``certify/1/0/pair/exit``) to its exit code.
+n = 256 and sweep jobs 0-23, seeds 1-2, and the case2 draws with small
+lambda in ``SMALL_RATE``, with BLAS on one thread.  It writes one JSON
+object that maps each output file (``certify/1/0/pair/report.json``) to
+the sha256 of its bytes and each call (``certify/1/0/pair/exit``) to its
+exit code.
 A change meant to keep every output byte is checked by running it on both
 trees, with this script from either one, and comparing the two files:
 
@@ -41,6 +42,13 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 SEEDS = (1, 2)
 # workload -> number of jobs per seed
 JOBS = {"certify": 48, "spectral": 24, "sweep": 24}
+# (workload, seed, job) of case2 draws beyond JOBS where case2 is built from
+# the general family's Taylor forms: its kernel for |lambda| < 0.2 (job 111
+# of seed 1 draws |lambda| = 0.18), and a too for |lambda| < 0.1 (job 465 of
+# seed 2 draws 0.065).  Jobs 0-47 draw no case2 lambda that small.
+SMALL_RATE = tuple(
+    (w, seed, i) for w in ("certify", "spectral") for seed, i in ((1, 111), (2, 465))
+)
 
 
 def _workloads():
@@ -50,24 +58,24 @@ def _workloads():
     return module
 
 
-def digests(seeds=SEEDS, jobs=JOBS) -> dict[str, str | int]:
-    """sha256 of every output file and the exit code of every call, by path."""
+def digests(seeds=SEEDS, jobs=JOBS, extra=()) -> dict[str, str | int]:
+    """sha256 of every output file and the exit code of every call, by path,
+    over jobs 0..count-1 of each seed and the (workload, seed, job) in extra."""
     from commutant_lab import cli  # here, so --compare runs without the package
 
     workloads = _workloads()
+    runs = [(w, seed, i) for w, count in jobs.items() for seed in seeds for i in range(count)]
     out: dict[str, str | int] = {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for workload, count in jobs.items():
-            for seed in seeds:
-                for i in range(count):
-                    jobdir = root / workload / str(seed) / str(i)
-                    jobdir.mkdir(parents=True)
-                    config = jobdir / "config.json"
-                    config.write_text(json.dumps(workloads.job_config(workload, seed, i)))
-                    for cmd, argv in workloads.job_argvs(workload, config, jobdir):
-                        with contextlib.redirect_stderr(io.StringIO()):
-                            out[f"{workload}/{seed}/{i}/{cmd}/exit"] = cli.main(argv)
+        for workload, seed, i in runs + list(extra):
+            jobdir = root / workload / str(seed) / str(i)
+            jobdir.mkdir(parents=True)
+            config = jobdir / "config.json"
+            config.write_text(json.dumps(workloads.job_config(workload, seed, i)))
+            for cmd, argv in workloads.job_argvs(workload, config, jobdir):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    out[f"{workload}/{seed}/{i}/{cmd}/exit"] = cli.main(argv)
         for path in sorted(root.rglob("*")):
             if path.is_file() and path.name != "config.json":
                 out[path.relative_to(root).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -99,7 +107,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(f"usage: {sys.argv[0]} OUT.json | --compare A.json B.json", file=sys.stderr)
         return 2
-    result = digests()
+    result = digests(extra=SMALL_RATE)
     Path(argv[0]).write_text(json.dumps(result, indent=0, sort_keys=True) + "\n")
     print(f"{len(result)} digests and exit codes written to {argv[0]}")
     return 0

@@ -43,8 +43,7 @@ from commutant_lab import (
     taylor_relation_check,
 )
 from commutant_lab.cli import main as cli_main
-from conftest import CallableCoeff
-from test_normality import selfadjoint_matrix_defect
+from conftest import CallableCoeff, selfadjoint_matrix_defect
 
 SINC = General(lam=0.0, mu=1j * np.pi / 2, alpha1=1.0, alpha2=0.0)
 ANALYTIC = General(lam=1.0, mu=2.0, alpha1=1.0, alpha2=0.0)

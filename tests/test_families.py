@@ -229,15 +229,20 @@ _PERTURBATION = ExpPoly.polynomial((0.0, 1e-6))
 _SPECIAL = {
     "case1": Case1(m=1, alpha=0.3 + 0.2j, beta=1.1),
     "case2": Case2(lam=1.0 + 0.8j, alpha=0.5j, beta=0.7),
+    # below SERIES_RATE, and below 2 SERIES_RATE for its kernel, case2 is
+    # built from the general family's Taylor forms
+    "case2-small": Case2(lam=0.05, alpha=0.5j, beta=0.7),
+    "case2-tiny": Case2(lam=1e-5j, alpha=0.5j, beta=0.7),
     "case3": Case3(beta=0.8 - 0.3j, p=(1.0, 0.0, 0.4)),
     "case4": Case4(beta=0.7, p=(0.2, -0.5, 1.1)),
 }
 
 
 @pytest.mark.parametrize("what", "abc")
-@pytest.mark.parametrize("case", sorted(_SPECIAL))
-def test_recovery_check_catches_a_perturbed_triple(monkeypatch, case, what):
+@pytest.mark.parametrize("key", sorted(_SPECIAL))
+def test_recovery_check_catches_a_perturbed_triple(monkeypatch, key, what):
     # 1e-6 y on one of a, b, c is 1e4 times the check's relative tolerance
+    case = key.split("-")[0]
     builder = f"_{case}_triple"
     original = getattr(families, builder)
 
@@ -248,7 +253,7 @@ def test_recovery_check_catches_a_perturbed_triple(monkeypatch, case, what):
 
     monkeypatch.setattr(families, builder, perturbed)
     with pytest.raises(AssertionError, match=f"recovery check failed for {case} {what}$"):
-        make_pair(_SPECIAL[case])
+        make_pair(_SPECIAL[key])
 
 
 def test_recovery_check_catches_a_perturbed_case1_kernel(monkeypatch):
@@ -263,6 +268,32 @@ def test_recovery_check_catches_a_perturbed_case1_kernel(monkeypatch):
         make_pair(_SPECIAL["case1"])
 
 
+@pytest.mark.parametrize("key", ["case2-small", "case2-tiny"])
+@pytest.mark.parametrize("what", ["a", "kernel"])
+def test_case2_recovery_catches_a_perturbed_general_family(monkeypatch, key, what):
+    # where case2 takes the general family's own forms, a fault in those
+    # forms moves both sides of the comparison with the general family; its
+    # closed form, evaluated without cancellation, still tells them apart.
+    # 1e-6 z^3 in sinh(rate z)/rate is not a multiple of it
+    if what == "a":
+        original = families._general_coeffs
+
+        def perturbed(lam):
+            a, b = original(lam)
+            return a + _PERTURBATION, b + _PERTURBATION.derivative()
+
+        monkeypatch.setattr(families, "_general_coeffs", perturbed)
+    else:
+        original = families._sinh_over_rate
+
+        def perturbed(rate, scale=1.0):
+            return original(rate, scale) + ExpPoly.polynomial((0.0, 0.0, 0.0, 1e-6 * scale))
+
+        monkeypatch.setattr(families, "_sinh_over_rate", perturbed)
+    with pytest.raises(AssertionError, match="recovery check failed for case2"):
+        make_pair(_SPECIAL[key])
+
+
 @pytest.mark.parametrize("m", [1000, 10**5])
 def test_case1_recovery_holds_for_large_m(m):
     # case1's c = nu*a carries a's rounding times |nu| ~ m^2, so its c is
@@ -271,10 +302,11 @@ def test_case1_recovery_holds_for_large_m(m):
     assert pair.nu == pytest.approx((np.pi**2 / 4) * ((2 * m + 1) ** 2 / 4 - 1))
 
 
-@pytest.mark.parametrize("lam", [1e-5, 1e-3, 1e-3j, 0.05])
+@pytest.mark.parametrize("lam", [1.1e-6, 1e-5, 1e-3, 1e-3j, 0.05])
 def test_small_rate_case2_builds_and_verifies(tmp_path, lam):
     # below SERIES_RATE case2 takes the general family's Taylor forms: the
-    # exponential forms of cosh(lam y) - cosh(lam) and sinh(lam z/2) cancel
+    # exponential forms of cosh(lam y) - cosh(lam) and sinh(lam z/2) cancel.
+    # With a0 alone in Taylor form, lam = 1.1e-6 fails the kernel comparison
     pair = make_pair(Case2(lam=lam, alpha=0.7, beta=0.3j))
     rep = residual_R1(pair)
     assert rep.max_abs <= 1e-9 * rep.scale

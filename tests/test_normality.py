@@ -11,8 +11,6 @@ from commutant_lab import (
     DiffOp,
     ExpPoly,
     adjoint_coeffs,
-    build_grid,
-    collocation_L,
     commute_conditions,
     interior_points,
     is_normal,
@@ -20,35 +18,12 @@ from commutant_lab import (
     make_pair,
     reportio,
 )
-from conftest import CallableCoeff
+from conftest import CallableCoeff, selfadjoint_matrix_defect
 
 
 def coeffs_close(f, g, tol=1e-12):
     y = interior_points()
     return float(np.max(np.abs(np.asarray(f(y)) - np.asarray(g(y))))) <= tol
-
-
-# grid size and top Legendre degree of selfadjoint_matrix_defect
-MATRIX_N = 48
-MATRIX_KMAX = 16
-
-
-def selfadjoint_matrix_defect(op: DiffOp) -> float:
-    """Weighted-collocation symmetry defect of L on the low Legendre modes.
-
-    A reference for ``is_selfadjoint``: assembles B[p,q] = <L phi_q, phi_p>
-    with quadrature-weighted inner products over the grid's orthonormal
-    Legendre polynomials (``Grid.legendre``) up to degree MATRIX_KMAX on the
-    MATRIX_N-point grid (well inside the rule's exactness range, so
-    boundary terms vanish exactly through the operator's own boundary
-    conditions) and returns the relative anti-Hermitian part of B.
-    """
-    grid = build_grid(MATRIX_N)
-    Phi = grid.legendre[:, : MATRIX_KMAX + 1]
-    Lm = collocation_L(op, grid).entries
-    B = (Phi.conj().T * grid.weights[None, :]) @ (Lm @ Phi)
-    defect = np.linalg.norm(B - B.conj().T)
-    return float(defect / (np.linalg.norm(B) + 1e-300))
 
 
 def legendre_op():
