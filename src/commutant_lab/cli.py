@@ -37,7 +37,6 @@ from .families import (
     CommutingPair,
     FamilyParams,
     General,
-    check_admissibility,
     classify_trivial,
     make_pair,
     params_from_json,
@@ -186,17 +185,19 @@ def _sample_kernel(pair: CommutingPair):
 
 def cmd_pair(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary) -> dict:
     params = _require_params(cfg)
-    adm = check_admissibility(params)
-    summary.add("admissible", 0.0 if adm.ok else 1.0, 0.5)
+    try:
+        pair, reason = _build_pair(params), ""
+    except CommutantError as exc:  # a refusal is a failing check with its reason
+        pair, reason = None, str(exc)
+    summary.add("admissible", 1.0 if pair is None else 0.0, 0.5)
     report: dict = {
         "params": params_to_json(params),
-        "admissible": adm.ok,
-        "reason": adm.reason,
+        "admissible": pair is not None,
+        "reason": reason,
         "trivial": classify_trivial(params),
     }
-    if not adm.ok:
+    if pair is None:
         return report
-    pair = _build_pair(params)
     bres = pair.op.boundary_residual()
     summary.add("boundary_abs", bres, cfg.tol("boundary_abs"))
     report["boundary_residual"] = bres
@@ -373,14 +374,14 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summar
         a1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         a2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if accepted % 2 == 0 else 0j
         params = General(lam=lam, mu=mu, alpha1=a1, alpha2=a2)
-        adm = check_admissibility(params)
-        if not adm.ok:
-            rejections.append({"attempt": attempts, "reason": adm.reason})
+        try:
+            pair = make_pair(params)
+        except CommutantError as exc:
+            rejections.append({"attempt": attempts, "reason": str(exc)})
             continue
         if classify_trivial(params):
             rejections.append({"attempt": attempts, "reason": "trivial kernel"})
             continue
-        pair = make_pair(params)
         rep = residual_R1(pair)
         rel = rep.max_abs / max(rep.scale, 1e-300)
         draw = (accepted, lam.real, lam.imag, mu.real, mu.imag, a1.real, a1.imag, a2.real, a2.imag)
@@ -424,7 +425,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.command)
         outdir = Path(args.out if args.out is not None else cfg.output_path)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
         summary = reportio.Summary()
         body = COMMANDS[args.command](cfg, outdir, args.dump, summary)
     except ConfigError as exc:

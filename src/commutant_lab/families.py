@@ -17,7 +17,10 @@ in the general family's Taylor forms) and assert, at construction time,
 that the stated parameter specialisation collapses them back onto the
 general family: the kernels are proportional, and (a, b, c) is one multiple
 of the general (a, b, nu a).  ``make_pair`` is the one constructor of a
-pair, whatever the variant.
+pair, whatever the variant, and the one judge of its parameters: the
+variant's parts refuse a singular kernel, lambda = 0 in case2, beta = 0
+or p'(0) != 0 in case3, and make_pair a zero kernel or a zero operator,
+each with a ``CommutantError``; ``check_admissibility`` asks it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import ExpPoly
-from .errors import AdmissibilityError, DegenerateError, InvalidPolynomialError
+from .errors import AdmissibilityError, CommutantError, DegenerateError, InvalidPolynomialError
 from .kernels import KernelSpec, build_kernel
 
 DEGENERACY_THRESHOLD = 1e-6
@@ -137,52 +140,24 @@ def _is_imaginary(lam: complex) -> bool:
     return abs(lam.real) <= 1e-12 * max(1.0, abs(lam))
 
 
-def _odd_integer_ratio(mu: complex, lam: complex) -> bool:
-    """True when 4*mu/lam is an odd integer (mu = lambda*(2m+1)/4)."""
-    if lam == 0:
-        return False
-    r = 4.0 * mu / lam
+def _integer_ratio(num: complex, den: complex) -> int | None:
+    """num/den as an integer, when it is one to 1e-9; None when den = 0."""
+    if den == 0:
+        return None
+    r = num / den
     if abs(r.imag) > 1e-9:
-        return False
+        return None
     n = round(r.real)
-    return abs(r.real - n) < 1e-9 and n % 2 != 0
+    return n if abs(r.real - n) < 1e-9 else None
 
 
 def check_admissibility(params: FamilyParams) -> Admissibility:
-    """Screen parameters whose kernel would be singular inside [-2,2]\\{0}.
-
-    For purely imaginary lambda, the denominator sinh(lambda z/2) has real
-    zeros at +-2*pi/|lambda|; these stay outside [-2,2] iff |lambda| < pi,
-    or are cancelled by the numerator iff alpha1 = 0 and mu is an odd
-    quarter multiple of lambda (the pi <= |lambda| < 2*pi window).
-    """
-    if isinstance(params, General):
-        lam = _effective(params.lam)
-        if lam == 0 or not _is_imaginary(lam):
-            return Admissibility(True)
-        s = abs(lam.imag)
-        k = round(s / math.pi)
-        if k != 0 and abs(s - k * math.pi) < 1e-9:
-            return Admissibility(
-                False, "lambda in pi*i*Z excluded for the general family (use case1)"
-            )
-        if s < math.pi:
-            return Admissibility(True)
-        if s < 2 * math.pi and params.alpha1 == 0 and _odd_integer_ratio(params.mu, lam):
-            return Admissibility(True)
-        return Admissibility(False, "non-removable singularity inside [-2,2]")
-    if isinstance(params, Case3) and params.beta == 0:
-        return Admissibility(False, "case3 requires beta != 0")
-    if isinstance(params, (Case1, Case3, Case4)):
-        return Admissibility(True)
-    if isinstance(params, Case2):
-        lam = complex(params.lam)
-        if abs(lam) < DEGENERACY_THRESHOLD:
-            return Admissibility(False, "lambda = 0 degenerates 1/sinh(lambda z/2)")
-        if _is_imaginary(lam) and abs(lam.imag) >= math.pi - 1e-12:
-            return Admissibility(False, "non-removable singularity inside [-2,2]")
-        return Admissibility(True)
-    raise TypeError(f"unknown params variant: {params!r}")
+    """Whether ``make_pair`` builds ``params``, with its refusal's reason if not."""
+    try:
+        make_pair(params)
+    except CommutantError as exc:
+        return Admissibility(False, str(exc))
+    return Admissibility(True)
 
 
 def classify_trivial(params: FamilyParams) -> bool:
@@ -195,23 +170,10 @@ def classify_trivial(params: FamilyParams) -> bool:
     leaves the constant 2*alpha1.  Any alpha2 != 0 keeps a simple pole,
     which no exponential polynomial has.
     """
-    if not isinstance(params, General):
+    if not isinstance(params, General) or params.alpha2 != 0 or params.alpha1 == 0:
         return False
-    if params.alpha2 != 0:
-        return False
-    if params.alpha1 == 0:
-        return False
-    lam = _effective(params.lam)
-    mu = _effective(params.mu)
-    if lam == 0 and mu == 0:
-        return True
-    if lam == 0:
-        return False
-    r = 2.0 * mu / lam
-    if abs(r.imag) > 1e-9:
-        return False
-    n = round(r.real)
-    return n != 0 and abs(r.real - n) < 1e-9
+    lam, mu = _effective(params.lam), _effective(params.mu)
+    return (lam == 0 and mu == 0) or _integer_ratio(2.0 * mu, lam) not in (None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +237,28 @@ def _general_nu(lam: complex, mu: complex) -> complex:
 
 # ---------------------------------------------------------------------------
 # constructors: each variant's parts function validates its parameters and
-# returns (N, D, (a, b, c), nu); make_pair assembles the pair from them
+# returns (N, D, (a, b, c), nu); make_pair refuses a zero N or (a, b, c)
+# and assembles the pair from them
 
 
 def _general_parts(params: General):
-    """The general family, taking limits for small lambda/mu."""
-    if params.alpha1 == 0 and params.alpha2 == 0:
-        raise DegenerateError("alpha1 = alpha2 = 0 gives the zero kernel")
-    adm = check_admissibility(params)
-    if not adm.ok:
-        raise AdmissibilityError(adm.reason)
+    """The general family, taking limits for small lambda/mu.
+
+    Refuses a kernel singular inside [-2,2]\\{0}: for purely imaginary
+    lambda, the denominator sinh(lambda z/2) has real zeros at
+    +-2*pi/|lambda|; these stay outside [-2,2] iff |lambda| < pi, or are
+    cancelled by the numerator iff alpha1 = 0 and mu is an odd quarter
+    multiple of lambda (the pi <= |lambda| < 2*pi window).
+    """
+    lam = _effective(params.lam)
+    if lam != 0 and _is_imaginary(lam):
+        s = abs(lam.imag)
+        k = round(s / math.pi)
+        if k != 0 and abs(s - k * math.pi) < 1e-9:
+            raise AdmissibilityError("lambda in pi*i*Z excluded for the general family (use case1)")
+        n = _integer_ratio(4.0 * params.mu, lam) if params.alpha1 == 0 else None
+        if s >= math.pi and not (s < 2 * math.pi and n is not None and n % 2 != 0):
+            raise AdmissibilityError("non-removable singularity inside [-2,2]")
     num, den = _general_kernel_parts(params.lam, params.mu, params.alpha1, params.alpha2)
     a, b = _general_coeffs(params.lam)
     nu = _general_nu(params.lam, params.mu)
@@ -328,14 +302,11 @@ def _case2_triple(lam: complex, alpha: complex, beta: complex):
 
 
 def _case2_parts(params: Case2):
-    adm = check_admissibility(params)
-    if not adm.ok:
-        if abs(params.lam) < DEGENERACY_THRESHOLD:
-            raise DegenerateError(adm.reason)
-        raise AdmissibilityError(adm.reason)
-    if params.alpha == 0 and params.beta == 0:
-        raise DegenerateError("alpha = beta = 0 gives the zero operator")
     lam = params.lam
+    if abs(lam) < DEGENERACY_THRESHOLD:
+        raise DegenerateError("lambda = 0 degenerates 1/sinh(lambda z/2)")
+    if _is_imaginary(lam) and abs(lam.imag) >= math.pi - 1e-12:
+        raise AdmissibilityError("non-removable singularity inside [-2,2]")
     general = General(lam=lam, mu=0.0, alpha1=0.0, alpha2=1.0)
     if abs(lam / 2.0) < SERIES_RATE:
         # sinh(lam z/2) cancels in exponential form: the kernel (below
@@ -375,7 +346,7 @@ def _case3_triple(beta: complex, p):
 def _case3_parts(params: Case3):
     beta = params.beta
     if beta == 0:
-        raise ZeroDivisionError("case3 kernel 1/beta + 1/z requires beta != 0")
+        raise AdmissibilityError("case3 requires beta != 0")
     p = _normalize_p(params.p)
     if p[1] != 0:
         raise InvalidPolynomialError("case3 requires p'(0) = 0")
@@ -423,6 +394,10 @@ def make_pair(params: FamilyParams) -> CommutingPair:
     if parts is None:
         raise TypeError(f"unknown params variant: {params!r}")
     num, den, (a, b, c), nu = parts(params)
+    if not num.terms:
+        raise DegenerateError("the parameters give the zero kernel")
+    if not (a.terms or b.terms or c.terms):
+        raise DegenerateError("the parameters give the zero operator")
     return CommutingPair(
         kernel=build_kernel(num, den), op=DiffOp(a=a, b=b, c=c), params=params, nu=nu
     )
@@ -552,8 +527,12 @@ def params_from_json(obj: dict) -> FamilyParams:
     cls = next((c for c, name in _WIRE_NAMES.items() if name == variant), None)
     if cls is None:
         raise ValueError(f"unknown variant {variant!r}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(obj) - {"variant"} - {_WIRE_KEYS.get(f.name, f.name) for f in fields})
+    if unknown:
+        raise ValueError(f"unknown params keys {unknown} for variant {variant!r}")
     values = {}
-    for field in dataclasses.fields(cls):
+    for field in fields:
         value = obj[_WIRE_KEYS.get(field.name, field.name)]
         if field.name == "m":
             if isinstance(value, bool) or not isinstance(value, int):

@@ -4,9 +4,11 @@ Runs the commands of ``bench/workloads.py`` (loaded read-only, not imported
 as a package) through ``cli.main`` in one process, job after job as the
 benchmark does: certify jobs 0-47 at n = 64, spectral jobs 0-23 at
 n = 256 and sweep jobs 0-23, seeds 1-2, and the case2 draws with small
-lambda in ``SMALL_RATE``, with BLAS on one thread.  It writes one JSON
-object that maps each output file (``certify/1/0/pair/report.json``) to
-the sha256 of its bytes and each call (``certify/1/0/pair/exit``) to its
+lambda in ``SMALL_RATE``, with BLAS on one thread; and ``pair`` and
+``verify`` on each parameter set of ``REFUSALS``, which ``make_pair``
+refuses.  It writes one JSON object that maps each output file
+(``certify/1/0/pair/report.json``, ``refusals/case3/beta0/pair/report.json``)
+to the sha256 of its bytes and each call (``certify/1/0/pair/exit``) to its
 exit code.
 A change meant to keep every output byte is checked by running it on both
 trees, with this script from either one, and comparing the two files:
@@ -34,6 +36,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -50,6 +53,30 @@ SMALL_RATE = tuple(
     (w, seed, i) for w in ("certify", "spectral") for seed, i in ((1, 111), (2, 465))
 )
 
+# name -> params block that make_pair refuses ([re, im] numbers): pair
+# reports the refusal in report.json, verify exits 1 with an error line
+REFUSALS = {
+    "general/alpha0": {
+        "variant": "general", "lambda": [1.0, 0.0], "mu": [1.0, 0.0],
+        "alpha1": [0.0, 0.0], "alpha2": [0.0, 0.0],
+    },
+    "general/lambda1.2pi": {
+        "variant": "general", "lambda": [0.0, 1.2 * math.pi], "mu": [0.3, 0.0],
+        "alpha1": [1.0, 0.0], "alpha2": [1.0, 0.0],
+    },
+    "general/lambdapi": {
+        "variant": "general", "lambda": [0.0, math.pi], "mu": [0.0, 0.75 * math.pi],
+        "alpha1": [0.0, 0.0], "alpha2": [1.0, 0.0],
+    },
+    "case1/zero": {"variant": "case1", "m": 1, "alpha": [0.0, 0.0], "beta": [0.0, 0.0]},
+    "case2/zero": {"variant": "case2", "lambda": [1.0, 0.0], "alpha": [0.0, 0.0], "beta": [0.0, 0.0]},
+    "case2/lambda1e-7": {"variant": "case2", "lambda": [1e-7, 0.0], "alpha": [1.0, 0.0], "beta": [0.0, 0.0]},
+    "case3/beta0": {"variant": "case3", "beta": [0.0, 0.0], "p": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+    "case3/oddp": {"variant": "case3", "beta": [1.0, 0.0], "p": [[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]]},
+    "case3/zero": {"variant": "case3", "beta": [1.0, 0.0], "p": [[0.0, 0.0]] * 3},
+    "case4/zero": {"variant": "case4", "beta": [0.0, 0.0], "p": [[0.0, 0.0]] * 3},
+}
+
 
 def _workloads():
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
@@ -58,24 +85,35 @@ def _workloads():
     return module
 
 
-def digests(seeds=SEEDS, jobs=JOBS, extra=()) -> dict[str, str | int]:
+def digests(seeds=SEEDS, jobs=JOBS, extra=(), refusals=()) -> dict[str, str | int]:
     """sha256 of every output file and the exit code of every call, by path,
-    over jobs 0..count-1 of each seed and the (workload, seed, job) in extra."""
+    over jobs 0..count-1 of each seed, the (workload, seed, job) in extra
+    and the REFUSALS named in refusals."""
     from commutant_lab import cli  # here, so --compare runs without the package
 
     workloads = _workloads()
     runs = [(w, seed, i) for w, count in jobs.items() for seed in seeds for i in range(count)]
+    # (output directory, config, workload whose commands run; None: pair, verify)
+    calls = [(f"{w}/{seed}/{i}", workloads.job_config(w, seed, i), w) for w, seed, i in runs + list(extra)]
+    calls += [(f"refusals/{name}", {"params": REFUSALS[name]}, None) for name in refusals]
     out: dict[str, str | int] = {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for workload, seed, i in runs + list(extra):
-            jobdir = root / workload / str(seed) / str(i)
+        for name, cfg, workload in calls:
+            jobdir = root / name
             jobdir.mkdir(parents=True)
             config = jobdir / "config.json"
-            config.write_text(json.dumps(workloads.job_config(workload, seed, i)))
-            for cmd, argv in workloads.job_argvs(workload, config, jobdir):
+            config.write_text(json.dumps(cfg))
+            if workload is None:  # the benchmark's argv, for pair and verify
+                argvs = [
+                    (cmd, [cmd, "--config", str(config), "--out", str(jobdir / cmd), "--quiet"])
+                    for cmd in ("pair", "verify")
+                ]
+            else:
+                argvs = workloads.job_argvs(workload, config, jobdir)
+            for cmd, argv in argvs:
                 with contextlib.redirect_stderr(io.StringIO()):
-                    out[f"{workload}/{seed}/{i}/{cmd}/exit"] = cli.main(argv)
+                    out[f"{name}/{cmd}/exit"] = cli.main(argv)
         for path in sorted(root.rglob("*")):
             if path.is_file() and path.name != "config.json":
                 out[path.relative_to(root).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -107,7 +145,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(f"usage: {sys.argv[0]} OUT.json | --compare A.json B.json", file=sys.stderr)
         return 2
-    result = digests(extra=SMALL_RATE)
+    result = digests(extra=SMALL_RATE, refusals=REFUSALS)
     Path(argv[0]).write_text(json.dumps(result, indent=0, sort_keys=True) + "\n")
     print(f"{len(result)} digests and exit codes written to {argv[0]}")
     return 0

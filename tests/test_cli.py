@@ -10,7 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from commutant_lab import build_grid, cli, discretize, kernels, make_pair, params_from_json, residuals
+from commutant_lab import (
+    Admissibility,
+    CommutantError,
+    build_grid,
+    check_admissibility,
+    cli,
+    discretize,
+    kernels,
+    make_pair,
+    params_from_json,
+    residuals,
+)
 from commutant_lab.cli import main
 
 import digests
@@ -250,11 +261,47 @@ def test_malformed_config(tmp_path):
         ("verify", {"params": {**CASE4, "p": [[1.0, 0.0, 0.0]]}}),
         ("verify", {"params": {**CASE1, "m": 1.7}}),
         ("verify", {"params": {**CASE1, "m": True}}),
+        ("verify", {"params": {**SINC, "m": 3, "bogus": 1}}),
     ]
     for i, (command, raw) in enumerate(bad_inputs):
         cfg = write_config(tmp_path / f"bad{i}.json", **raw)
         out = tmp_path / f"bad{i}"
         assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2, raw
+
+
+def test_unknown_params_keys_are_named():
+    with pytest.raises(ValueError, match=r"unknown params keys \['bogus', 'm'\]"):
+        params_from_json({**SINC, "m": 3, "bogus": 1})
+    with pytest.raises(ValueError, match=r"unknown params keys \['lam'\]"):
+        params_from_json({**CASE1, "lam": [1.0, 0.0]})
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys, under):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path / "cfg.json", params=SINC)
+    out = blocker / under if under else blocker
+    assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot create output directory {out}: ")
+
+
+@pytest.mark.parametrize("name", list(digests.REFUSALS))
+def test_every_refusal_is_reported(tmp_path, capsys, cold_memo, name):
+    # make_pair refuses; check_admissibility, pair's report and verify's
+    # error line all carry its reason
+    params = digests.REFUSALS[name]
+    with pytest.raises(CommutantError) as refusal:
+        make_pair(params_from_json(params))
+    reason = str(refusal.value)
+    assert check_admissibility(params_from_json(params)) == Admissibility(False, reason)
+    cfg = write_config(tmp_path / "cfg.json", params=params)
+    assert main(["pair", "--config", cfg, "--out", str(tmp_path / "pair"), "--quiet"]) == 1
+    report = json.loads((tmp_path / "pair" / "report.json").read_text())
+    assert report["checks"] == [{"name": "admissible", "value": 1.0, "tolerance": 0.5, "pass": False}]
+    assert (report["result"]["admissible"], report["result"]["reason"]) == (False, reason)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify"), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {type(refusal.value).__name__}: {reason}\n"
 
 
 def test_inadmissible_params_error_status(tmp_path):
@@ -392,6 +439,15 @@ def test_digests_are_reproducible(cold_memo):
     assert len(first) == 29
     assert {v for k, v in first.items() if k.endswith("/exit")} <= {0, 1}
     assert digests.digests(seeds=(1,), jobs=jobs) == first
+
+
+def test_digests_cover_every_refusal(cold_memo):
+    out = digests.digests(jobs={}, refusals=digests.REFUSALS)
+    names = [f"refusals/{name}" for name in digests.REFUSALS]
+    assert {k: v for k, v in out.items() if k.endswith("/exit")} == {
+        f"{name}/{cmd}/exit": 1 for name in names for cmd in ("pair", "verify")
+    }
+    assert all(f"{name}/pair/report.json" in out for name in names)
 
 
 def test_digests_compare_groups_differences(tmp_path, capsys):

@@ -182,12 +182,24 @@ def test_case4_display(case4_pair):
 
 
 def test_case3_validation():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(AdmissibilityError):
         make_pair(Case3(beta=0.0, p=(1.0, 0.0, 0.0)))
     with pytest.raises(InvalidPolynomialError):
         make_pair(Case3(beta=1.0, p=(1.0, 0.5, 0.0)))
     with pytest.raises(InvalidPolynomialError):
         make_pair(Case4(beta=1.0, p=(1.0, 0.0, 0.0, 2.0)))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [Case2(lam=1.0, alpha=0.0, beta=1.0), Case4(beta=1.0, p=(0.0, 0.0, 0.0))],
+    ids=["case2-alpha0", "case4-p0"],
+)
+def test_first_order_operators_still_build(params):
+    # a = 0 but b or c is not: the zero-operator refusal leaves these alone
+    pair = make_pair(params)
+    assert not pair.op.a.terms and (pair.op.b.terms or pair.op.c.terms)
+    assert check_admissibility(params).ok
 
 
 def test_every_special_pair_satisfies_r1():
