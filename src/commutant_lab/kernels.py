@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import ExpPoly, _orders, polyder, polyval
-from .errors import PoleError
+from .errors import AdmissibilityError, PoleError
 
 SERIES_TERMS = 16
 SWITCH_ARG = 1e-3
@@ -86,7 +86,8 @@ def build_kernel(numerator: ExpPoly, denominator: ExpPoly) -> KernelSpec:
     The denominator must have a simple zero at z = 0, so k has a simple
     pole there exactly when N(0) != 0 (relative to N's Taylor data).
     Removable zeros of D elsewhere on [-2, 2] are located from its
-    exponential rates and a local expansion of k is prepared at each.
+    exponential rates and a local expansion of k is prepared at each; a
+    zero of D there that N does not cancel raises AdmissibilityError.
     """
     den_taylor = denominator.taylor(0.0, SERIES_TERMS + 2)
     if abs(den_taylor[0]) > 1e-12 or den_taylor[1] == 0:
@@ -108,8 +109,7 @@ def build_kernel(numerator: ExpPoly, denominator: ExpPoly) -> KernelSpec:
         nt = numerator.taylor(z0, SERIES_TERMS + 2)
         dt = denominator.taylor(z0, SERIES_TERMS + 2)
         if abs(nt[0]) > 1e-8 * max(abs(c) for c in nt):
-            # non-removable; admissibility screens these out upstream
-            continue
+            raise AdmissibilityError("non-removable singularity inside [-2,2]")
         zeros.append(z0)
         local[z0] = _series_div(nt[1:], dt[1:], SERIES_TERMS)
 
@@ -227,8 +227,6 @@ def kernel_matrix(spec: KernelSpec, x, y, order: int | tuple[int, ...] = 0):
 
 def _ratio_derivative(nd, dd, order: int):
     n0, d0 = nd[0], dd[0]
-    if order == 0:
-        return n0 / d0
     n1, d1 = nd[1], dd[1]
     if order == 1:
         return (n1 * d0 - n0 * d1) / d0**2

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError
 from .families import DiffOp
 from .residuals import chebyshev_points
 
@@ -80,6 +79,10 @@ def commute_conditions(L: DiffOp, D: DiffOp) -> dict:
         2a B' + b A' = 2A b' + B a'
         a B'' + 2a C' + b B' = A b'' + 2A c' + B b'
         a C'' + b C' = A c'' + B c'
+
+    Their left minus right sides are half the u''' coefficient of LD - DL,
+    its u'' coefficient less (a A' - A a')', its u' and its u coefficient;
+    none divides by a, so first-order L (a = 0) is covered.
     """
     y = interior_points()
 
@@ -88,8 +91,6 @@ def commute_conditions(L: DiffOp, D: DiffOp) -> dict:
 
     # commute_conditions(op, op) evaluates each coefficient once
     (a, ap), (b, bp, bpp), (cp, cpp) = lvals = values(L)
-    if np.max(np.abs(a)) < 1e-13:
-        raise DegenerateError("commutation conditions assume a != 0")
     (A, Ap), (B, Bp, Bpp), (Cp, Cpp) = lvals if D is L else values(D)
     eqs = {
         "eq1": a * Ap - A * ap,
@@ -108,14 +109,8 @@ class NormalityReport:
 
     @property
     def selfadjoint_residuals(self) -> dict:
-        """The residuals of ``is_selfadjoint``, read back from the report.
-
-        They carry a ``selfadjoint_`` prefix, except when a = 0, where they
-        are the report's residuals next to ``a_nonzero``.
-        """
+        """The residuals of ``is_selfadjoint``, stored with a ``selfadjoint_`` prefix."""
         res = self.condition_residuals
-        if "a_nonzero" in res:
-            return {k: v for k, v in res.items() if k != "a_nonzero"}
         prefix = "selfadjoint_"
         return {k[len(prefix):]: v for k, v in res.items() if k.startswith(prefix)}
 
@@ -123,23 +118,29 @@ class NormalityReport:
 def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
     """Check the displayed normality conditions for L.
 
-    A self-adjoint operator is reported normal immediately.  Otherwise the
-    operator is rescaled by (1 - i*alpha) (alpha fitted from Im a = alpha
-    Re a) and by a sign making a positive on the interior, gamma is
-    extracted, and the condition set is evaluated.  A vanishing gamma means
-    the skew part is zeroth order; then normality only requires the
-    self-adjoint conditions up to an imaginary constant shift of c, and
-    the positivity/real-constant entries do not apply.
+    A first-order L (a = 0) is normal iff it commutes with L*: its
+    residuals are ``commute_conditions(L, L*)``, of which eq3 and eq4
+    survive, over the size max|b| max(|b'|, |b''|, |c'|) of the products
+    they subtract.  Otherwise the operator is rescaled by (1 - i*alpha)
+    (alpha fitted from Im a = alpha Re a) and by a sign making a positive on
+    the interior, gamma is extracted, and the condition set is evaluated.  A
+    vanishing gamma means the skew part is zeroth order; then normality only
+    requires the self-adjoint conditions up to an imaginary constant shift
+    of c, and the positivity/real-constant entries do not apply.  Either way
+    the residuals end with ``is_selfadjoint``'s, prefixed ``selfadjoint_``.
     """
     y = interior_points()
     av, ap, app = op.a(y, order=(0, 1, 2))
     bv, bp = op.b(y, order=(0, 1))
     cv = op.c(y)
     sa_ok, sa_res = _selfadjoint_check(av, ap, bv, bp, cv, tol)
+    sa_res = {f"selfadjoint_{k}": v for k, v in sa_res.items()}
     if np.max(np.abs(av)) < 1e-13:
-        report = dict(sa_res)
-        report["a_nonzero"] = 0.0
-        return NormalityReport(selfadjoint=sa_ok, normal=sa_ok, condition_residuals=report)
+        size = max(float(np.max(np.abs(v))) for v in (bp, op.b(y, order=2), op.c(y, order=1)))
+        scale = float(np.max(np.abs(bv))) * size + _TINY
+        res = {k: r / scale for k, r in commute_conditions(op, adjoint_coeffs(op)).items()}
+        normal = all(r <= tol for r in res.values())
+        return NormalityReport(sa_ok, normal, {**res, **sa_res})
 
     # Rescale so the leading coefficient is real and positive.  The
     # characterization's (1 - i*alpha) factor (from Im a = alpha Re a) is a
@@ -186,20 +187,9 @@ def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
     else:
         res["c0_real_const"] = float(np.max(np.abs(dev.real))) / scale_c
 
-    if sa_ok:
-        normal = True
-    elif zeroth_order_skew:
-        normal = (
-            res["im_a_zero"] <= tol
-            and res["b1_sqrt_a"] <= tol
-            and res["c1_imag_const"] <= tol
-        )
+    if zeroth_order_skew:
+        keys = ("im_a_zero", "b1_sqrt_a", "c1_imag_const")
+        normal = all(res[k] <= tol for k in keys)
     else:
         normal = amin > 0 and all(r <= tol for r in res.values())
-
-    res.update({f"selfadjoint_{k}": v for k, v in sa_res.items()})
-    return NormalityReport(
-        selfadjoint=sa_ok,
-        normal=bool(normal),
-        condition_residuals=res,
-    )
+    return NormalityReport(sa_ok, bool(normal), {**res, **sa_res})

@@ -6,7 +6,8 @@ benchmark does: certify jobs 0-47 at n = 64, spectral jobs 0-23 at
 n = 256 and sweep jobs 0-23, seeds 1-2, and the case2 draws with small
 lambda in ``SMALL_RATE``, with BLAS on one thread; and ``pair`` and
 ``verify`` on each parameter set of ``REFUSALS``, which ``make_pair``
-refuses.  It writes one JSON object that maps each output file
+refuses, and certify's commands on each first-order family of
+``FIRST_ORDER``.  It writes one JSON object that maps each output file
 (``certify/1/0/pair/report.json``, ``refusals/case3/beta0/pair/report.json``)
 to the sha256 of its bytes and each call (``certify/1/0/pair/exit``) to its
 exit code.
@@ -71,10 +72,24 @@ REFUSALS = {
     "case1/zero": {"variant": "case1", "m": 1, "alpha": [0.0, 0.0], "beta": [0.0, 0.0]},
     "case2/zero": {"variant": "case2", "lambda": [1.0, 0.0], "alpha": [0.0, 0.0], "beta": [0.0, 0.0]},
     "case2/lambda1e-7": {"variant": "case2", "lambda": [1e-7, 0.0], "alpha": [1.0, 0.0], "beta": [0.0, 0.0]},
+    "case2/lambda1.05pi": {
+        "variant": "case2", "lambda": [0.0, 1.05 * math.pi], "alpha": [1.0, 0.0], "beta": [0.0, 0.0],
+    },
     "case3/beta0": {"variant": "case3", "beta": [0.0, 0.0], "p": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
     "case3/oddp": {"variant": "case3", "beta": [1.0, 0.0], "p": [[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]]},
     "case3/zero": {"variant": "case3", "beta": [1.0, 0.0], "p": [[0.0, 0.0]] * 3},
     "case4/zero": {"variant": "case4", "beta": [0.0, 0.0], "p": [[0.0, 0.0]] * 3},
+}
+
+# name -> params block whose L is first order (a = 0): certify's commands run
+# on each at certify's n and m
+FIRST_ORDER = {
+    "case2/alpha0": {"variant": "case2", "lambda": [1.0, 0.0], "alpha": [0.0, 0.0], "beta": [1.0, 0.0]},
+    "case2/alpha0-complex-lambda": {
+        "variant": "case2", "lambda": [1.0, 0.5], "alpha": [0.0, 0.0], "beta": [1.0, 0.0],
+    },
+    "case4/p0": {"variant": "case4", "beta": [1.0, 0.0], "p": [[0.0, 0.0]] * 3},
+    "case4/p0-imaginary-beta": {"variant": "case4", "beta": [0.0, 1.0], "p": [[0.0, 0.0]] * 3},
 }
 
 
@@ -85,10 +100,10 @@ def _workloads():
     return module
 
 
-def digests(seeds=SEEDS, jobs=JOBS, extra=(), refusals=()) -> dict[str, str | int]:
+def digests(seeds=SEEDS, jobs=JOBS, extra=(), refusals=(), first_order=()) -> dict[str, str | int]:
     """sha256 of every output file and the exit code of every call, by path,
-    over jobs 0..count-1 of each seed, the (workload, seed, job) in extra
-    and the REFUSALS named in refusals."""
+    over jobs 0..count-1 of each seed, the (workload, seed, job) in extra,
+    the REFUSALS named in refusals and the FIRST_ORDER named in first_order."""
     from commutant_lab import cli  # here, so --compare runs without the package
 
     workloads = _workloads()
@@ -96,6 +111,10 @@ def digests(seeds=SEEDS, jobs=JOBS, extra=(), refusals=()) -> dict[str, str | in
     # (output directory, config, workload whose commands run; None: pair, verify)
     calls = [(f"{w}/{seed}/{i}", workloads.job_config(w, seed, i), w) for w, seed, i in runs + list(extra)]
     calls += [(f"refusals/{name}", {"params": REFUSALS[name]}, None) for name in refusals]
+    grid = {k: workloads.WORKLOADS["certify"][k] for k in ("n", "m")}
+    calls += [
+        (f"first_order/{name}", {"params": FIRST_ORDER[name], **grid}, "certify") for name in first_order
+    ]
     out: dict[str, str | int] = {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -145,7 +164,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(f"usage: {sys.argv[0]} OUT.json | --compare A.json B.json", file=sys.stderr)
         return 2
-    result = digests(extra=SMALL_RATE, refusals=REFUSALS)
+    result = digests(extra=SMALL_RATE, refusals=REFUSALS, first_order=FIRST_ORDER)
     Path(argv[0]).write_text(json.dumps(result, indent=0, sort_keys=True) + "\n")
     print(f"{len(result)} digests and exit codes written to {argv[0]}")
     return 0

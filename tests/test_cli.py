@@ -197,6 +197,16 @@ def test_normality_command(tmp_path):
     assert report["result"]["normality"]["normal"] is True
 
 
+@pytest.mark.parametrize("name", ["case2/alpha0", "case4/p0"])
+def test_normality_judges_first_order_operators(tmp_path, name):
+    # a = 0 and L* = -L: normal, not self-adjoint
+    cfg = write_config(tmp_path / "cfg.json", params=digests.FIRST_ORDER[name])
+    out = tmp_path / "out"
+    assert main(["normality", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    result = json.loads((out / "report.json").read_text())["result"]
+    assert (result["selfadjoint"], result["normality"]["normal"]) == (False, True)
+
+
 def test_exit_status_reflects_tolerances(tmp_path):
     # impossible tolerance: everything else identical, command must exit 1
     cfg = write_config(tmp_path / "cfg.json", params=SINC, tolerances={"r1_rel": 1e-30})

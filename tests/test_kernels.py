@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from commutant_lab import (
+    AdmissibilityError,
     Case1,
     Case2,
     Case3,
     Case4,
+    ExpPoly,
     General,
     build_grid,
     build_kernel,
@@ -271,6 +273,12 @@ def test_build_kernel_derives_pole_from_data(request, name, gauged):
     # series[0] is N(0)/D'(0) (the residue) at a pole, N'(0)/D'(0) = k(0) otherwise
     lead = spec.numerator(0.0, order=0 if pole else 1) / spec.denominator(0.0, order=1)
     assert spec.series[0] == pytest.approx(lead, rel=1e-13)
+
+
+def test_build_kernel_refuses_a_pole_inside_the_interval():
+    # k = 1/sin(pi z/2): D vanishes at z = +-2 and N does not
+    with pytest.raises(AdmissibilityError, match=r"non-removable singularity inside \[-2,2\]"):
+        build_kernel(ExpPoly.constant(1.0), ExpPoly.sinh(1j * math.pi / 2, -1j))
 
 
 def test_alpha2_lost_to_rounding_gives_regular_kernel():

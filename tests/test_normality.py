@@ -1,13 +1,14 @@
+import cmath
 import json
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from commutant_lab import (
     Case2,
     Case4,
-    DegenerateError,
     DiffOp,
     ExpPoly,
     adjoint_coeffs,
@@ -148,10 +149,44 @@ def test_self_commutation_evaluates_each_coefficient_once(sinc_pair):
     assert commute_conditions(op, op) == commute_conditions(op, copy)
 
 
-def test_degenerate_a_rejected():
-    zero_a = DiffOp(a=ExpPoly.zero(), b=ExpPoly.polynomial((0.0, 1.0)), c=ExpPoly.zero())
-    with pytest.raises(DegenerateError):
-        commute_conditions(zero_a, zero_a)
+def test_identities_are_the_commutator_coefficients():
+    # sympy's LD - DL for symbolic coefficients: eq1 is half its u'''
+    # coefficient, eq2 its u'' coefficient less eq1', eq3 and eq4 its u' and
+    # u coefficients, and none divides by a
+    y = sympy.Symbol("y")
+    a, b, c, A, B, C, u = (sympy.Function(name)(y) for name in "abcABCu")
+    U = sympy.symbols("u0:5")
+    d = lambda f, k=1: f.diff(y, k)
+
+    def apply(p, q, r, f):
+        return p * d(f, 2) + q * d(f) + r * f
+
+    comm = apply(a, b, c, apply(A, B, C, u)) - apply(A, B, C, apply(a, b, c, u))
+    coeff = [sympy.expand(comm.xreplace({d(u, k): U[k] for k in range(5)})).coeff(s) for s in U]
+    eq1 = a * d(A) - A * d(a)
+    stated = {
+        "eq1": eq1,
+        "eq2": 2 * a * d(B) + b * d(A) - 2 * A * d(b) - B * d(a),
+        "eq3": a * d(B, 2) + 2 * a * d(C) + b * d(B) - A * d(b, 2) - 2 * A * d(c) - B * d(b),
+        "eq4": a * d(C, 2) + b * d(C) - A * d(c, 2) - B * d(c),
+    }
+    derived = {"eq1": coeff[3] / 2, "eq2": coeff[2] - d(eq1), "eq3": coeff[1], "eq4": coeff[0]}
+    assert coeff[4] == 0
+    for k in stated:
+        assert sympy.expand(derived[k] - stated[k]) == 0, k
+
+    # commute_conditions evaluates them, here for a first-order L
+    polys = {
+        a: (0.0,), b: (0.3j, 1.0, -0.5), c: (0.2, -1j),
+        A: (-1.0, 0.4j, 1.0), B: (0.1, 2.0), C: (0.7j, 0.0, 0.3),
+    }
+    L, D = (DiffOp(*(ExpPoly.polynomial(polys[f]) for f in fs)) for fs in ((a, b, c), (A, B, C)))
+    res = commute_conditions(L, D)
+    sub = {f: sum(coef * y**j for j, coef in enumerate(cs)) for f, cs in polys.items()}
+    yv = interior_points()
+    for k, expr in derived.items():
+        vals = sympy.lambdify(y, expr.subs(sub).doit(), "numpy")(yv) + 0 * yv
+        assert res[k] == pytest.approx(float(np.max(np.abs(vals))), rel=1e-12, abs=1e-15), k
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +215,11 @@ def normal_fixture() -> DiffOp:
 
 
 def test_selfadjoint_operator_is_normal(sinc_pair):
+    # by the zeroth-order-skew conditions, which hold for it
     rep = is_normal(sinc_pair.op)
     assert rep.selfadjoint and rep.normal
+    for name in ("im_a_zero", "b1_sqrt_a", "c1_imag_const"):
+        assert rep.condition_residuals[name] <= 1e-10, name
 
 
 def test_normal_not_selfadjoint_fixture():
@@ -215,6 +253,29 @@ def test_imaginary_constant_c_shift_is_normal(sinc_pair):
     assert rep.normal
 
 
+# S = i(1 - y^2) d/dy - i y is self-adjoint
+S = DiffOp(a=ExpPoly.zero(), b=ExpPoly.polynomial((1j, 0.0, -1j)), c=ExpPoly.polynomial((0.0, -1j)))
+
+
+@pytest.mark.parametrize(
+    "op, selfadjoint, normal",
+    [
+        (make_pair(Case2(lam=1.0, alpha=0.0, beta=1.0)).op, False, True),
+        (make_pair(Case4(beta=1.0, p=(0.0, 0.0, 0.0))).op, False, True),
+        (DiffOp(a=S.a, b=S.b, c=S.c + ExpPoly.constant(2j)), False, True),
+        (DiffOp(a=S.a, b=cmath.exp(0.7j) * S.b, c=cmath.exp(0.7j) * S.c), False, True),
+        (make_pair(Case4(beta=1j, p=(0.0, 0.0, 0.0))).op, True, True),
+        (make_pair(Case2(lam=1.0 + 0.5j, alpha=0.0, beta=1.0)).op, False, False),
+        (DiffOp(a=S.a, b=S.b, c=S.c + ExpPoly.polynomial((0.0, 1j))), False, False),
+    ],
+    ids=["case2-alpha0", "case4-p0", "S+2i", "phase-S", "case4-p0-beta-i", "case2-complex-lambda", "S+iy"],
+)
+def test_first_order_verdicts(op, selfadjoint, normal):
+    # a = 0: normal iff L commutes with L*; the first two are skew-adjoint
+    rep = is_normal(op)
+    assert (rep.selfadjoint, rep.normal) == (selfadjoint, normal)
+
+
 def test_normal_verdict_scalar_invariant():
     op = normal_fixture()
     for w in (2.0, -3.0, 1 + 2j, 0.5j):
@@ -234,8 +295,8 @@ def test_normal_verdict_scalar_invariant():
     ids=["selfadjoint", "normal", "a-zero"],
 )
 def test_report_carries_selfadjoint_check(op):
-    # the normality command reads these from is_normal's report; with a = 0
-    # the report holds them unprefixed
+    # the normality command reads these from is_normal's report, where they
+    # carry a selfadjoint_ prefix whatever the order of L
     rep = is_normal(op)
     assert (rep.selfadjoint, rep.selfadjoint_residuals) == is_selfadjoint(op)
 
