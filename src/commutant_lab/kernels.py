@@ -87,7 +87,8 @@ def build_kernel(numerator: ExpPoly, denominator: ExpPoly) -> KernelSpec:
     pole there exactly when N(0) != 0 (relative to N's Taylor data).
     Removable zeros of D elsewhere on [-2, 2] are located from its
     exponential rates and a local expansion of k is prepared at each; a
-    zero of D there that N does not cancel raises AdmissibilityError.
+    zero of D there that N does not cancel (on the same rho-scaled Taylor
+    coefficients as at 0) raises AdmissibilityError.
     """
     den_taylor = denominator.taylor(0.0, SERIES_TERMS + 2)
     if abs(den_taylor[0]) > 1e-12 or den_taylor[1] == 0:
@@ -108,7 +109,7 @@ def build_kernel(numerator: ExpPoly, denominator: ExpPoly) -> KernelSpec:
     for z0 in _real_denominator_zeros(denominator):
         nt = numerator.taylor(z0, SERIES_TERMS + 2)
         dt = denominator.taylor(z0, SERIES_TERMS + 2)
-        if abs(nt[0]) > 1e-8 * max(abs(c) for c in nt):
+        if abs(nt[0]) > 1e-8 * max(abs(c) / rho**k for k, c in enumerate(nt)):
             raise AdmissibilityError("non-removable singularity inside [-2,2]")
         zeros.append(z0)
         local[z0] = _series_div(nt[1:], dt[1:], SERIES_TERMS)

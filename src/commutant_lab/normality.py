@@ -10,7 +10,7 @@ so L = L* iff Im a = 0, Re b = a' and Im c = (1/2) Im b'.
 Normality (L L* = L* L) is characterized through the decomposition
 L = L0 + gamma*L1 with L0 self-adjoint and L1 first order: after the
 (1 - i*alpha) rescale that makes a real (and a sign that makes it
-positive on the interior), the conditions are
+positive on the interior), and for a > 0 there, the conditions are
 
     b1 = sqrt(a),
     c1 = (2 b0 - a') / sqrt(a) + i*R,
@@ -118,16 +118,18 @@ class NormalityReport:
 def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
     """Check the displayed normality conditions for L.
 
-    A first-order L (a = 0) is normal iff it commutes with L*: its
-    residuals are ``commute_conditions(L, L*)``, of which eq3 and eq4
-    survive, over the size max|b| max(|b'|, |b''|, |c'|) of the products
-    they subtract.  Otherwise the operator is rescaled by (1 - i*alpha)
-    (alpha fitted from Im a = alpha Re a) and by a sign making a positive on
-    the interior, gamma is extracted, and the condition set is evaluated.  A
-    vanishing gamma means the skew part is zeroth order; then normality only
-    requires the self-adjoint conditions up to an imaginary constant shift
-    of c, and the positivity/real-constant entries do not apply.  Either way
-    the residuals end with ``is_selfadjoint``'s, prefixed ``selfadjoint_``.
+    The operator is rescaled by (1 - i*alpha) (alpha fitted from
+    Im a = alpha Re a) and by a sign making a positive on the interior.  If
+    the rescaled a is real but not positive there (first-order L, a = 0,
+    among them), the conditions do not apply and L is normal iff it commutes
+    with L*: its residuals are ``commute_conditions(L, L*)`` over the size
+    max(|a|, |b|) max(|a'|, |a''|, |b'|, |b''|, |c'|) of the products they
+    subtract.  Otherwise gamma is extracted and the conditions are
+    evaluated.  A vanishing
+    gamma means the skew part is zeroth order; then normality only requires
+    the self-adjoint conditions up to an imaginary constant shift of c, and
+    the positivity/real-constant entries do not apply.  Either way the
+    residuals end with ``is_selfadjoint``'s, prefixed ``selfadjoint_``.
     """
     y = interior_points()
     av, ap, app = op.a(y, order=(0, 1, 2))
@@ -135,12 +137,6 @@ def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
     cv = op.c(y)
     sa_ok, sa_res = _selfadjoint_check(av, ap, bv, bp, cv, tol)
     sa_res = {f"selfadjoint_{k}": v for k, v in sa_res.items()}
-    if np.max(np.abs(av)) < 1e-13:
-        size = max(float(np.max(np.abs(v))) for v in (bp, op.b(y, order=2), op.c(y, order=1)))
-        scale = float(np.max(np.abs(bv))) * size + _TINY
-        res = {k: r / scale for k, r in commute_conditions(op, adjoint_coeffs(op)).items()}
-        normal = all(r <= tol for r in res.values())
-        return NormalityReport(sa_ok, normal, {**res, **sa_res})
 
     # Rescale so the leading coefficient is real and positive.  The
     # characterization's (1 - i*alpha) factor (from Im a = alpha Re a) is a
@@ -160,6 +156,13 @@ def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
     res: dict[str, float] = {}
     res["im_a_zero"] = float(np.max(np.abs(at.imag))) / scale_a
     amin = float(np.min(at.real))
+    if res["im_a_zero"] <= tol and amin <= 0:
+        first = max(float(np.max(np.abs(v))) for v in (av, bv))
+        derivs = (ap, app, bp, op.b(y, order=2), op.c(y, order=1))
+        scale = first * max(float(np.max(np.abs(v))) for v in derivs) + _TINY
+        res = {k: r / scale for k, r in commute_conditions(op, adjoint_coeffs(op)).items()}
+        normal = all(r <= tol for r in res.values())
+        return NormalityReport(sa_ok, normal, {**res, **sa_res})
     res["a_positive"] = max(0.0, -amin) / scale_a
 
     ar = np.maximum(at.real, _TINY)
@@ -191,5 +194,5 @@ def is_normal(op: DiffOp, tol: float = 1e-10) -> NormalityReport:
         keys = ("im_a_zero", "b1_sqrt_a", "c1_imag_const")
         normal = all(res[k] <= tol for k in keys)
     else:
-        normal = amin > 0 and all(r <= tol for r in res.values())
+        normal = all(r <= tol for r in res.values())
     return NormalityReport(sa_ok, bool(normal), {**res, **sa_res})

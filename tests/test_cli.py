@@ -207,6 +207,16 @@ def test_normality_judges_first_order_operators(tmp_path, name):
     assert (result["selfadjoint"], result["normality"]["normal"]) == (False, True)
 
 
+def test_normality_passes_selfadjoint_operator_whose_a_changes_sign(tmp_path):
+    # a = y^3 - y vanishes at y = 0 inside: selfadjoint_implies_normal holds
+    params = {"variant": "case4", "beta": [0.0, 0.0], "p": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}
+    cfg = write_config(tmp_path / "cfg.json", params=params)
+    out = tmp_path / "out"
+    assert main(["normality", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    result = json.loads((out / "report.json").read_text())["result"]
+    assert (result["selfadjoint"], result["normality"]["normal"]) == (True, True)
+
+
 def test_exit_status_reflects_tolerances(tmp_path):
     # impossible tolerance: everything else identical, command must exit 1
     cfg = write_config(tmp_path / "cfg.json", params=SINC, tolerances={"r1_rel": 1e-30})

@@ -275,10 +275,20 @@ def test_build_kernel_derives_pole_from_data(request, name, gauged):
     assert spec.series[0] == pytest.approx(lead, rel=1e-13)
 
 
-def test_build_kernel_refuses_a_pole_inside_the_interval():
-    # k = 1/sin(pi z/2): D vanishes at z = +-2 and N does not
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        # k = 1/sin(pi z/2): D vanishes at z = +-2 and N does not
+        (ExpPoly.constant(1.0), ExpPoly.sinh(1j * math.pi / 2, -1j)),
+        # k = cos(8.75 pi z)/sin(2.5 pi z): N cancels z = +-0.4, not +-0.8,
+        # where N = -1 is small only beside its unscaled Taylor coefficients
+        (ExpPoly.cosh(8.75j * math.pi), ExpPoly.sinh(2.5j * math.pi, -1j)),
+    ],
+    ids=["endpoint", "high-rate-numerator"],
+)
+def test_build_kernel_refuses_a_pole_inside_the_interval(num, den):
     with pytest.raises(AdmissibilityError, match=r"non-removable singularity inside \[-2,2\]"):
-        build_kernel(ExpPoly.constant(1.0), ExpPoly.sinh(1j * math.pi / 2, -1j))
+        build_kernel(num, den)
 
 
 def test_alpha2_lost_to_rounding_gives_regular_kernel():

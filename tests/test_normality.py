@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from commutant_lab import (
+    Case1,
     Case2,
     Case4,
     DiffOp,
@@ -274,6 +275,29 @@ def test_first_order_verdicts(op, selfadjoint, normal):
     # a = 0: normal iff L commutes with L*; the first two are skew-adjoint
     rep = is_normal(op)
     assert (rep.selfadjoint, rep.normal) == (selfadjoint, normal)
+
+
+CUBIC = make_pair(Case4(beta=0.0, p=(0.0, 1.0, 0.0))).op  # a = y^3 - y
+
+
+@pytest.mark.parametrize(
+    "op, selfadjoint, normal",
+    [
+        (CUBIC, True, True),
+        (make_pair(Case4(beta=1j, p=(0.0, 1.0, 0.0))).op, True, True),
+        (make_pair(Case1(m=0, alpha=1j, beta=-1j)).op, True, True),  # a = -2 sin(pi y)
+        # L0 + i*y with L0 self-adjoint and second order: [L, L*] = -2i[L0, y]
+        (DiffOp(a=CUBIC.a, b=CUBIC.b, c=CUBIC.c + ExpPoly.polynomial((0.0, 1j))), False, False),
+    ],
+    ids=["case4-cubic", "case4-cubic-beta-i", "case1-sine", "cubic+iy"],
+)
+def test_real_a_with_an_interior_zero_is_judged_by_the_definition(op, selfadjoint, normal):
+    # a vanishes at the interior point y = 0, where the conditions divide by
+    # a: L is normal iff it commutes with L*
+    assert float(np.min(np.abs(op.a(interior_points())))) == 0.0
+    rep = is_normal(op)
+    assert (rep.selfadjoint, rep.normal) == (selfadjoint, normal)
+    assert all(np.isfinite(list(rep.condition_residuals.values())))
 
 
 def test_normal_verdict_scalar_invariant():
