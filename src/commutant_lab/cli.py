@@ -12,12 +12,13 @@ result dataclasses into JSON.  Identical config + seed produces
 byte-identical files on one machine with a fixed BLAS thread count; the
 matrix reports of ``commutator`` and ``spectrum`` can change in their last
 digits with the thread count.  Exit status is 0 iff every check passed its
-tolerance.
+tolerance; a report file that cannot be written is a config error
+(status 2), like an output directory that cannot be created.
 
-A process keeps the last pair it built and that pair's K and L on the last
-n, so commands run one after another on one config (as a certification
-does) build them once; ``sweep`` builds its own draws.  The outputs are the
-same as from a fresh process.
+A process builds its argument parser once, and keeps the last pair it
+built and that pair's K and L on the last n, so commands run one after
+another on one config (as a certification does) build them once; ``sweep``
+builds its own draws.  The outputs are the same as from a fresh process.
 """
 
 from __future__ import annotations
@@ -175,6 +176,14 @@ def _build_pair(params: FamilyParams) -> CommutingPair:
     return _MEMO["pair"]
 
 
+def _write(write, path: Path, *args) -> None:
+    """``write(path, *args)``; a report file that cannot be written is a config error."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _sample_kernel(pair: CommutingPair):
     z = np.linspace(-2.0, 2.0, KERNEL_SAMPLES)
     if pair.kernel.singular:
@@ -209,11 +218,13 @@ def cmd_pair(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summary
     z, kv = _sample_kernel(pair)
     y = np.linspace(-1.0, 1.0, 201)
     av, bv, cv = (f(y) for f in (pair.op.a, pair.op.b, pair.op.c))
-    reportio.write_csv(
+    _write(
+        reportio.write_csv,
         outdir / "kernel_samples.csv",
         [["z", "k_re", "k_im"]] + np.column_stack([z, kv.real, kv.imag]).tolist(),
     )
-    reportio.write_csv(
+    _write(
+        reportio.write_csv,
         outdir / "coefficient_samples.csv",
         [["y", "a_re", "a_im", "b_re", "b_im", "c_re", "c_im"]]
         + np.column_stack([y, av.real, av.imag, bv.real, bv.imag, cv.real, cv.imag]).tolist(),
@@ -246,8 +257,8 @@ def cmd_verify(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summa
 
 
 def _dump_matrices(outdir: Path, K, L) -> None:
-    reportio.write_csv(outdir / "K_matrix.csv", K.entries.tolist())
-    reportio.write_csv(outdir / "L_matrix.csv", L.entries.tolist())
+    _write(reportio.write_csv, outdir / "K_matrix.csv", K.entries.tolist())
+    _write(reportio.write_csv, outdir / "L_matrix.csv", L.entries.tolist())
 
 
 def _build_matrices(cfg: RunConfig):
@@ -318,7 +329,8 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Sum
     scale = float(np.max(np.abs(direct))) + 1e-300
     match = float(np.max(np.abs(ray - direct))) / scale
     summary.add("rayleigh_rel", match, cfg.tol("rayleigh_rel"))
-    reportio.write_csv(
+    _write(
+        reportio.write_csv,
         outdir / "modes.csv",
         [["idx", "L_eig_re", "L_eig_im", "rayleigh_re", "rayleigh_im", "residual"]] + spec.rows(),
     )
@@ -389,7 +401,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, dump: bool, summary: reportio.Summar
         accepted += 1
     all_ok = all(r["pass"] for r in rows) and accepted == cfg.count
     summary.add("sweep_pass_fraction", 0.0 if all_ok else 1.0, 0.5)
-    reportio.write_csv(outdir / "sweep.csv", rows, SWEEP_FIELDS)
+    _write(reportio.write_csv, outdir / "sweep.csv", rows, SWEEP_FIELDS)
     return {
         "seed": cfg.seed,
         "count": cfg.count,
@@ -410,17 +422,20 @@ COMMANDS = {
 }
 
 
+# built once: parse_args returns a new Namespace on every call
+_PARSER = argparse.ArgumentParser(
+    prog="commutant-lab",
+    description="verify commuting convolution/differential operator pairs",
+)
+_PARSER.add_argument("command", choices=sorted(COMMANDS))
+_PARSER.add_argument("--config", required=True, help="path to a JSON run config")
+_PARSER.add_argument("--out", default=None, help="output directory (default: config output_path)")
+_PARSER.add_argument("--dump", action="store_true", help="export matrices as CSV")
+_PARSER.add_argument("--quiet", action="store_true", help="suppress per-check lines")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="commutant-lab",
-        description="verify commuting convolution/differential operator pairs",
-    )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", required=True, help="path to a JSON run config")
-    parser.add_argument("--out", default=None, help="output directory (default: config output_path)")
-    parser.add_argument("--dump", action="store_true", help="export matrices as CSV")
-    parser.add_argument("--quiet", action="store_true", help="suppress per-check lines")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = load_config(args.config, args.command)
@@ -431,6 +446,15 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
         summary = reportio.Summary()
         body = COMMANDS[args.command](cfg, outdir, args.dump, summary)
+        report = {
+            "schema": reportio.SCHEMA_VERSION,
+            "version": __version__,
+            "command": args.command,
+            "checks": summary.rows,
+            "result": body,
+        }
+        _write(reportio.write_json, outdir / "report.json", report)
+        _write(summary.write, outdir / "summary.csv")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -438,21 +462,11 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-    report = {
-        "schema": reportio.SCHEMA_VERSION,
-        "version": __version__,
-        "command": args.command,
-        "checks": summary.rows,
-        "result": body,
-    }
-    reportio.write_json(outdir / "report.json", report)
-    summary.write(outdir / "summary.csv")
     if not args.quiet:
         for row in summary.rows:
             status = "PASS" if row["pass"] else "FAIL"
             print(f"{status} {row['name']}: {row['value']!r} (tol {row['tolerance']!r})")
     return 0 if summary.all_pass() else 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

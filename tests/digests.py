@@ -6,11 +6,12 @@ benchmark does: certify jobs 0-47 at n = 64, spectral jobs 0-23 at
 n = 256 and sweep jobs 0-23, seeds 1-2, and the case2 draws with small
 lambda in ``SMALL_RATE``, with BLAS on one thread; and ``pair`` and
 ``verify`` on each parameter set of ``REFUSALS``, which ``make_pair``
-refuses, and certify's commands on each first-order family of
-``FIRST_ORDER``.  It writes one JSON object that maps each output file
-(``certify/1/0/pair/report.json``, ``refusals/case3/beta0/pair/report.json``)
-to the sha256 of its bytes and each call (``certify/1/0/pair/exit``) to its
-exit code.
+refuses, certify's commands on each first-order family of
+``FIRST_ORDER``, and ``commutator`` and ``spectrum`` with ``--dump`` on
+the certify jobs of ``DUMPS``.  It writes one JSON object that maps each
+output file (``certify/1/0/pair/report.json``,
+``refusals/case3/beta0/pair/report.json``) to the sha256 of its bytes and
+each call (``certify/1/0/pair/exit``) to its exit code.
 A change meant to keep every output byte is checked by running it on both
 trees, with this script from either one, and comparing the two files:
 
@@ -40,6 +41,7 @@ import json
 import math
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -81,6 +83,11 @@ REFUSALS = {
     "case4/zero": {"variant": "case4", "beta": [0.0, 0.0], "p": [[0.0, 0.0]] * 3},
 }
 
+# (seed, job) of certify jobs whose commutator and spectrum also run with
+# --dump, one per variant of the round-robin: the complex cells of
+# K_matrix.csv and L_matrix.csv
+DUMPS = tuple((1, i) for i in range(6))
+
 # name -> params block whose L is first order (a = 0): certify's commands run
 # on each at certify's n and m
 FIRST_ORDER = {
@@ -100,37 +107,51 @@ def _workloads():
     return module
 
 
-def digests(seeds=SEEDS, jobs=JOBS, extra=(), refusals=(), first_order=()) -> dict[str, str | int]:
+def _argvs(commands, *flags):
+    """(command, argv) of each of commands in one job, laid out as the
+    benchmark's argv, with flags appended."""
+
+    def argvs(config: Path, jobdir: Path):
+        return [
+            (cmd, [cmd, "--config", str(config), "--out", str(jobdir / cmd), "--quiet", *flags])
+            for cmd in commands
+        ]
+
+    return argvs
+
+
+def digests(
+    seeds=SEEDS, jobs=JOBS, extra=(), refusals=(), first_order=(), dumps=()
+) -> dict[str, str | int]:
     """sha256 of every output file and the exit code of every call, by path,
     over jobs 0..count-1 of each seed, the (workload, seed, job) in extra,
-    the REFUSALS named in refusals and the FIRST_ORDER named in first_order."""
+    the REFUSALS named in refusals, the FIRST_ORDER named in first_order and
+    the certify (seed, job) in dumps."""
     from commutant_lab import cli  # here, so --compare runs without the package
 
     workloads = _workloads()
     runs = [(w, seed, i) for w, count in jobs.items() for seed in seeds for i in range(count)]
-    # (output directory, config, workload whose commands run; None: pair, verify)
-    calls = [(f"{w}/{seed}/{i}", workloads.job_config(w, seed, i), w) for w, seed, i in runs + list(extra)]
-    calls += [(f"refusals/{name}", {"params": REFUSALS[name]}, None) for name in refusals]
-    grid = {k: workloads.WORKLOADS["certify"][k] for k in ("n", "m")}
-    calls += [
-        (f"first_order/{name}", {"params": FIRST_ORDER[name], **grid}, "certify") for name in first_order
+    # (output directory, config, (command, argv) of each call from config and directory)
+    calls = [
+        (f"{w}/{seed}/{i}", workloads.job_config(w, seed, i), partial(workloads.job_argvs, w))
+        for w, seed, i in runs + list(extra)
     ]
+    pair_verify = _argvs(("pair", "verify"))
+    calls += [(f"refusals/{name}", {"params": REFUSALS[name]}, pair_verify) for name in refusals]
+    grid = {k: workloads.WORKLOADS["certify"][k] for k in ("n", "m")}
+    certify = partial(workloads.job_argvs, "certify")
+    calls += [(f"first_order/{name}", {"params": FIRST_ORDER[name], **grid}, certify) for name in first_order]
+    dump = _argvs(("commutator", "spectrum"), "--dump")
+    calls += [(f"dumps/{seed}/{i}", workloads.job_config("certify", seed, i), dump) for seed, i in dumps]
     out: dict[str, str | int] = {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for name, cfg, workload in calls:
+        for name, cfg, argvs in calls:
             jobdir = root / name
             jobdir.mkdir(parents=True)
             config = jobdir / "config.json"
             config.write_text(json.dumps(cfg))
-            if workload is None:  # the benchmark's argv, for pair and verify
-                argvs = [
-                    (cmd, [cmd, "--config", str(config), "--out", str(jobdir / cmd), "--quiet"])
-                    for cmd in ("pair", "verify")
-                ]
-            else:
-                argvs = workloads.job_argvs(workload, config, jobdir)
-            for cmd, argv in argvs:
+            for cmd, argv in argvs(config, jobdir):
                 with contextlib.redirect_stderr(io.StringIO()):
                     out[f"{name}/{cmd}/exit"] = cli.main(argv)
         for path in sorted(root.rglob("*")):
@@ -164,7 +185,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(f"usage: {sys.argv[0]} OUT.json | --compare A.json B.json", file=sys.stderr)
         return 2
-    result = digests(extra=SMALL_RATE, refusals=REFUSALS, first_order=FIRST_ORDER)
+    result = digests(extra=SMALL_RATE, refusals=REFUSALS, first_order=FIRST_ORDER, dumps=DUMPS)
     Path(argv[0]).write_text(json.dumps(result, indent=0, sort_keys=True) + "\n")
     print(f"{len(result)} digests and exit codes written to {argv[0]}")
     return 0

@@ -306,6 +306,39 @@ def test_out_that_cannot_be_created_is_a_config_error(tmp_path, capsys, under):
     assert capsys.readouterr().err.startswith(f"config error: cannot create output directory {out}: ")
 
 
+@pytest.mark.parametrize("blocked", ["report.json", "summary.csv", "kernel_samples.csv"])
+def test_report_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys, blocked):
+    # a directory where a report file goes: a config error, not a traceback
+    cfg = write_config(tmp_path / "cfg.json", params=SINC)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(["pair", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out / blocked}: ")
+
+
+def test_one_parser_keeps_no_state_between_calls(tmp_path, capsys, cold_memo):
+    cfg = write_config(tmp_path / "cfg.json", params=SINC, n=16, m=4)
+    argv = ["commutator", "--config", cfg, "--quiet", "--out"]
+    assert main([*argv, str(tmp_path / "dumped"), "--dump"]) == 0
+    assert (tmp_path / "dumped" / "K_matrix.csv").exists()
+    assert main([*argv, str(tmp_path / "plain")]) == 0
+    assert sorted(f.name for f in (tmp_path / "plain").iterdir()) == ["report.json", "summary.csv"]
+    with pytest.raises(SystemExit) as bogus:
+        main(["bogus", "--config", cfg])
+    assert bogus.value.code == 2
+    capsys.readouterr()
+    # the next call writes what a fresh process writes
+    pair = ["pair", "--config", cfg, "--quiet", "--out"]
+    assert main([*pair, str(tmp_path / "after")]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cold = [sys.executable, "-m", "commutant_lab.cli", *pair, str(tmp_path / "cold")]
+    subprocess.run(cold, env=env, check=True)
+    after = {f.name: f.read_bytes() for f in (tmp_path / "after").iterdir()}
+    assert after == {f.name: f.read_bytes() for f in (tmp_path / "cold").iterdir()}
+    assert len(after) == 4
+
+
 @pytest.mark.parametrize("name", list(digests.REFUSALS))
 def test_every_refusal_is_reported(tmp_path, capsys, cold_memo, name):
     # make_pair refuses; check_admissibility, pair's report and verify's
