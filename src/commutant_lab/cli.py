@@ -13,7 +13,9 @@ byte-identical files on one machine with a fixed BLAS thread count; the
 matrix reports of ``commutator`` and ``spectrum`` can change in their last
 digits with the thread count.  Exit status is 0 iff every check passed its
 tolerance; a report file that cannot be written is a config error
-(status 2), like an output directory that cannot be created.
+(status 2), like an output directory that cannot be created.  A command
+first removes report.json, summary.csv and the tables it can write
+(``TABLES``) from it, so a directory holds one run's files.
 
 A process builds its argument parser once, and keeps the last pair it
 built and that pair's K and L on the last n, so commands run one after
@@ -27,6 +29,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +424,16 @@ COMMANDS = {
     "sweep": cmd_sweep,
 }
 
+# the tables each command can write, removed with report.json and summary.csv before it runs
+TABLES = {
+    "pair": ("kernel_samples.csv", "coefficient_samples.csv"),
+    "verify": (),
+    "commutator": ("K_matrix.csv", "L_matrix.csv"),
+    "spectrum": ("K_matrix.csv", "L_matrix.csv", "modes.csv"),
+    "normality": (),
+    "sweep": ("sweep.csv",),
+}
+
 
 # built once: parse_args returns a new Namespace on every call
 _PARSER = argparse.ArgumentParser(
@@ -444,6 +457,8 @@ def main(argv=None) -> int:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
+        for name in ("report.json", "summary.csv", *TABLES[args.command]):
+            _write(partial(Path.unlink, missing_ok=True), outdir / name)
         summary = reportio.Summary()
         body = COMMANDS[args.command](cfg, outdir, args.dump, summary)
         report = {

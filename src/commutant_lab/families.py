@@ -17,10 +17,12 @@ in the general family's Taylor forms) and assert, at construction time,
 that the stated parameter specialisation collapses them back onto the
 general family: the kernels are proportional, and (a, b, c) is one multiple
 of the general (a, b, nu a).  ``make_pair`` is the one constructor of a
-pair, whatever the variant, and the one judge of its parameters: the
-variant's parts refuse a singular kernel, lambda = 0 in case2, beta = 0
-or p'(0) != 0 in case3, and make_pair a zero kernel or a zero operator,
-each with a ``CommutantError``; ``check_admissibility`` asks it.
+pair, whatever the variant, and the one judge of its parameters, each
+refusal a ``CommutantError``: the variant's parts refuse lambda in pi*i*Z
+in the general family (left to case1), lambda = 0 in case2 and beta = 0 or
+p'(0) != 0 in case3, make_pair a zero kernel or a zero operator, and
+``build_kernel`` a pole of the kernel inside [-2,2] other than 0, which it
+alone judges, from N and D; ``check_admissibility`` asks make_pair.
 """
 
 from __future__ import annotations
@@ -136,21 +138,6 @@ def _effective(value: complex) -> complex:
     return 0j if abs(value) < DEGENERACY_THRESHOLD else complex(value)
 
 
-def _is_imaginary(lam: complex) -> bool:
-    return abs(lam.real) <= 1e-12 * max(1.0, abs(lam))
-
-
-def _integer_ratio(num: complex, den: complex) -> int | None:
-    """num/den as an integer, when it is one to 1e-9; None when den = 0."""
-    if den == 0:
-        return None
-    r = num / den
-    if abs(r.imag) > 1e-9:
-        return None
-    n = round(r.real)
-    return n if abs(r.real - n) < 1e-9 else None
-
-
 def check_admissibility(params: FamilyParams) -> Admissibility:
     """Whether ``make_pair`` builds ``params``, with its refusal's reason if not."""
     try:
@@ -173,7 +160,10 @@ def classify_trivial(params: FamilyParams) -> bool:
     if not isinstance(params, General) or params.alpha2 != 0 or params.alpha1 == 0:
         return False
     lam, mu = _effective(params.lam), _effective(params.mu)
-    return (lam == 0 and mu == 0) or _integer_ratio(2.0 * mu, lam) not in (None, 0)
+    if lam == 0:
+        return mu == 0
+    r = 2.0 * mu / lam
+    return abs(r.imag) <= 1e-9 and round(r.real) != 0 and abs(r.real - round(r.real)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +234,17 @@ def _general_nu(lam: complex, mu: complex) -> complex:
 def _general_parts(params: General):
     """The general family, taking limits for small lambda/mu.
 
-    Refuses a kernel singular inside [-2,2]\\{0}: for purely imaginary
-    lambda, the denominator sinh(lambda z/2) has real zeros at
-    +-2*pi/|lambda|; these stay outside [-2,2] iff |lambda| < pi, or are
-    cancelled by the numerator iff alpha1 = 0 and mu is an odd quarter
-    multiple of lambda (the pi <= |lambda| < 2*pi window).
+    lambda in pi*i*Z is left to case1.  That is a policy, not a pole
+    guard: lambda = pi*i with mu = 0.75*pi*i (case1's m = 1) has only
+    removable zeros in [-2,2], and the acceptance table (criterion 10) and
+    the ``general/lambdapi`` refusal of tests/digests.py expect it refused.
+    A pole of the kernel inside [-2,2]\\{0} is refused by ``build_kernel``,
+    from N and D.
     """
     lam = _effective(params.lam)
-    if lam != 0 and _is_imaginary(lam):
-        s = abs(lam.imag)
-        k = round(s / math.pi)
-        if k != 0 and abs(s - k * math.pi) < 1e-9:
-            raise AdmissibilityError("lambda in pi*i*Z excluded for the general family (use case1)")
-        n = _integer_ratio(4.0 * params.mu, lam) if params.alpha1 == 0 else None
-        if s >= math.pi and not (s < 2 * math.pi and n is not None and n % 2 != 0):
-            raise AdmissibilityError("non-removable singularity inside [-2,2]")
+    s = abs(lam.imag)
+    if lam != 0 and abs(lam.real) <= 1e-12 * abs(lam) and abs(s - math.pi * round(s / math.pi)) < 1e-9:
+        raise AdmissibilityError("lambda in pi*i*Z excluded for the general family (use case1)")
     num, den = _general_kernel_parts(params.lam, params.mu, params.alpha1, params.alpha2)
     a, b = _general_coeffs(params.lam)
     nu = _general_nu(params.lam, params.mu)
@@ -302,11 +288,12 @@ def _case2_triple(lam: complex, alpha: complex, beta: complex):
 
 
 def _case2_parts(params: Case2):
+    """Case2, refusing lambda = 0.  An imaginary lambda with |lambda| >= pi
+    puts zeros of sinh(lambda z/2) inside [-2,2] that the constant N cannot
+    cancel: ``build_kernel`` refuses it at the zero nearest 0."""
     lam = params.lam
     if abs(lam) < DEGENERACY_THRESHOLD:
         raise DegenerateError("lambda = 0 degenerates 1/sinh(lambda z/2)")
-    if _is_imaginary(lam) and abs(lam.imag) >= math.pi - 1e-12:
-        raise AdmissibilityError("non-removable singularity inside [-2,2]")
     general = General(lam=lam, mu=0.0, alpha1=0.0, alpha2=1.0)
     if abs(lam / 2.0) < SERIES_RATE:
         # sinh(lam z/2) cancels in exponential form: the kernel (below
@@ -434,9 +421,9 @@ def _assert_recovery(case: str, kernel, abc, general: General, factor) -> None:
 
     At fixed points its kernel N/D is a fitted multiple of ``general``'s,
     and its (a, b, c) is ``factor`` (fitted from a when None) times
-    ``general``'s (a, b, nu*a), to 1e-10 of its largest |k| or |a|.  A
-    fitted c, case1's, holds to 1e-10 max(1, |nu|) |a| as its nu did:
-    c = nu*a carries a's rounding times |nu|, which grows as m^2.
+    ``general``'s (a, b, nu*a), to 1e-10 of its largest |k| or |a|, and
+    c to 1e-10 max(1, |nu|) of |a|: c = nu*a carries a's rounding times
+    |nu|, which grows as m^2 in case1 and as |lambda|^2/4 in case2.
     """
     y, z = _RECOVERY_Y, _RECOVERY_Z
     (num, den), lam, mu = kernel, general.lam, general.mu
@@ -444,7 +431,7 @@ def _assert_recovery(case: str, kernel, abc, general: General, factor) -> None:
     _assert_multiples(case, [("kernel", num(z) / den(z), num_g(z) / den_g(z), 1.0)], None)
     a_g, b_g = _general_coeffs(lam)
     nu = _general_nu(lam, mu)
-    weights = (1.0, 1.0, 1.0 if factor is not None else max(1.0, abs(nu)))
+    weights = (1.0, 1.0, max(1.0, abs(nu)))
     rows = zip("abc", (f(y) for f in abc), (a_g(y), b_g(y), nu * a_g(y)), weights)
     _assert_multiples(case, list(rows), factor)
 

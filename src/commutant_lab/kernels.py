@@ -6,10 +6,9 @@ z = 0.  The kernel is analytic at 0 when N(0) = 0 (removable) and has a
 simple pole there otherwise; N(0) counts as 0 when it is below 1e-14 of
 N's largest Taylor coefficient N_k at 0 taken on N's own length scale,
 i.e. of max_k |N_k| / rho^k with rho = max(N's fastest rate, 1), so the
-test does not drift with the rate.
-Admissible parameters leave at most removable zeros of D elsewhere in
-[-2, 2] (e.g. z = +-2 for the cos/sin kernels), where direct evaluation
-loses digits.
+test does not drift with the rate.  Any other zero of D in [-2, 2] must
+be removable (e.g. z = +-2 for the cos/sin kernels); there direct
+evaluation loses digits.
 
 One evaluator, ``kernel_matrix``, gives k(x_i - y_j) and its derivatives
 on a difference grid; ``kernel_values`` is its column y = 0.
@@ -24,13 +23,16 @@ The switch radius translates the fixed argument window 1e-3 through the
 denominator's fastest rate, matching the accuracy targets of 1e-12 away
 from a switch and 1e-10 at it.
 
-``build_kernel`` is the one constructor of a :class:`KernelSpec` and reads
-the pole from the data (N(0) != 0 on N's own scale); a gauge transform
+``build_kernel`` is the one constructor of a :class:`KernelSpec` and the
+one judge of its poles, from N and D: the pole at 0, and a zero of D in
+[-2, 2] that N does not cancel, which it refuses.  A gauge transform
 rebuilds its kernel through it from the shifted numerator.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -58,9 +60,8 @@ def _series_div(num, den, nterms: int) -> tuple[complex, ...]:
 class KernelSpec:
     """Evaluatable kernel with its pole flag and Taylor data at 0.
 
-    ``singular`` is True iff |N(0)| > 1e-14 max_k |N_k| / rho^k over N's
-    Taylor coefficients at 0, with rho = max(N's fastest rate, 1), i.e. k
-    has a simple pole at 0.
+    ``singular`` is True iff k has a simple pole at 0 (N(0) != 0 on N's
+    own scale).
     ``series`` holds plain Taylor coefficients: of z*k(z) when ``singular``
     (so series[0] is the residue at 0), of k(z) otherwise (so series[n] is
     the n-th derivative over n!).
@@ -75,9 +76,7 @@ class KernelSpec:
     local_series: dict = field(compare=False, repr=False)
 
     def residue(self) -> complex:
-        if not self.singular:
-            return 0j
-        return self.series[0]
+        return self.series[0] if self.singular else 0j
 
 
 def build_kernel(numerator: ExpPoly, denominator: ExpPoly) -> KernelSpec:
@@ -85,10 +84,11 @@ def build_kernel(numerator: ExpPoly, denominator: ExpPoly) -> KernelSpec:
 
     The denominator must have a simple zero at z = 0, so k has a simple
     pole there exactly when N(0) != 0 (relative to N's Taylor data).
-    Removable zeros of D elsewhere on [-2, 2] are located from its
-    exponential rates and a local expansion of k is prepared at each; a
-    zero of D there that N does not cancel (on the same rho-scaled Taylor
-    coefficients as at 0) raises AdmissibilityError.
+    The zeros of D elsewhere on [-2, 2] are located from its exponential
+    rates and examined nearest 0 first, in one pass: the first that N does
+    not cancel (on the same rho-scaled Taylor coefficients as at 0) raises
+    AdmissibilityError, so no zero beyond it is read, and at each one
+    before it a local expansion of k is prepared.
     """
     den_taylor = denominator.taylor(0.0, SERIES_TERMS + 2)
     if abs(den_taylor[0]) > 1e-12 or den_taylor[1] == 0:
@@ -101,17 +101,12 @@ def build_kernel(numerator: ExpPoly, denominator: ExpPoly) -> KernelSpec:
     # Taylor of z*k = N/(D/z), or of k = (N/z)/(D/z) when N(0) = 0
     series = _series_div(num_taylor if singular else num_taylor[1:], den_taylor[1:], SERIES_TERMS)
 
-    rate = denominator.max_rate()
-    switch = SWITCH_ARG / max(rate, 1.0)
-
-    zeros = []
     local = {}
     for z0 in _real_denominator_zeros(denominator):
         nt = numerator.taylor(z0, SERIES_TERMS + 2)
-        dt = denominator.taylor(z0, SERIES_TERMS + 2)
         if abs(nt[0]) > 1e-8 * max(abs(c) / rho**k for k, c in enumerate(nt)):
             raise AdmissibilityError("non-removable singularity inside [-2,2]")
-        zeros.append(z0)
+        dt = denominator.taylor(z0, SERIES_TERMS + 2)
         local[z0] = _series_div(nt[1:], dt[1:], SERIES_TERMS)
 
     return KernelSpec(
@@ -119,37 +114,37 @@ def build_kernel(numerator: ExpPoly, denominator: ExpPoly) -> KernelSpec:
         denominator=denominator,
         singular=singular,
         series=series,
-        removable_zeros=tuple(zeros),
-        switch_radius=switch,
+        removable_zeros=tuple(sorted(local)),
+        switch_radius=SWITCH_ARG / max(denominator.max_rate(), 1.0),
         local_series=local,
     )
 
 
-def _real_denominator_zeros(den: ExpPoly) -> list[float]:
-    """Real zeros z != 0 of the denominator inside [-2, 2].
+def _real_denominator_zeros(den: ExpPoly):
+    """Real zeros z != 0 of the denominator inside [-2, 2], nearest 0 first.
 
     For D built from sinh(rho*z)-type terms the zeros lie at i*pi*k/rho,
-    which are real exactly when rho is purely imaginary.  Each zero is kept
-    at full precision: the local series drops N(z0) and D(z0), and a centre
-    rounded by eps shifts k' by about k''*eps/2.
+    which are real exactly when rho is purely imaginary.  The candidates
+    pi*k/|rho| of all such rates are merged lazily in increasing order (one
+    within 1e-12 of the one before is the same zero) and yielded as +z0,
+    then -z0, where |D| < 1e-9, so a caller that stops pays for no zero
+    beyond.  Each zero is kept at full precision: the local series drops
+    N(z0) and D(z0), and a centre rounded by eps shifts k' by ~k''*eps/2.
     """
-    zeros: list[float] = []
-    for rate, _ in den.terms:
-        if rate == 0:
-            continue
-        if abs(rate.real) > 1e-12 * abs(rate):
-            continue
-        sigma = abs(rate.imag)
-        k = 1
-        while True:
-            z0 = np.pi * k / sigma
-            if z0 > 2.0 + 1e-9:
-                break
+
+    def multiples(sigma):
+        return (np.pi * k / sigma for k in itertools.count(1))
+
+    sigmas = {abs(r.imag) for r, _ in den.terms if r != 0 and abs(r.real) <= 1e-12 * abs(r)}
+    last = 0.0
+    for z0 in heapq.merge(*map(multiples, sigmas)):
+        if z0 > 2.0 + 1e-9:
+            return
+        if z0 - last > 1e-12:
             for s in (z0, -z0):
-                if abs(den(complex(s))) < 1e-9 and all(abs(s - z) > 1e-12 for z in zeros):
-                    zeros.append(float(s))
-            k += 1
-    return sorted(zeros)
+                if abs(den(complex(s))) < 1e-9:
+                    yield s
+        last = z0
 
 
 def _laurent_eval(series, z, order: int):

@@ -7,11 +7,14 @@ n = 256 and sweep jobs 0-23, seeds 1-2, and the case2 draws with small
 lambda in ``SMALL_RATE``, with BLAS on one thread; and ``pair`` and
 ``verify`` on each parameter set of ``REFUSALS``, which ``make_pair``
 refuses, certify's commands on each first-order family of
-``FIRST_ORDER``, and ``commutator`` and ``spectrum`` with ``--dump`` on
-the certify jobs of ``DUMPS``.  It writes one JSON object that maps each
+``FIRST_ORDER`` and on each imaginary-heavy parameter set of ``ADMITTED``,
+and ``commutator`` and ``spectrum`` with ``--dump`` on the certify jobs of
+``DUMPS``.  It writes one JSON object that maps each
 output file (``certify/1/0/pair/report.json``,
 ``refusals/case3/beta0/pair/report.json``) to the sha256 of its bytes and
-each call (``certify/1/0/pair/exit``) to its exit code.
+each call (``certify/1/0/pair/exit``) to its exit code, or to the
+exception it ended in (``"AssertionError: ..."``, with its traceback on
+stderr), so a tree on which a call fails unhandled can still be compared.
 A change meant to keep every output byte is checked by running it on both
 trees, with this script from either one, and comparing the two files:
 
@@ -41,6 +44,7 @@ import json
 import math
 import sys
 import tempfile
+import traceback
 from functools import partial
 from pathlib import Path
 
@@ -99,6 +103,24 @@ FIRST_ORDER = {
     "case4/p0-imaginary-beta": {"variant": "case4", "beta": [0.0, 1.0], "p": [[0.0, 0.0]] * 3},
 }
 
+# name -> params block with |Im lambda| > pi that make_pair builds: two
+# general kernels with only removable zeros in [-2, 2] (alpha2 = 0, mu in
+# (lambda/2)Z) and a case2 lambda whose poles lie 6.1e-7 k off the real
+# axis; certify's commands run on each at certify's n and m
+ADMITTED = {
+    "general/lambda1.2pi": {
+        "variant": "general", "lambda": [0.0, 1.2 * math.pi], "mu": [0.0, 0.6 * math.pi],
+        "alpha1": [1.0, 0.0], "alpha2": [0.0, 0.0],
+    },
+    "general/lambda3.2pi": {
+        "variant": "general", "lambda": [0.0, 3.2 * math.pi], "mu": [0.0, 3.2 * math.pi],
+        "alpha1": [0.3, 0.2], "alpha2": [0.0, 0.0],
+    },
+    "case2/lambda1+3200i": {
+        "variant": "case2", "lambda": [1.0, 3200.0], "alpha": [1.0, 0.0], "beta": [0.0, 0.0],
+    },
+}
+
 
 def _workloads():
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
@@ -121,12 +143,12 @@ def _argvs(commands, *flags):
 
 
 def digests(
-    seeds=SEEDS, jobs=JOBS, extra=(), refusals=(), first_order=(), dumps=()
+    seeds=SEEDS, jobs=JOBS, extra=(), refusals=(), first_order=(), admitted=(), dumps=()
 ) -> dict[str, str | int]:
     """sha256 of every output file and the exit code of every call, by path,
     over jobs 0..count-1 of each seed, the (workload, seed, job) in extra,
-    the REFUSALS named in refusals, the FIRST_ORDER named in first_order and
-    the certify (seed, job) in dumps."""
+    the REFUSALS named in refusals, the FIRST_ORDER named in first_order,
+    the ADMITTED named in admitted and the certify (seed, job) in dumps."""
     from commutant_lab import cli  # here, so --compare runs without the package
 
     workloads = _workloads()
@@ -140,7 +162,10 @@ def digests(
     calls += [(f"refusals/{name}", {"params": REFUSALS[name]}, pair_verify) for name in refusals]
     grid = {k: workloads.WORKLOADS["certify"][k] for k in ("n", "m")}
     certify = partial(workloads.job_argvs, "certify")
-    calls += [(f"first_order/{name}", {"params": FIRST_ORDER[name], **grid}, certify) for name in first_order]
+    for group, table, names in (
+        ("first_order", FIRST_ORDER, first_order), ("admitted", ADMITTED, admitted)
+    ):
+        calls += [(f"{group}/{name}", {"params": table[name], **grid}, certify) for name in names]
     dump = _argvs(("commutator", "spectrum"), "--dump")
     calls += [(f"dumps/{seed}/{i}", workloads.job_config("certify", seed, i), dump) for seed, i in dumps]
     out: dict[str, str | int] = {}
@@ -152,8 +177,13 @@ def digests(
             config = jobdir / "config.json"
             config.write_text(json.dumps(cfg))
             for cmd, argv in argvs(config, jobdir):
-                with contextlib.redirect_stderr(io.StringIO()):
-                    out[f"{name}/{cmd}/exit"] = cli.main(argv)
+                try:
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        status = cli.main(argv)
+                except Exception as exc:  # an unhandled failure is an entry too
+                    traceback.print_exc()
+                    status = f"{type(exc).__name__}: {exc}"
+                out[f"{name}/{cmd}/exit"] = status
         for path in sorted(root.rglob("*")):
             if path.is_file() and path.name != "config.json":
                 out[path.relative_to(root).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -185,7 +215,9 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(f"usage: {sys.argv[0]} OUT.json | --compare A.json B.json", file=sys.stderr)
         return 2
-    result = digests(extra=SMALL_RATE, refusals=REFUSALS, first_order=FIRST_ORDER, dumps=DUMPS)
+    result = digests(
+        extra=SMALL_RATE, refusals=REFUSALS, first_order=FIRST_ORDER, admitted=ADMITTED, dumps=DUMPS
+    )
     Path(argv[0]).write_text(json.dumps(result, indent=0, sort_keys=True) + "\n")
     print(f"{len(result)} digests and exit codes written to {argv[0]}")
     return 0

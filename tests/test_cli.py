@@ -316,6 +316,59 @@ def test_report_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys, 
     assert capsys.readouterr().err.startswith(f"config error: cannot write {out / blocked}: ")
 
 
+def test_tables_lists_every_file_a_command_writes(tmp_path, cold_memo):
+    cfg = write_config(tmp_path / "cfg.json", params=CASE1, n=16, m=4, count=2)
+    for command in cli.COMMANDS:
+        out = tmp_path / command
+        main([command, "--config", cfg, "--out", str(out), "--dump", "--quiet"])
+        written = {path.name for path in out.iterdir()}
+        assert written == {"report.json", "summary.csv", *cli.TABLES[command]}, command
+
+
+def test_refused_pair_leaves_no_earlier_samples(tmp_path, cold_memo):
+    # a refusal writes no samples: those of an earlier run into the same
+    # directory go, so they do not sit beside a report that says admissible: false
+    out = tmp_path / "out"
+    good = write_config(tmp_path / "good.json", params=SINC)
+    main(["pair", "--config", good, "--out", str(out), "--quiet"])
+    assert (out / "kernel_samples.csv").exists()
+    bad = write_config(tmp_path / "bad.json", params=digests.REFUSALS["general/alpha0"])
+    assert main(["pair", "--config", bad, "--out", str(out), "--quiet"]) == 1
+    assert json.loads((out / "report.json").read_text())["result"]["admissible"] is False
+    assert sorted(path.name for path in out.iterdir()) == ["report.json", "summary.csv"]
+
+
+def test_commutator_without_dump_leaves_no_earlier_matrices(tmp_path, cold_memo):
+    cfg = write_config(tmp_path / "cfg.json", params=SINC, n=16)
+    out = tmp_path / "out"
+    assert main(["commutator", "--config", cfg, "--out", str(out), "--dump", "--quiet"]) == 0
+    assert (out / "K_matrix.csv").exists() and (out / "L_matrix.csv").exists()
+    assert main(["commutator", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["report.json", "summary.csv"]
+
+
+def test_failed_eig_certificate_leaves_no_earlier_modes(tmp_path, monkeypatch, cold_memo):
+    cfg = write_config(tmp_path / "cfg.json", params=CASE1, n=16, m=4)
+    out = tmp_path / "out"
+    main(["spectrum", "--config", cfg, "--out", str(out), "--quiet"])
+    assert (out / "modes.csv").exists()
+    monkeypatch.setattr(cli.spectra, "_BACKWARD_TOL", 1e-30)
+    assert main(["spectrum", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert "eig_certificate" in json.loads((out / "report.json").read_text())["result"]
+    assert sorted(path.name for path in out.iterdir()) == ["report.json", "summary.csv"]
+
+
+def test_report_that_cannot_be_written_stops_the_run_before_its_tables(tmp_path, capsys, cold_memo):
+    # the run exits 2 before its body: no table of it sits beside the files
+    # an earlier run left
+    cfg = write_config(tmp_path / "cfg.json", params=SINC)
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    assert main(["pair", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out / 'report.json'}: ")
+    assert [path.name for path in out.iterdir()] == ["report.json"]
+
+
 def test_one_parser_keeps_no_state_between_calls(tmp_path, capsys, cold_memo):
     cfg = write_config(tmp_path / "cfg.json", params=SINC, n=16, m=4)
     argv = ["commutator", "--config", cfg, "--quiet", "--out"]

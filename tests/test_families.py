@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from commutant_lab import (
     Case2,
     Case3,
     Case4,
+    CommutantError,
     DegenerateError,
     ExpPoly,
     General,
@@ -340,6 +342,142 @@ def test_admissibility_examples():
     bad = check_admissibility(General(lam=1.2j * np.pi, mu=0.3, alpha1=1, alpha2=1))
     assert not bad.ok
     assert bad.reason == "non-removable singularity inside [-2,2]"
+
+
+def _outcome(params):
+    """("built", classify_trivial) or (refusal class, reason) of make_pair."""
+    try:
+        make_pair(params)
+    except CommutantError as exc:
+        return type(exc).__name__, str(exc)
+    return "built", classify_trivial(params)
+
+
+_POLE = ("AdmissibilityError", "non-removable singularity inside [-2,2]")
+_ZERO_KERNEL = ("DegenerateError", "the parameters give the zero kernel")
+_ZERO_OPERATOR = ("DegenerateError", "the parameters give the zero operator")
+
+
+def _parametric_pole_rule(params) -> bool:
+    """The refusal make_pair once made from lambda alone, on imaginary
+    lambda outside pi*i*Z: case2 for |lambda| >= pi, the general family for
+    |lambda| >= pi unless alpha1 = 0 and mu is an odd quarter multiple of
+    lambda with |lambda| < 2 pi."""
+    s = abs(params.lam.imag)
+    if isinstance(params, Case2):
+        return s >= math.pi - 1e-12
+    r = 4.0 * params.mu / params.lam
+    n = round(r.real)
+    odd_quarter = params.alpha1 == 0 and abs(r.imag) <= 1e-9 and abs(r.real - n) < 1e-9 and n % 2 != 0
+    return s >= math.pi and not (s < 2 * math.pi and odd_quarter)
+
+
+# imaginary lambda up to 40 pi i, three of them in the pi <= |lambda| < 2 pi
+# window, none in pi*i*Z (left to case1 by policy)
+_IMAGINARY_LAMBDA = [1j * s for s in np.linspace(0.1, 39.9 * np.pi, 23)]
+_IMAGINARY_LAMBDA += [1.2j * np.pi, 1.5j * np.pi, 1.9j * np.pi]
+_ALPHAS = ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (0.3 + 0.2j, 0.0))
+
+
+def test_case2_outcomes_without_the_parametric_pole_rule():
+    # build_kernel refuses every case2 lambda the rule refused, with the
+    # rule's reason, and builds every other; a zero operator (alpha = beta
+    # = 0) is now refused as that, whatever lambda
+    lams = [1j * s for s in np.linspace(0.05, 40 * np.pi, 200)]
+    for lam in lams:
+        for alpha, beta in ((1.0, 0.0), (0.5j, 0.7), (0.0, 1.0)):
+            params = Case2(lam=lam, alpha=alpha, beta=beta)
+            want = _POLE if _parametric_pole_rule(params) else ("built", False)
+            assert _outcome(params) == want, params
+        assert _outcome(Case2(lam=lam, alpha=0.0, beta=0.0)) == _ZERO_OPERATOR
+
+
+def test_general_outcomes_without_the_parametric_pole_rule():
+    # a set the rule refused is refused for a pole of its kernel, or has an
+    # entire kernel (alpha2 = 0, mu in (lambda/2)Z), or a zero one; a set it
+    # passed builds unless its kernel is zero
+    seen = Counter()
+    for lam in _IMAGINARY_LAMBDA:
+        for mu in (*(lam * np.array([0.5, 1, 1.5, -1, 0.25, 0.75, 1.25])), 0.3, 0.9j * np.pi, 1 + 1j):
+            for alpha1, alpha2 in _ALPHAS:
+                params = General(lam=lam, mu=complex(mu), alpha1=alpha1, alpha2=alpha2)
+                got = _outcome(params)
+                refused = _parametric_pole_rule(params)
+                if alpha1 == alpha2 == 0:
+                    allowed = {_ZERO_KERNEL}
+                elif refused:
+                    allowed = {_POLE, ("built", True)}
+                else:
+                    allowed = {("built", True), ("built", False)}
+                assert got in allowed, (params, got)
+                seen[refused, got] += 1
+    # each kind of outcome occurs
+    assert seen[True, _POLE] and seen[True, ("built", True)] and seen[True, _ZERO_KERNEL]
+    assert seen[False, ("built", True)] and seen[False, ("built", False)]
+
+
+@pytest.mark.parametrize("lam", [10j, 1e4j, 1e6j])
+def test_case2_pole_refused_at_the_nearest_zero(monkeypatch, lam):
+    # build_kernel reads N's Taylor data at the zero of sinh(lambda z/2)
+    # nearest 0, finds it uncancelled and stops: one read at any lambda
+    reads = []
+    taylor = ExpPoly.taylor
+
+    def spy(self, z0, nterms):
+        if z0 != 0:
+            reads.append(z0)
+        return taylor(self, z0, nterms)
+
+    monkeypatch.setattr(ExpPoly, "taylor", spy)
+    with pytest.raises(AdmissibilityError, match=r"non-removable singularity inside \[-2,2\]"):
+        make_pair(Case2(lam=lam, alpha=1.0, beta=0.0))
+    assert reads == [pytest.approx(2 * math.pi / abs(lam), rel=1e-15)]
+
+
+@pytest.mark.parametrize("lam", [1 + 2000j, 1 + 3200j])
+def test_case2_with_fast_complex_lambda_builds(tmp_path, lam):
+    # c = nu a with |nu| = |lambda|^2/4 ~ 2.6e6: the recovery check holds c
+    # to 1e-10 max(1, |nu|) of |a|, so correct pairs pass it
+    pair = make_pair(Case2(lam=lam, alpha=1.0, beta=0.0))
+    assert pair.kernel.singular and not pair.kernel.removable_zeros
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params_to_json(pair.params)}))
+    assert cli.main(["pair", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["result"]["admissible"]
+
+
+@pytest.mark.parametrize("lam", [1.0, 1 + 3200j])
+def test_case2_recovery_holds_c_to_its_scale(monkeypatch, lam):
+    # a perturbation of c by 3e-10 of the size it is held to,
+    # max(1, |nu|) |a|, fails the check; one of 5e-11 does not
+    original = families._case2_triple
+    weight = max(1.0, abs(lam**2 / 4.0))
+
+    def perturbed(eps):
+        def triple(*args):
+            a, b, c = original(*args)
+            return a, b, c + (eps * weight) * a
+
+        return triple
+
+    params = Case2(lam=lam, alpha=1.0, beta=0.0)
+    monkeypatch.setattr(families, "_case2_triple", perturbed(3e-10))
+    with pytest.raises(AssertionError, match="recovery check failed for case2 c$"):
+        make_pair(params)
+    monkeypatch.setattr(families, "_case2_triple", perturbed(5e-11))
+    make_pair(params)
+
+
+def test_entire_kernel_at_wide_lambda_passes_certification(tmp_path):
+    # lambda = 1.2 pi i, mu = lambda/2: sinh(mu z)/sinh(lambda z/2) has only
+    # removable zeros in [-2, 2]; certify's commands pass it at n = 64
+    params = General(lam=1.2j * np.pi, mu=0.6j * np.pi, alpha1=1.0, alpha2=0.0)
+    assert classify_trivial(params)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params_to_json(params), "n": 64, "m": 8}))
+    for command in ("pair", "verify", "normality", "commutator", "spectrum"):
+        out = str(tmp_path / command)
+        assert cli.main([command, "--config", str(cfg), "--out", out, "--quiet"]) == 0, command
 
 
 def test_triviality_rules():
