@@ -234,12 +234,10 @@ def _general_nu(lam: complex, mu: complex) -> complex:
 def _general_parts(params: General):
     """The general family, taking limits for small lambda/mu.
 
-    lambda in pi*i*Z is left to case1.  That is a policy, not a pole
-    guard: lambda = pi*i with mu = 0.75*pi*i (case1's m = 1) has only
-    removable zeros in [-2,2], and the acceptance table (criterion 10) and
-    the ``general/lambdapi`` refusal of tests/digests.py expect it refused.
-    A pole of the kernel inside [-2,2]\\{0} is refused by ``build_kernel``,
-    from N and D.
+    lambda in pi*i*Z is left to case1, a policy rather than a pole guard
+    (``build_kernel`` refuses poles): lambda = pi*i, mu = 0.75*pi*i (case1's
+    m = 1) has only removable zeros in [-2,2], but acceptance criterion 10
+    and the ``general/lambdapi`` refusal digest expect it refused.
     """
     lam = _effective(params.lam)
     s = abs(lam.imag)

@@ -76,7 +76,9 @@ class KernelSpec:
     local_series: dict = field(compare=False, repr=False)
 
     def residue(self) -> complex:
-        return self.series[0] if self.singular else 0j
+        if not self.singular:
+            return 0j
+        return self.series[0]
 
 
 def build_kernel(numerator: ExpPoly, denominator: ExpPoly) -> KernelSpec:

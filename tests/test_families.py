@@ -359,10 +359,10 @@ _ZERO_OPERATOR = ("DegenerateError", "the parameters give the zero operator")
 
 
 def _parametric_pole_rule(params) -> bool:
-    """The refusal make_pair once made from lambda alone, on imaginary
-    lambda outside pi*i*Z: case2 for |lambda| >= pi, the general family for
-    |lambda| >= pi unless alpha1 = 0 and mu is an odd quarter multiple of
-    lambda with |lambda| < 2 pi."""
+    """Reference for the parametric pole rule that build_kernel's zero scan
+    replaces, on imaginary lambda outside pi*i*Z: case2 refused |lambda| >=
+    pi, the general family |lambda| >= pi unless alpha1 = 0 and mu is an odd
+    quarter multiple of lambda with |lambda| < 2 pi."""
     s = abs(params.lam.imag)
     if isinstance(params, Case2):
         return s >= math.pi - 1e-12
