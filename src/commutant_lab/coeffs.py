@@ -12,13 +12,15 @@ conjugation.  :class:`ExpPoly` implements that algebra exactly, so all
 derivative evaluations are analytic rather than finite differences:
 
 * ``f(y, order=m)`` folds the Leibniz sum of each term into one polynomial
-  Q = sum_j C(m,j) r^j P^(m-j) and evaluates it in one Horner pass;
-  ``f(y, order=(m1, m2, ...))`` returns every requested order from one
-  call, with one exp(r*y) per term;
+  Q = sum_j C(m,j) r^j P^(m-j) and evaluates it in one Horner pass (none
+  for a constant Q); ``f(y, order=(m1, m2, ...))`` returns every requested
+  order from one call, with one exp pass over the stacked exp(r*y) of all
+  nonzero rates;
 * ``f.at_differences(x, y, order=...)`` evaluates f (or its derivatives)
   on the difference grid x_i - y_j from x.size + y.size exponentials per
-  term, since e^{r(x_i - y_j)} = e^{r x_i} e^{-r y_j}; kernel matrices
-  and the kernel values of the residuals are built this way;
+  term, taken in one pass for x and one for y over all rates, since
+  e^{r(x_i - y_j)} = e^{r x_i} e^{-r y_j}; kernel matrices and the kernel
+  values of the residuals are built this way;
 * ``f.taylor(z0, n)`` builds Taylor coefficients by series arithmetic (P
   shifted to z0, times the exponential series), without evaluating f.
 
@@ -64,8 +66,9 @@ def exp_series_product(series, rate: complex, scale: complex, nterms: int) -> tu
     return tuple(out)
 
 
-def _two_product(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a*x rounded, and its exact rounding error (Dekker 1971, Veltkamp split)."""
+def _two_product(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a*x rounded, and its exact rounding error (Dekker 1971, Veltkamp split),
+    elementwise over the broadcast of a and x."""
     p = a * x
     c = 134217729.0 * a  # 2**27 + 1
     ah = c - (c - a)
@@ -75,15 +78,17 @@ def _two_product(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, ((ah * xh - p) + ah * xl + al * xh) + al * xl
 
 
-def _exp_real(rate: complex, x: np.ndarray) -> np.ndarray:
-    """exp(rate * x) at real x, without the rounding of the product rate*x.
+def _exp_real(rates: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(rate_t * x_i) at real x, one row per rate, without the rounding of
+    the product rate*x.
 
     fl(rate*x) is off by up to |rate x| eps/2, which e^{r x_i} e^{-r y_j}
     would carry into f(x_i - y_j) where the terms of f cancel (near a zero
     of a denominator); the first-order correction exp(e) = 1 + e removes it.
     """
-    pr, er = _two_product(rate.real, x)
-    pi, ei = _two_product(rate.imag, x)
+    r = rates[:, None]
+    pr, er = _two_product(r.real, x)
+    pi, ei = _two_product(r.imag, x)
     return np.exp(pr + 1j * pi) * (1.0 + (er + 1j * ei))
 
 
@@ -250,20 +255,27 @@ class ExpPoly:
         arr = np.asarray(y, dtype=complex)
         outs = [np.zeros_like(arr) for _ in orders]
         top = max(orders, default=0)
+        # one exp pass for every nonzero rate; the stacked exponentials hold
+        # T*n complex values, T the number of such terms
+        exps = iter(np.exp(np.multiply.outer([r for r, _ in self.terms if r != 0], arr)))
         for rate, poly in self.terms:
             derivs = _ladder(poly, top)
-            e = None
+            e = next(exps) if rate != 0 else None
             for out, m in zip(outs, orders):
                 q = _leibniz(rate, derivs, m)
                 if not q:
                     continue
-                acc = polyval(q, arr)
-                if rate != 0:
-                    # e after the first Horner pass keeps peak memory flat;
-                    # acc *= e is Q*e at every size (numpy's temporary
-                    # elision turns a large Q * exp(...) into exp * Q)
-                    if e is None:
-                        e = np.exp(rate * arr)
+                if len(q) > 1:
+                    acc = polyval(q, arr)
+                else:
+                    # a constant Q needs no Horner pass
+                    acc = np.empty_like(arr)
+                    acc.fill(q[0])
+                if e is not None:
+                    # in place, acc *= e is Q*e at every size: numpy's
+                    # temporary elision would turn a large Q * e into e * Q,
+                    # and it rounds q0 * e with a fused multiply-add where
+                    # the in-place product of a one-point array does not
                     acc *= e
                 out += acc
         if np.isscalar(y):
@@ -284,9 +296,10 @@ class ExpPoly:
         y = np.asarray(y, dtype=float)
         outs = [np.zeros((x.size, y.size), dtype=complex) for _ in orders]
         top = max(orders, default=0)
-        for rate, poly in self.terms:
+        rates = np.array([r for r, _ in self.terms], dtype=complex)
+        EX, EY = _exp_real(rates, x), _exp_real(-rates, y)
+        for (rate, poly), ex, ey in zip(self.terms, EX, EY):
             derivs = _ladder(poly, top)
-            ex, ey = _exp_real(rate, x), _exp_real(-rate, y)
             for out, m in zip(outs, orders):
                 # P itself at order 0: K keeps its arithmetic to the bit
                 q = poly if m == 0 else _leibniz(rate, derivs, m)

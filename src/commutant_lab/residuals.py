@@ -11,7 +11,8 @@ like z^-3 while z^3 F extends continuously to z = 0, so the reported
 residual for singular kernels is the weighted value z^3 F (the continuous
 extension); regular kernels report F directly.  F is sampled on the tensor
 grid y_i x x_j of Chebyshev points, z = x_j - y_i, so each coefficient is
-evaluated once per axis and k, k', k'' come from one difference-grid
+evaluated once per axis (once in all for R1 on a square grid, where the two
+axes hold the same points) and k, k', k'' come from one difference-grid
 ``kernel_matrix`` call.  Coefficient differences a(x) - a(y) are evaluated
 as written: the coefficients are entire and their evaluation is relatively
 accurate, and the z^3 weighting keeps the near-pole samples from
@@ -80,20 +81,26 @@ def _mixed_residual(
     keep = np.abs(Z) > Z_EXCLUSION if kernel.singular else np.ones(Z.shape, dtype=bool)
 
     # L1's coefficients once at the ny points y (one per row), L2's once at
-    # the nz points x (one per column), k, k', k'' on the difference grid
-    a, da, dda = (v[:, None] for v in opL.a(ys, order=(0, 1, 2)))
-    b, db = (v[:, None] for v in opL.b(ys, order=(0, 1)))
-    c = opL.c(ys)[:, None]
+    # the nz points x (one per column), k, k', k'' on the difference grid;
+    # when L2 is L1 and nz == ny, x is y and L1's values serve both axes
+    ay, da, dda = opL.a(ys, order=(0, 1, 2))
+    by, db = opL.b(ys, order=(0, 1))
+    cy = opL.c(ys)
+    if opR is opL and nz == ny:
+        ax, bx, cx = ay, by, cy
+    else:
+        ax, bx, cx = opR.a(xs), opR.b(xs), opR.c(xs)
+    a, da, dda, b, db, c = (v[:, None] for v in (ay, da, dda, by, db, cy))
     k0, k1, k2 = (k.T for k in kernel_matrix(kernel, xs, ys, order=(0, 1, 2)))
-    P = opR.a(xs) - a
-    Q = 2.0 * da + opR.b(xs) - b
-    R = opR.c(xs) - c + db - dda
+    P = ax - a
+    Q = 2.0 * da + bx - b
+    R = cx - c + db - dda
     F = P * k2 + Q * k1 + R * k0
     if kernel.singular:
         F = F * Z**3
     mags = np.abs(F[keep])
     j = int(np.argmax(mags))  # first maximum in row-major order
-    row, col = (int(v[j]) for v in np.nonzero(keep))
+    row, col = divmod(int(np.flatnonzero(keep)[j]), nz)
     return ResidualReport(
         max_abs=float(mags[j]),
         rms=math.sqrt(float(np.mean(mags**2))),

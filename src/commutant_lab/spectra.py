@@ -62,12 +62,18 @@ _KRYLOV_N = 128
 def _project_out(Qk: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Remove the span of Qk's orthonormal rows from w in place, by two
     Gram-Schmidt passes; returns the coefficients removed."""
-    h = np.zeros(Qk.shape[0], dtype=complex)
-    for _ in range(2):
-        c = (Qk @ w.conj()).conj()
-        w -= c @ Qk
-        h += c
-    return h
+    c1 = (Qk @ w.conj()).conj()
+    w -= c1 @ Qk
+    c2 = (Qk @ w.conj()).conj()
+    w -= c2 @ Qk
+    return c1 + c2
+
+
+def _norm(w: np.ndarray) -> float:
+    """np.linalg.norm(w) of a complex vector, by numpy's own formula
+    sqrt(re.re + im.im), without the dispatch of ``norm``."""
+    re, im = w.real, w.imag
+    return float(np.sqrt(re.dot(re) + im.dot(im)))
 
 
 def _arnoldi(apply, n: int, anorm: float, start: int, pick, ritz, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -90,35 +96,33 @@ def _arnoldi(apply, n: int, anorm: float, start: int, pick, ritz, rng) -> tuple[
     Q = np.empty((cap, n), dtype=complex)
     H = np.zeros((cap + 1, cap), dtype=complex)
     w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    Q[0] = w / np.linalg.norm(w)
+    Q[0] = w / _norm(w)
     k = 0
     while True:
         w = apply(Q[k])
         H[: k + 1, k] = _project_out(Q[: k + 1], w)
-        beta = float(np.linalg.norm(w))
         k += 1
-        if k == n:
+        beta = wnorm = 0.0 if k == n else _norm(w)
+        if k < n and beta <= 1e-14 * anorm:
             beta = 0.0
-        else:
-            if beta <= 1e-14 * anorm:
-                beta = 0.0
-                w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                _project_out(Q[:k], w)
-            if k == cap:
-                cap = min(n, 2 * cap)
-                Q = np.concatenate([Q, np.empty((cap - k, n), dtype=complex)])
-                H = np.pad(H, ((0, cap - k), (0, cap - k)))
-            H[k, k - 1] = beta
-            Q[k] = w / np.linalg.norm(w)
+            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            _project_out(Q[:k], w)
+            wnorm = _norm(w)
+        H[k, k - 1] = beta
         # the Ritz pairs of an invariant subspace are converged, so a
         # breakdown past start/4 is checked at once
-        if k < check and not (beta == 0.0 and 4 * k >= start):
-            continue
-        theta, Y = ritz(H[:k, :k])
-        sel, scale = pick(theta)
-        if np.all(beta * np.abs(Y[k - 1, sel]) <= _RITZ_TOL * scale):
-            return theta[sel], Q[:k].T @ Y[:, sel]
-        check = min(n, k + max(1, start // 8))
+        if k >= check or (beta == 0.0 and 4 * k >= start):
+            theta, Y = ritz(H[:k, :k])
+            sel, scale = pick(theta)
+            if k == n or np.all(beta * np.abs(Y[k - 1, sel]) <= _RITZ_TOL * scale):
+                return theta[sel], Q[:k].T @ Y[:, sel]
+            check = min(n, k + max(1, start // 8))
+        # the basis grows only once the check at k = cap has not returned
+        if k == cap:
+            cap = min(n, 2 * cap)
+            Q = np.concatenate([Q, np.empty((cap - k, n), dtype=complex)])
+            H = np.pad(H, ((0, cap - k), (0, cap - k)))
+        Q[k] = w / wnorm
 
 
 def _graded_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,11 +326,11 @@ def _l_modes(L: OperatorMatrix, m: int) -> tuple[np.ndarray, np.ndarray, np.ndar
         xnorm = float(np.linalg.norm(X))
         # X's spectrum 1/(lambda - sigma) does not grade H, so plain eig serves
         theta_r, V = _arnoldi(X.dot, n, xnorm, 4 * m, near_sigma, np.linalg.eig, rng)
-        Xh, Bh = X.conj().T, B.conj().T
-
+        # X^H q as (q^H X)^H, without n x n copies of X^H and B^H
         def left(q):
-            y = Xh @ q
-            y += Xh @ (q - Bh @ y)
+            y = (q.conj() @ X).conj()
+            r = q - (y.conj() @ B).conj()
+            y += (r.conj() @ X).conj()
             return y
 
         theta_l, U = _arnoldi(left, n, xnorm, 4 * m, near_sigma, np.linalg.eig, rng)

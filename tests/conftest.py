@@ -15,6 +15,7 @@ from commutant_lab import (
     collocation_L,
     make_pair,
 )
+from commutant_lab.coeffs import _ladder, _leibniz, _orders, _two_product, polyval
 
 @dataclass(frozen=True)
 class CallableCoeff:
@@ -58,6 +59,57 @@ def selfadjoint_matrix_defect(op: DiffOp) -> float:
     B = (Phi.conj().T * grid.weights[None, :]) @ (Lm @ Phi)
     defect = np.linalg.norm(B - B.conj().T)
     return float(defect / (np.linalg.norm(B) + 1e-300))
+
+
+def _exp_real_one_rate(rate: complex, x: np.ndarray) -> np.ndarray:
+    pr, er = _two_product(rate.real, x)
+    pi, ei = _two_product(rate.imag, x)
+    return np.exp(pr + 1j * pi) * (1.0 + (er + 1j * ei))
+
+
+def exppoly_call_per_term(f, y, order=0):
+    """A reference for ``ExpPoly.__call__``: one exp(rate*y) and one Horner
+    pass per term and order, summed term by term."""
+    single, orders = _orders(order)
+    arr = np.asarray(y, dtype=complex)
+    outs = [np.zeros_like(arr) for _ in orders]
+    top = max(orders, default=0)
+    for rate, poly in f.terms:
+        derivs = _ladder(poly, top)
+        e = None
+        for out, m in zip(outs, orders):
+            q = _leibniz(rate, derivs, m)
+            if not q:
+                continue
+            acc = polyval(q, arr)
+            if rate != 0:
+                if e is None:
+                    e = np.exp(rate * arr)
+                acc *= e
+            out += acc
+    if np.isscalar(y):
+        outs = [complex(o) for o in outs]
+    return outs[0] if single else tuple(outs)
+
+
+def exppoly_at_differences_per_term(f, x, y, order=0):
+    """A reference for ``ExpPoly.at_differences``: two exponential passes
+    per term, one for x and one for y."""
+    single, orders = _orders(order)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    outs = [np.zeros((x.size, y.size), dtype=complex) for _ in orders]
+    top = max(orders, default=0)
+    for rate, poly in f.terms:
+        derivs = _ladder(poly, top)
+        ex, ey = _exp_real_one_rate(rate, x), _exp_real_one_rate(-rate, y)
+        for out, m in zip(outs, orders):
+            q = poly if m == 0 else _leibniz(rate, derivs, m)
+            if len(q) == 1:
+                out += np.multiply.outer(q[0] * ex, ey)
+            elif q:
+                out += polyval(q, np.subtract.outer(x, y)) * np.multiply.outer(ex, ey)
+    return outs[0] if single else tuple(outs)
 
 
 SINC_PARAMS = General(lam=0.0, mu=1j * np.pi / 2, alpha1=1.0, alpha2=0.0)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from commutant_lab.coeffs import ExpPoly
+from conftest import exppoly_at_differences_per_term, exppoly_call_per_term
 
 
 def fd2(f, y, h=1e-5):
@@ -181,3 +182,49 @@ def test_at_differences_keeps_fast_exponentials_exact(rate):
         r = mpmath.mpc(rate)
         ref = np.array([[complex(mpmath.exp(r * (mpmath.mpf(a) - mpmath.mpf(b)))) for b in x] for a in x])
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4 * np.finfo(float).eps
+
+
+_COEFF = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+# rate 0 holds the polynomial part; one coefficient is a constant P
+_TERMS = st.lists(
+    st.tuples(st.one_of(st.just(0.0), _COEFF), st.lists(_COEFF, min_size=1, max_size=3)),
+    max_size=4,
+)
+_ORDERS = st.one_of(st.integers(0, 4), st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple))
+_POINTS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12).map(np.array)
+
+
+def _exppoly(terms) -> ExpPoly:
+    f = ExpPoly.zero()
+    for rate, poly in terms:
+        f = f + ExpPoly.exponential(rate, poly)
+    return f
+
+
+def _assert_same_values(got, want, order):
+    if isinstance(order, int):
+        got, want = (got,), (want,)
+    assert isinstance(got, tuple) and len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert np.array_equal(g, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=_TERMS, order=_ORDERS, y=st.one_of(st.floats(-1.0, 1.0), _POINTS))
+@example(terms=[], order=(0, 2), y=np.array([0.5]))
+@example(terms=[], order=1, y=0.25)
+def test_call_equals_per_term_reference(terms, order, y):
+    # one stacked exponential for all rates and no Horner pass for a
+    # constant Q keep every value of the per-term loop to the bit
+    f = _exppoly(terms)
+    _assert_same_values(f(y, order=order), exppoly_call_per_term(f, y, order), order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=_TERMS, order=_ORDERS, x=_POINTS, y=_POINTS)
+@example(terms=[], order=(0, 1), x=np.array([0.0, 0.5]), y=np.array([-0.5]))
+def test_at_differences_equals_per_term_reference(terms, order, x, y):
+    f = _exppoly(terms)
+    got = f.at_differences(x, y, order=order)
+    _assert_same_values(got, exppoly_at_differences_per_term(f, x, y, order), order)

@@ -227,6 +227,37 @@ def test_r2_reduces_to_r1(analytic_pair):
     assert r2.max_abs <= 1e-10 * r2.scale
 
 
+@pytest.mark.parametrize(
+    "fixture, ny, nz",
+    [("analytic_pair", 41, 41), ("case3_pair", 41, 41), ("case3_pair", 41, 17)],
+)
+def test_r1_shared_evaluation_equals_two_operators(fixture, ny, nz, request, monkeypatch):
+    # on a square grid R1 evaluates L's coefficients once for both axes; R2
+    # with an equal but distinct operator evaluates them per axis, and every
+    # field must agree to the bit.  With ny != nz nothing is shared.
+    from commutant_lab import coeffs
+
+    pair = request.getfixturevalue(fixture)
+    assert pair.kernel.singular == (fixture == "case3_pair")
+    op2 = DiffOp(a=pair.op.a, b=pair.op.b, c=pair.op.c)
+    assert op2 == pair.op and op2 is not pair.op
+
+    calls = []
+    call = coeffs.ExpPoly.__call__
+
+    def counting_call(self, y, order=0):
+        calls.append(np.size(y))
+        return call(self, y, order)
+
+    monkeypatch.setattr(coeffs.ExpPoly, "__call__", counting_call)
+    r1 = residual_R1(pair, ny=ny, nz=nz)
+    r1_calls = len(calls)
+    r2 = residual_R2(pair.kernel, pair.op, op2, ny=ny, nz=nz)
+    assert (r1_calls, len(calls) - r1_calls) == ((3, 6) if ny == nz else (6, 6))
+    for field in dataclasses.fields(r1):
+        assert getattr(r1, field.name) == getattr(r2, field.name), field.name
+
+
 def test_r2_constant_shifts_cancel(analytic_pair):
     op = analytic_pair.op
     shifted = DiffOp(a=op.a, b=op.b, c=op.c + ExpPoly.constant(3.0))
