@@ -86,10 +86,10 @@ def _exp_real(rates: np.ndarray, x: np.ndarray) -> np.ndarray:
     would carry into f(x_i - y_j) where the terms of f cancel (near a zero
     of a denominator); the first-order correction exp(e) = 1 + e removes it.
     """
-    r = rates[:, None]
-    pr, er = _two_product(r.real, x)
-    pi, ei = _two_product(r.imag, x)
-    return np.exp(pr + 1j * pi) * (1.0 + (er + 1j * ei))
+    # one split product for the real parts (rows :T) and imaginary parts (T:)
+    T = rates.size
+    p, e = _two_product(np.concatenate((rates.real, rates.imag))[:, None], x)
+    return np.exp(p[:T] + 1j * p[T:]) * (1.0 + (e[:T] + 1j * e[T:]))
 
 
 def _orders(order) -> tuple[bool, tuple[int, ...]]:
