@@ -2,8 +2,8 @@
 
 Construction of every classified pair (kernel k, second-order operator L)
 with KL = LK, plus the numerical certification stack: functional-identity
-residuals, discretized commutators, joint diagonalization, admissibility
-screening and normality tests.
+residuals, discretized commutators, joint diagonalization and normality
+tests.
 """
 
 from .coeffs import ExpPoly
@@ -22,7 +22,6 @@ from .errors import (
     SingularKernelError,
 )
 from .families import (
-    Admissibility,
     Case1,
     Case2,
     Case3,
@@ -31,7 +30,6 @@ from .families import (
     DiffOp,
     FamilyParams,
     General,
-    check_admissibility,
     classify_trivial,
     gauge_transform,
     make_pair,

@@ -121,6 +121,15 @@ def _leibniz(rate: complex, derivs, m: int) -> list[complex]:
     return q
 
 
+def _accumulate(acc: list[complex], poly) -> None:
+    """acc += poly coefficient-wise, growing acc to poly's length."""
+    for k, c in enumerate(poly):
+        if k < len(acc):
+            acc[k] += c
+        else:
+            acc.append(c)
+
+
 def _trim(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
     c = list(coeffs)
     while c and c[-1] == 0:
@@ -183,17 +192,8 @@ class ExpPoly:
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         merged: dict[complex, list[complex]] = {}
         for rate, poly in self.terms + other.terms:
-            acc = merged.setdefault(rate, [])
-            for k, c in enumerate(poly):
-                if k < len(acc):
-                    acc[k] += c
-                else:
-                    acc.append(c)
-        out = []
-        for rate, poly in merged.items():
-            p = _trim(tuple(poly))
-            if p:
-                out.append((rate, p))
+            _accumulate(merged.setdefault(rate, []), poly)
+        out = [(rate, p) for rate, poly in merged.items() if (p := _trim(tuple(poly)))]
         out.sort(key=lambda t: (t[0].real, t[0].imag))
         return ExpPoly(tuple(out))
 
@@ -212,16 +212,18 @@ class ExpPoly:
         return self * (-1.0)
 
     def derivative(self, order: int = 1) -> "ExpPoly":
-        cur = self
+        # d/dy [P e^{ry}] = (P' + rP) e^{ry}: a term keeps its rate, so none merge
+        terms = self.terms
         for _ in range(order):
-            out = ExpPoly(())
-            for rate, poly in cur.terms:
-                dp = polyder(poly)
-                out = out + ExpPoly.exponential(rate, dp)
+            out = []
+            for rate, poly in terms:
+                q = list(_trim(polyder(poly)))
                 if rate != 0:
-                    out = out + ExpPoly.exponential(rate, tuple(rate * c for c in poly))
-            cur = out
-        return cur
+                    _accumulate(q, _trim(tuple(rate * c for c in poly)))
+                if q := _trim(tuple(q)):
+                    out.append((rate, q))
+            terms = tuple(out)
+        return ExpPoly(terms)
 
     def conjugate(self) -> "ExpPoly":
         # valid pointwise for real arguments only
@@ -301,8 +303,7 @@ class ExpPoly:
         for (rate, poly), ex, ey in zip(self.terms, EX, EY):
             derivs = _ladder(poly, top)
             for out, m in zip(outs, orders):
-                # P itself at order 0: K keeps its arithmetic to the bit
-                q = poly if m == 0 else _leibniz(rate, derivs, m)
+                q = _leibniz(rate, derivs, m)
                 if len(q) == 1:
                     out += np.multiply.outer(q[0] * ex, ey)
                 elif q:

@@ -244,18 +244,5 @@ def collocation_L(op: DiffOp, grid: Grid) -> OperatorMatrix:
     av, bv, cv = op.a(x), op.b(x), op.c(x)
     entries = av[:, None] * grid.D2
     entries += bv[:, None] * grid.D1
-    return OperatorMatrix(entries=add_diagonal(entries, cv), grid=grid, op=op)
-
-
-def add_diagonal(A: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """A + np.diag(d), bit for bit, computed in place in a C-contiguous A.
-
-    The dense sum also adds +0.0 off the diagonal, which turns -0.0 into
-    +0.0.  That is repeated on a view: A's flat entries 1 .. n^2 - 1 as
-    rows of n + 1 hold the diagonal in their last column.
-    """
-    n = A.shape[0]
-    flat = A.reshape(-1)
-    flat[1:].reshape(n - 1, n + 1)[:, :n] += 0.0
-    flat[:: n + 1] += d
-    return A
+    entries.flat[:: grid.n + 1] += cv
+    return OperatorMatrix(entries=entries, grid=grid, op=op)

@@ -22,7 +22,7 @@ refusal a ``CommutantError``: the variant's parts refuse lambda in pi*i*Z
 in the general family (left to case1), lambda = 0 in case2 and beta = 0 or
 p'(0) != 0 in case3, make_pair a zero kernel or a zero operator, and
 ``build_kernel`` a pole of the kernel inside [-2,2] other than 0, which it
-alone judges, from N and D; ``check_admissibility`` asks make_pair.
+alone judges, from N and D.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import ExpPoly
-from .errors import AdmissibilityError, CommutantError, DegenerateError, InvalidPolynomialError
+from .errors import AdmissibilityError, DegenerateError, InvalidPolynomialError
 from .kernels import KernelSpec, build_kernel
 
 DEGENERACY_THRESHOLD = 1e-6
@@ -124,27 +124,12 @@ class CommutingPair:
     nu: complex | None
 
 
-@dataclass(frozen=True)
-class Admissibility:
-    ok: bool
-    reason: str = ""
-
-
 # ---------------------------------------------------------------------------
-# admissibility and triviality
+# triviality
 
 
 def _effective(value: complex) -> complex:
     return 0j if abs(value) < DEGENERACY_THRESHOLD else complex(value)
-
-
-def check_admissibility(params: FamilyParams) -> Admissibility:
-    """Whether ``make_pair`` builds ``params``, with its refusal's reason if not."""
-    try:
-        make_pair(params)
-    except CommutantError as exc:
-        return Admissibility(False, str(exc))
-    return Admissibility(True)
 
 
 def classify_trivial(params: FamilyParams) -> bool:

@@ -9,13 +9,15 @@ from commutant_lab import (
     Case2,
     Case3,
     Case4,
+    CommutantError,
     DiffOp,
+    ExpPoly,
     General,
     build_grid,
     collocation_L,
     make_pair,
 )
-from commutant_lab.coeffs import _ladder, _leibniz, _orders, _two_product, polyval
+from commutant_lab.coeffs import _ladder, _leibniz, _orders, _two_product, polyder, polyval
 
 @dataclass(frozen=True)
 class CallableCoeff:
@@ -110,6 +112,29 @@ def exppoly_at_differences_per_term(f, x, y, order=0):
             elif q:
                 out += polyval(q, np.subtract.outer(x, y)) * np.multiply.outer(ex, ey)
     return outs[0] if single else tuple(outs)
+
+
+def exppoly_derivative_remerging(f, order=1):
+    """A reference for ``ExpPoly.derivative``: every term's P' e^{ry} and
+    rP e^{ry} added to the sum built so far, which re-merges it by rate."""
+    cur = f
+    for _ in range(order):
+        out = ExpPoly(())
+        for rate, poly in cur.terms:
+            out = out + ExpPoly.exponential(rate, polyder(poly))
+            if rate != 0:
+                out = out + ExpPoly.exponential(rate, tuple(rate * c for c in poly))
+        cur = out
+    return cur
+
+
+def refusal_reason(params) -> str | None:
+    """The reason ``make_pair`` refuses ``params``, or None if it builds them."""
+    try:
+        make_pair(params)
+    except CommutantError as exc:
+        return str(exc)
+    return None
 
 
 SINC_PARAMS = General(lam=0.0, mu=1j * np.pi / 2, alpha1=1.0, alpha2=0.0)

@@ -24,7 +24,6 @@ from commutant_lab import (
     General,
     adjoint_coeffs,
     build_grid,
-    check_admissibility,
     classify_trivial,
     collocation_L,
     commutator_norm,
@@ -43,7 +42,7 @@ from commutant_lab import (
     taylor_relation_check,
 )
 from commutant_lab.cli import main as cli_main
-from conftest import CallableCoeff, selfadjoint_matrix_defect
+from conftest import CallableCoeff, refusal_reason, selfadjoint_matrix_defect
 
 SINC = General(lam=0.0, mu=1j * np.pi / 2, alpha1=1.0, alpha2=0.0)
 ANALYTIC = General(lam=1.0, mu=2.0, alpha1=1.0, alpha2=0.0)
@@ -73,7 +72,7 @@ def seeded_general_draws(seed: int = 42, count: int = 25):
         a1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         a2 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if len(draws) % 2 == 0 else 0j
         params = General(lam=lam, mu=mu, alpha1=a1, alpha2=a2)
-        if not check_admissibility(params).ok or classify_trivial(params):
+        if refusal_reason(params) is not None or classify_trivial(params):
             continue
         draws.append(params)
     return draws
@@ -346,7 +345,7 @@ def test_criterion_10_admissibility_table():
         (General(lam=1j * pi, mu=0.75j * pi, alpha1=0, alpha2=1), False),
         (General(lam=2j * pi, mu=0.5j * pi, alpha1=0, alpha2=1), False),
     ]
-    verdicts = [check_admissibility(p).ok for p, _ in table]
+    verdicts = [refusal_reason(p) is None for p, _ in table]
     expected = [e for _, e in table]
     ok = verdicts == expected
     announce("10", ok, f"{sum(v == e for v, e in zip(verdicts, expected))}/12 verdicts exact")

@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 
 from commutant_lab import (
-    Admissibility,
     CommutantError,
     build_grid,
-    check_admissibility,
     cli,
     discretize,
     kernels,
@@ -25,6 +23,7 @@ from commutant_lab import (
 from commutant_lab.cli import main
 
 import digests
+from conftest import refusal_reason
 
 SINC = {
     "variant": "general",
@@ -394,13 +393,13 @@ def test_one_parser_keeps_no_state_between_calls(tmp_path, capsys, cold_memo):
 
 @pytest.mark.parametrize("name", list(digests.REFUSALS))
 def test_every_refusal_is_reported(tmp_path, capsys, cold_memo, name):
-    # make_pair refuses; check_admissibility, pair's report and verify's
+    # make_pair refuses; refusal_reason, pair's report and verify's
     # error line all carry its reason
     params = digests.REFUSALS[name]
     with pytest.raises(CommutantError) as refusal:
         make_pair(params_from_json(params))
     reason = str(refusal.value)
-    assert check_admissibility(params_from_json(params)) == Admissibility(False, reason)
+    assert refusal_reason(params_from_json(params)) == reason
     cfg = write_config(tmp_path / "cfg.json", params=params)
     assert main(["pair", "--config", cfg, "--out", str(tmp_path / "pair"), "--quiet"]) == 1
     report = json.loads((tmp_path / "pair" / "report.json").read_text())

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from commutant_lab.coeffs import ExpPoly
-from conftest import exppoly_at_differences_per_term, exppoly_call_per_term
+from conftest import (
+    exppoly_at_differences_per_term,
+    exppoly_call_per_term,
+    exppoly_derivative_remerging,
+)
 
 
 def fd2(f, y, h=1e-5):
@@ -107,6 +111,17 @@ def test_taylor_makes_no_derivative_calls(monkeypatch):
 
     monkeypatch.setattr(ExpPoly, "__call__", refuse)
     assert ORACLE_F.taylor(0.7, 18) == expected
+
+
+def test_derivative_makes_no_sums(monkeypatch):
+    # terms merged by rate stay merged under d/dy, so nothing is re-merged
+    expected = exppoly_derivative_remerging(ORACLE_F, 3)
+
+    def refuse(self, other):
+        raise AssertionError("derivative re-merged its terms")
+
+    monkeypatch.setattr(ExpPoly, "__add__", refuse)
+    assert ORACLE_F.derivative(3) == expected
 
 
 # a tuple of orders returns one array per order, in the order given
@@ -228,3 +243,15 @@ def test_at_differences_equals_per_term_reference(terms, order, x, y):
     f = _exppoly(terms)
     got = f.at_differences(x, y, order=order)
     _assert_same_values(got, exppoly_at_differences_per_term(f, x, y, order), order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=_TERMS, order=st.integers(0, 3))
+@example(terms=[], order=2)
+@example(terms=[(0.0, [2.0])], order=1)
+@example(terms=[(0.0, [1.0, -0.5, 0.25j]), (0.7 - 1.3j, [2.0, 1.0]), (-1.1j, [0.3j])], order=3)
+def test_derivative_equals_remerging_reference(terms, order):
+    # each term maps to (P' + rP) e^{ry} with the additions the re-merging
+    # sum makes, and a term that vanishes is dropped
+    f = _exppoly(terms)
+    assert f.derivative(order).terms == exppoly_derivative_remerging(f, order).terms

@@ -25,7 +25,7 @@ from commutant_lab import (
     nystrom_K_pv,
     pv_log_weight,
 )
-from commutant_lab.discretize import add_diagonal, k_reg_values, pv_rowsum_error
+from commutant_lab.discretize import k_reg_values, pv_rowsum_error
 from commutant_lab.kernels import kernel_matrix
 
 
@@ -187,16 +187,25 @@ def test_grid_size_is_an_integer_before_the_cache(warm):
     assert g.n == 64
 
 
-def test_add_diagonal_matches_the_dense_sum_bit_for_bit():
-    # the dense sum adds +0.0 off the diagonal, which turns -0.0 into +0.0
-    A = np.full((3, 3), complex(-0.0, -0.0))
-    A[0, 2] = 2.0 - 1.0j
-    d = np.array([complex(-0.0, -0.0), 1.5, 0.0])
-    ref = A + np.diag(d)
-    assert add_diagonal(A.copy(), d).tobytes() == ref.tobytes()
-    naive = A.copy()
-    naive.flat[::4] += d
-    assert naive.tobytes() != ref.tobytes()
+@pytest.mark.parametrize("n", [3, 64, 256])
+@pytest.mark.parametrize(
+    "params",
+    [
+        General(lam=1.0, mu=2.0, alpha1=1.0, alpha2=0.0),
+        General(lam=1.0 + 0.5j, mu=0.7, alpha1=0.3, alpha2=1.0),
+        Case2(lam=1.0, alpha=0.0, beta=1.0),
+    ],
+    ids=["analytic", "pole", "first-order"],
+)
+def test_collocation_L_equals_the_dense_sum(params, n):
+    # c is added in place on the diagonal; equal to the dense sum up to the
+    # sign of an exact zero off the diagonal
+    pair = make_pair(params)
+    grid = build_grid(n)
+    x = grid.nodes
+    av, bv, cv = pair.op.a(x), pair.op.b(x), pair.op.c(x)
+    ref = av[:, None] * grid.D2 + bv[:, None] * grid.D1 + np.diag(cv)
+    assert np.array_equal(collocation_L(pair.op, grid).entries, ref)
 
 
 # ---------------------------------------------------------------------------

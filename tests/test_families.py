@@ -19,7 +19,6 @@ from commutant_lab import (
     General,
     InvalidPolynomialError,
     PoleError,
-    check_admissibility,
     classify_trivial,
     cli,
     families,
@@ -30,6 +29,7 @@ from commutant_lab import (
     params_to_json,
     residual_R1,
 )
+from conftest import refusal_reason
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_first_order_operators_still_build(params):
     # a = 0 but b or c is not: the zero-operator refusal leaves these alone
     pair = make_pair(params)
     assert not pair.op.a.terms and (pair.op.b.terms or pair.op.c.terms)
-    assert check_admissibility(params).ok
+    assert refusal_reason(params) is None
 
 
 def test_every_special_pair_satisfies_r1():
@@ -334,14 +334,10 @@ def test_small_rate_case2_builds_and_verifies(tmp_path, lam):
 
 
 def test_admissibility_examples():
-    assert check_admissibility(General(lam=1.5j, mu=0.7, alpha1=1, alpha2=1)).ok
-    ok2 = check_admissibility(
-        General(lam=1.2j * np.pi, mu=0.9j * np.pi, alpha1=0, alpha2=1)
-    )
-    assert ok2.ok
-    bad = check_admissibility(General(lam=1.2j * np.pi, mu=0.3, alpha1=1, alpha2=1))
-    assert not bad.ok
-    assert bad.reason == "non-removable singularity inside [-2,2]"
+    assert refusal_reason(General(lam=1.5j, mu=0.7, alpha1=1, alpha2=1)) is None
+    assert refusal_reason(General(lam=1.2j * np.pi, mu=0.9j * np.pi, alpha1=0, alpha2=1)) is None
+    bad = refusal_reason(General(lam=1.2j * np.pi, mu=0.3, alpha1=1, alpha2=1))
+    assert bad == "non-removable singularity inside [-2,2]"
 
 
 def _outcome(params):
@@ -561,7 +557,7 @@ def test_random_admissible_pairs_commute(lam, mu, a1, a2):
 
     params = General(lam=lam, mu=mu, alpha1=a1, alpha2=a2)
     assume(abs(a1) + abs(a2) > 1e-3)
-    assume(check_admissibility(params).ok)
+    assume(refusal_reason(params) is None)
     assume(not classify_trivial(params))
     pair = make_pair(params)
     assert pair.op.boundary_residual() < 1e-12
