@@ -16,11 +16,14 @@ derivative evaluations are analytic rather than finite differences:
   for a constant Q); ``f(y, order=(m1, m2, ...))`` returns every requested
   order from one call, with one exp pass over the stacked exp(r*y) of all
   nonzero rates;
-* ``f.at_differences(x, y, order=...)`` evaluates f (or its derivatives)
-  on the difference grid x_i - y_j from x.size + y.size exponentials per
-  term, taken in one pass for x and one for y over all rates, since
-  e^{r(x_i - y_j)} = e^{r x_i} e^{-r y_j}; kernel matrices and the kernel
-  values of the residuals are built this way;
+* ``at_differences(fs, x, y, order=...)`` evaluates each f of fs (or its
+  derivatives) on the difference grid x_i - y_j from x.size + y.size
+  exponentials per term, since e^{r(x_i - y_j)} = e^{r x_i} e^{-r y_j}:
+  one table for all terms of all fs, taken in one pass for x and one for
+  y, or in a single pass over the rates and their negations when y holds
+  x's points; ``f.at_differences(x, y)`` is the table of f alone.  Kernel
+  matrices and the kernel values of the residuals take N and D from one
+  table;
 * ``f.taylor(z0, n)`` builds Taylor coefficients by series arithmetic (P
   shifted to z0, times the exponential series), without evaluating f.
 
@@ -285,32 +288,9 @@ class ExpPoly:
         return outs[0] if single else tuple(outs)
 
     def at_differences(self, x, y, order: int | tuple[int, ...] = 0):
-        """Matrix of values f^(order)(x_i - y_j) for real point arrays x, y.
-
-        Each exponential factors exactly, e^{r(x_i - y_j)} = e^{r x_i}
-        e^{-r y_j}, so a term costs x.size + y.size exponentials and one
-        outer product; only a non-constant P_t (or Leibniz polynomial Q of
-        a derivative) takes a Horner pass over the difference matrix.
-        ``order`` may be a tuple of orders, as for ``__call__``.
-        """
-        single, orders = _orders(order)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        outs = [np.zeros((x.size, y.size), dtype=complex) for _ in orders]
-        top = max(orders, default=0)
-        rates = np.array([r for r, _ in self.terms], dtype=complex)
-        EX, EY = _exp_real(rates, x), _exp_real(-rates, y)
-        for (rate, poly), ex, ey in zip(self.terms, EX, EY):
-            derivs = _ladder(poly, top)
-            for out, m in zip(outs, orders):
-                q = _leibniz(rate, derivs, m)
-                if len(q) == 1:
-                    out += np.multiply.outer(q[0] * ex, ey)
-                elif q:
-                    # no n x n buffer is kept across terms or orders: at
-                    # n = 256 that made K slower (the allocator maps fresh pages)
-                    out += polyval(q, np.subtract.outer(x, y)) * np.multiply.outer(ex, ey)
-        return outs[0] if single else tuple(outs)
+        """Matrix of values f^(order)(x_i - y_j) for real point arrays x, y:
+        ``at_differences((f,), x, y, order)[0]``."""
+        return at_differences((self,), x, y, order)[0]
 
     def taylor(self, z0: complex, nterms: int) -> tuple[complex, ...]:
         """Taylor coefficients (f(z0), f'(z0), f''(z0)/2!, ...) of length nterms.
@@ -333,3 +313,47 @@ class ExpPoly:
 
     def max_rate(self) -> float:
         return max((abs(r) for r, _ in self.terms), default=0.0)
+
+
+def at_differences(fs, x, y, order: int | tuple[int, ...] = 0) -> list:
+    """Matrices of f^(order)(x_i - y_j), one per f in fs, for real point
+    arrays x, y.
+
+    Each exponential factors exactly, e^{r(x_i - y_j)} = e^{r x_i}
+    e^{-r y_j}, so a term costs x.size + y.size exponentials and one outer
+    product; only a non-constant P_t (or Leibniz polynomial Q of a
+    derivative) takes a Horner pass over the difference matrix.  The
+    exponentials of every term of every f come from one ``_exp_real`` call
+    for x and one for y, or from a single call over the rates and their
+    negations when y holds x's points (a square grid).  ``order`` may be a
+    tuple of orders, as for ``ExpPoly.__call__``; each entry of the result
+    is then a tuple of matrices.
+    """
+    single, orders = _orders(order)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    top = max(orders, default=0)
+    rates = np.array([r for f in fs for r, _ in f.terms], dtype=complex)
+    T = rates.size
+    # y holds x's points when equal bit for bit (a -0.0 against a 0.0 would
+    # give e^{-r y} another sign of zero than e^{-r x})
+    if x.shape == y.shape and x.tobytes() == y.tobytes():
+        E = _exp_real(np.concatenate((rates, -rates)), x)
+        EX, EY = E[:T], E[T:]
+    else:
+        EX, EY = _exp_real(rates, x), _exp_real(-rates, y)
+    rows, results = zip(EX, EY), []
+    for f in fs:
+        outs = [np.zeros((x.size, y.size), dtype=complex) for _ in orders]
+        for (rate, poly), (ex, ey) in zip(f.terms, rows):
+            derivs = _ladder(poly, top)
+            for out, m in zip(outs, orders):
+                q = _leibniz(rate, derivs, m)
+                if len(q) == 1:
+                    out += np.multiply.outer(q[0] * ex, ey)
+                elif q:
+                    # no n x n buffer is kept across terms or orders: at
+                    # n = 256 that made K slower (the allocator maps fresh pages)
+                    out += polyval(q, np.subtract.outer(x, y)) * np.multiply.outer(ex, ey)
+        results.append(outs[0] if single else tuple(outs))
+    return results

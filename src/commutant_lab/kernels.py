@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import ExpPoly, _orders, polyder, polyval
+from .coeffs import ExpPoly, _orders, at_differences, polyder, polyval
 from .errors import AdmissibilityError, PoleError
 
 SERIES_TERMS = 16
@@ -180,11 +180,12 @@ def kernel_values(spec: KernelSpec, z, orders: tuple[int, ...] = (0,)):
 def kernel_matrix(spec: KernelSpec, x, y, order: int | tuple[int, ...] = 0):
     """Matrix of k^(order)(x_i - y_j) for real point arrays x, y.
 
-    N, D and their derivatives come from ``ExpPoly.at_differences``; k is
-    their ratio and its derivatives the quotient rule's, except in the
-    switch windows, |z - z0| < ``switch_radius`` around each expansion
-    centre z0: 0 with ``series`` (the Laurent series at a pole), then each
-    removable zero with its local series.  An entry in two windows takes
+    N, D and their derivatives come from one ``coeffs.at_differences``
+    call, one exponential table for both; k is their ratio and its
+    derivatives the quotient rule's, except in the switch windows,
+    |z - z0| < ``switch_radius`` around each expansion centre z0: 0 with
+    ``series`` (the Laurent series at a pole), then each removable zero
+    with its local series.  An entry in two windows takes
     the first.  For a singular kernel, entries with x_i - y_j exactly 0 are
     left at 0 for the caller.  ``order`` may be a tuple of orders, which
     gives a tuple of matrices.
@@ -196,12 +197,12 @@ def kernel_matrix(spec: KernelSpec, x, y, order: int | tuple[int, ...] = 0):
     centres = [(0.0, spec.series)] + [(z0, spec.local_series[z0]) for z0 in spec.removable_zeros]
     near, windows = np.zeros(Z.shape, dtype=bool), []
     for z0, series in centres:
-        mask = (np.abs(Z - z0) < spec.switch_radius) & ~near
+        dist = np.abs(Z - z0) if z0 else np.abs(Z)  # Z - 0.0 is Z
+        mask = (dist < spec.switch_radius) & ~near
         near |= mask
         windows.append((z0, series, mask))
     need = range(max(orders) + 1)
-    nd = spec.numerator.at_differences(x, y, order=need)
-    dd = spec.denominator.at_differences(x, y, order=need)
+    nd, dd = at_differences((spec.numerator, spec.denominator), x, y, order=need)
     if max(orders) > 0:
         # the quotient rule divides by powers of D, which may vanish (or be
         # subnormal) inside the windows: those entries are overwritten below

@@ -13,7 +13,10 @@ extension); regular kernels report F directly.  F is sampled on the tensor
 grid y_i x x_j of Chebyshev points, z = x_j - y_i, so each coefficient is
 evaluated once per axis (once in all for R1 on a square grid, where the two
 axes hold the same points) and k, k', k'' come from one difference-grid
-``kernel_matrix`` call.  Coefficient differences a(x) - a(y) are evaluated
+``kernel_matrix`` call.  The points of each size are built once and kept
+read-only, and a square grid's two axes are one array.  A regular kernel
+reads every sample of F; a pole kernel masks out those with
+|z| <= Z_EXCLUSION.  Coefficient differences a(x) - a(y) are evaluated
 as written: the coefficients are entire and their evaluation is relatively
 accurate, and the z^3 weighting keeps the near-pole samples from
 amplifying rounding.
@@ -27,6 +30,7 @@ principal-value boundary defect Phi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +66,15 @@ def chebyshev_points(n: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
     return lo + (hi - lo) * (t + 1.0) / 2.0
 
 
+@functools.cache
+def _unit_chebyshev(n: int) -> np.ndarray:
+    """``chebyshev_points(n)`` on [-1, 1], built once per n and read-only,
+    so no caller can change the grid of a later call."""
+    pts = chebyshev_points(n)
+    pts.flags.writeable = False
+    return pts
+
+
 def _mixed_residual(
     kernel: KernelSpec,
     opL: DiffOp,
@@ -73,12 +86,11 @@ def _mixed_residual(
         raise GridError("residual grid needs ny >= 2 and nz >= 2")
 
     # tensor grid: row i holds y_i, column j holds x_j = y_i + z, both
-    # Chebyshev points on [-1, 1]; the kept points (|z| > Z_EXCLUSION for a
-    # pole) are read in row-major order
-    ys = chebyshev_points(ny)
-    xs = chebyshev_points(nz)
+    # Chebyshev points on [-1, 1] (one array when nz == ny); the kept points
+    # (all of them, or |z| > Z_EXCLUSION for a pole) are read in row-major order
+    ys = _unit_chebyshev(ny)
+    xs = _unit_chebyshev(nz)
     Z = xs[None, :] - ys[:, None]
-    keep = np.abs(Z) > Z_EXCLUSION if kernel.singular else np.ones(Z.shape, dtype=bool)
 
     # L1's coefficients once at the ny points y (one per row), L2's once at
     # the nz points x (one per column), k, k', k'' on the difference grid;
@@ -96,17 +108,20 @@ def _mixed_residual(
     Q = 2.0 * da + bx - b
     R = cx - c + db - dda
     F = P * k2 + Q * k1 + R * k0
+    index = None  # row-major index of each kept point, None when all are kept
     if kernel.singular:
         F = F * Z**3
-    mags = np.abs(F[keep])
+        keep = np.abs(Z) > Z_EXCLUSION
+        F, k0, index = F[keep], k0[keep], np.flatnonzero(keep)
+    mags = np.abs(F).ravel()
     j = int(np.argmax(mags))  # first maximum in row-major order
-    row, col = divmod(int(np.flatnonzero(keep)[j]), nz)
+    row, col = divmod(j if index is None else int(index[j]), nz)
     return ResidualReport(
         max_abs=float(mags[j]),
         rms=math.sqrt(float(np.mean(mags**2))),
         argmax=(float(ys[row]), float(Z[row, col])),
         n_points=int(mags.size),
-        scale=float(np.max(np.abs(k0[keep]))),
+        scale=float(np.max(np.abs(k0))),
     )
 
 

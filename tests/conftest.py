@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,6 +19,8 @@ from commutant_lab import (
     make_pair,
 )
 from commutant_lab.coeffs import _ladder, _leibniz, _orders, _two_product, polyder, polyval
+from commutant_lab.kernels import _laurent_eval, _ratio_derivative, kernel_matrix
+from commutant_lab.residuals import Z_EXCLUSION, ResidualReport, chebyshev_points
 
 @dataclass(frozen=True)
 class CallableCoeff:
@@ -112,6 +115,74 @@ def exppoly_at_differences_per_term(f, x, y, order=0):
             elif q:
                 out += polyval(q, np.subtract.outer(x, y)) * np.multiply.outer(ex, ey)
     return outs[0] if single else tuple(outs)
+
+
+def kernel_matrix_per_operand(spec, x, y, order=0):
+    """A reference for ``kernels.kernel_matrix``: N and D each from their own
+    ``exppoly_at_differences_per_term`` call (so from their own exponentials
+    of x and of y), and every switch window measured as |Z - z0|."""
+    single, orders = _orders(order)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    Z = x[:, None] - y[None, :]
+    centres = [(0.0, spec.series)] + [(z0, spec.local_series[z0]) for z0 in spec.removable_zeros]
+    near, windows = np.zeros(Z.shape, dtype=bool), []
+    for z0, series in centres:
+        mask = (np.abs(Z - z0) < spec.switch_radius) & ~near
+        near |= mask
+        windows.append((z0, series, mask))
+    need = range(max(orders) + 1)
+    nd = exppoly_at_differences_per_term(spec.numerator, x, y, order=need)
+    dd = exppoly_at_differences_per_term(spec.denominator, x, y, order=need)
+    if max(orders) > 0:
+        dd = (np.where(near, 1.0, dd[0]),) + dd[1:]
+    outs = [
+        np.divide(nd[0], dd[0], out=np.zeros(Z.shape, dtype=complex), where=~near)
+        if m == 0
+        else np.where(near, 0j, _ratio_derivative(nd, dd, m))
+        for m in orders
+    ]
+    for z0, series, mask in windows:
+        pole = spec.singular and z0 == 0.0
+        if pole:
+            mask &= Z != 0
+        if np.any(mask):
+            h = Z[mask].astype(complex) - z0
+            for out, m in zip(outs, orders):
+                out[mask] = _laurent_eval(series, h, m) if pole else polyval(polyder(series, m), h)
+    return outs[0] if single else tuple(outs)
+
+
+def mixed_residual_masked(kernel, opL, opR, ny=41, nz=41):
+    """A reference for ``residual_R1`` and ``residual_R2``: fresh Chebyshev
+    points, and a boolean mask of the kept points for every kernel (all
+    true for an analytic one) through which F and k are read."""
+    ys = chebyshev_points(ny)
+    xs = chebyshev_points(nz)
+    Z = xs[None, :] - ys[:, None]
+    keep = np.abs(Z) > Z_EXCLUSION if kernel.singular else np.ones(Z.shape, dtype=bool)
+    ay, da, dda = opL.a(ys, order=(0, 1, 2))
+    by, db = opL.b(ys, order=(0, 1))
+    cy = opL.c(ys)
+    if opR is opL and nz == ny:
+        ax, bx, cx = ay, by, cy
+    else:
+        ax, bx, cx = opR.a(xs), opR.b(xs), opR.c(xs)
+    a, da, dda, b, db, c = (v[:, None] for v in (ay, da, dda, by, db, cy))
+    k0, k1, k2 = (k.T for k in kernel_matrix(kernel, xs, ys, order=(0, 1, 2)))
+    F = (ax - a) * k2 + (2.0 * da + bx - b) * k1 + (cx - c + db - dda) * k0
+    if kernel.singular:
+        F = F * Z**3
+    mags = np.abs(F[keep])
+    j = int(np.argmax(mags))
+    row, col = divmod(int(np.flatnonzero(keep)[j]), nz)
+    return ResidualReport(
+        max_abs=float(mags[j]),
+        rms=math.sqrt(float(np.mean(mags**2))),
+        argmax=(float(ys[row]), float(Z[row, col])),
+        n_points=int(mags.size),
+        scale=float(np.max(np.abs(k0[keep]))),
+    )
 
 
 def exppoly_derivative_remerging(f, order=1):

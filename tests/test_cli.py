@@ -586,6 +586,35 @@ def test_digests_compare_groups_differences(tmp_path, capsys):
     assert capsys.readouterr().out == "0 of 5 entries differ\n"
 
 
+def test_digests_compare_runs_as_a_script(tmp_path):
+    # the command every byte-identity claim rests on, run as it is run: a
+    # fresh `python tests/digests.py --compare A B`, with no src on its path
+    a = {"certify/1/0/pair/report.json": "aa", "certify/2/3/pair/report.json": "bb", "sweep/1/0/sweep/exit": 0}
+    b = {**a, "certify/2/3/pair/report.json": "bc"}
+    del b["sweep/1/0/sweep/exit"]
+    paths = []
+    for name, data in (("a.json", a), ("b.json", b)):
+        paths.append(str(tmp_path / name))
+        Path(paths[-1]).write_text(json.dumps(data))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+    def compare(first, second):
+        argv = [sys.executable, digests.__file__, "--compare", first, second]
+        return subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+
+    same = compare(paths[0], paths[0])
+    assert (same.returncode, same.stdout, same.stderr) == (0, "0 of 3 entries differ\n", "")
+    differ = compare(*paths)
+    assert differ.returncode == 1
+    assert differ.stdout.splitlines() == [
+        "certify/pair/report.json: 1 differ",
+        "  certify/2/3/pair/report.json: bb bc",
+        "sweep/sweep/exit: 1 differ",
+        "  sweep/1/0/sweep/exit: 0 -",
+        "2 of 3 entries differ",
+    ]
+
+
 @pytest.mark.parametrize("command", CERTIFY)
 def test_inadmissible_params_exit_1_after_warm_memo(tmp_path, command):
     good = write_config(tmp_path / "good.json", params=SINC, n=16, m=4)

@@ -255,3 +255,25 @@ def test_derivative_equals_remerging_reference(terms, order):
     # sum makes, and a term that vanishes is dropped
     f = _exppoly(terms)
     assert f.derivative(order).terms == exppoly_derivative_remerging(f, order).terms
+
+
+def test_call_differs_with_the_point_count_by_a_few_ulps():
+    # numpy rounds a complex product with a fused multiply-add on arrays of
+    # two or more points, but not in place on one point nor on a scalar, so
+    # f(y[:1])[0] and f(y[0]) may differ from f(y)[0] in the last bits
+    # (README, Known limitations); never by more than a few ulps of the sum
+    # of the terms' magnitudes
+    rng = np.random.default_rng(0)
+
+    def c():
+        return complex(*rng.uniform(-2.0, 2.0, 2))
+
+    f = ExpPoly.exponential(c(), (c(), c())) + ExpPoly.exponential(c(), (c(),)) + ExpPoly.polynomial((c(), c()))
+    terms = [ExpPoly((t,)) for t in f.terms]
+    eps = np.finfo(float).eps
+    for y in rng.uniform(-1.0, 1.0, (1000, 2)):
+        both = f(y)[0]
+        bound = 4 * eps * sum(abs(t(y[0])) for t in terms)
+        assert abs(f(y[:1])[0] - both) <= bound
+        assert abs(f(y[0]) - both) <= bound
+

@@ -20,6 +20,8 @@ from commutant_lab import (
     make_pair,
     residual_R1,
 )
+from commutant_lab.residuals import _unit_chebyshev, chebyshev_points
+from conftest import kernel_matrix_per_operand
 
 WIDE_LAMBDA = General(lam=1.2j * np.pi, mu=0.9j * np.pi, alpha1=0.0, alpha2=1.0)
 
@@ -433,3 +435,50 @@ def test_kernel_matrix_masks_window_entries(lam, alpha2):
         warnings.simplefilter("error")
         got = kernel_matrix(spec, x, x, order=(0, 1, 2))
     assert all(np.all(np.isfinite(g)) for g in got)
+
+
+# two analytic and two pole kernels, case1's with removable zeros at +-2
+ONE_TABLE_PARAMS = {
+    **{name: MATRIX_PARAMS[name] for name in ("general-analytic", "general-pole", "case1", "case4")},
+    "wide-lambda": WIDE_LAMBDA,
+}
+
+
+@pytest.mark.parametrize("order", [(0,), (0, 1, 2)], ids=["k", "k012"])
+@pytest.mark.parametrize("name", ONE_TABLE_PARAMS)
+def test_kernel_matrix_takes_one_exponential_table(name, order, monkeypatch):
+    # N and D share one _exp_real call over their stacked rates for x and
+    # one for y, or a single call over the rates and their negations when y
+    # holds x's points; every matrix equals N and D evaluated apart, bit for bit
+    from commutant_lab import coeffs
+
+    spec = make_pair(ONE_TABLE_PARAMS[name]).kernel
+    if name == "case1":
+        assert spec.removable_zeros == (-2.0, 2.0)
+    calls = []
+    exp_real = coeffs._exp_real
+
+    def counting_exp_real(rates, x):
+        calls.append(x.size)
+        return exp_real(rates, x)
+
+    monkeypatch.setattr(coeffs, "_exp_real", counting_exp_real)
+    x = chebyshev_points(41)
+    z = np.linspace(-2.0, 2.0, 40)  # no 0, both ends
+    grids = {
+        "x with itself": (x, x, 1),
+        "x with an equal copy": (x, x.copy(), 1),
+        "R1's 41x41 grid": (_unit_chebyshev(41), _unit_chebyshev(41), 1),
+        "kernel_values' y = [0]": (z, np.zeros(1), 2),
+        "41x17": (x, chebyshev_points(17), 2),
+    }
+    for grid, (gx, gy, tables) in grids.items():
+        calls.clear()
+        got = kernel_matrix(spec, gx, gy, order)
+        assert len(calls) == tables, grid
+        for g, want in zip(got, kernel_matrix_per_operand(spec, gx, gy, order)):
+            assert np.array_equal(g, want), grid
+    calls.clear()
+    kernel_values(spec, z, order)
+    assert calls == [z.size, 1]
+

@@ -23,7 +23,8 @@ from commutant_lab import (
 )
 from commutant_lab import reportio
 from commutant_lab.kernels import kernel_matrix
-from commutant_lab.residuals import Z_EXCLUSION, chebyshev_points
+from commutant_lab.residuals import Z_EXCLUSION, _unit_chebyshev, chebyshev_points
+from conftest import mixed_residual_masked
 
 
 def perturb_c(pair, extra: ExpPoly):
@@ -256,6 +257,36 @@ def test_r1_shared_evaluation_equals_two_operators(fixture, ny, nz, request, mon
     assert (r1_calls, len(calls) - r1_calls) == ((3, 6) if ny == nz else (6, 6))
     for field in dataclasses.fields(r1):
         assert getattr(r1, field.name) == getattr(r2, field.name), field.name
+
+
+@pytest.mark.parametrize("ny, nz", [(41, 41), (41, 17)])
+@pytest.mark.parametrize("fixture", ["analytic_pair", "sinc_pair", "case2_pair", "case3_pair"])
+def test_residuals_equal_masked_reference(fixture, ny, nz, request):
+    # an analytic kernel keeps every point, and R1 and R2 read them without
+    # a mask; every field equals the reference that reads them through one
+    pair = request.getfixturevalue(fixture)
+    assert pair.kernel.singular == (fixture in ("case2_pair", "case3_pair"))
+    op2 = DiffOp(a=pair.op.a, b=pair.op.b, c=pair.op.c)
+    for got, want in (
+        (residual_R1(pair, ny=ny, nz=nz), mixed_residual_masked(pair.kernel, pair.op, pair.op, ny, nz)),
+        (residual_R2(pair.kernel, pair.op, op2, ny=ny, nz=nz), mixed_residual_masked(pair.kernel, pair.op, op2, ny, nz)),
+    ):
+        for field in dataclasses.fields(got):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+def test_cached_chebyshev_points_are_read_only(analytic_pair):
+    # one array per size, which R1 reads for both axes of a square grid; a
+    # write to it raises, so no caller can change a later call's grid
+    pts = _unit_chebyshev(41)
+    assert pts is _unit_chebyshev(41)
+    assert np.array_equal(pts, chebyshev_points(41))
+    with pytest.raises(ValueError):
+        pts[0] = 0.0
+    with pytest.raises(ValueError):
+        pts.sort()
+    assert residual_R1(analytic_pair) == residual_R1(analytic_pair)
+    assert np.array_equal(pts, chebyshev_points(41))
 
 
 def test_r2_constant_shifts_cancel(analytic_pair):
