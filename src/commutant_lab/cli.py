@@ -9,9 +9,10 @@ The config is a single JSON object; reports are written as report.json
 check: name, value, tolerance, pass).  Commands hand their result objects
 to ``reportio`` as they are; it turns complex numbers, numpy values and
 result dataclasses into JSON.  Identical config + seed produces
-byte-identical files on one machine with a fixed BLAS thread count; the
-matrix reports of ``commutator`` and ``spectrum`` can change in their last
-digits with the thread count.  Exit status is 0 iff every check passed its
+byte-identical files on one machine with a fixed BLAS thread count, with or
+without the worker thread on which ``spectrum`` reads K's eigenvalues from
+n = 128 on; the matrix reports of ``commutator`` and ``spectrum`` can change
+in their last digits with the thread count.  Exit status is 0 iff every check passed its
 tolerance; a report file that cannot be written is a config error
 (status 2), like an output directory that cannot be created.  A command
 first removes report.json, summary.csv and the tables it can write

@@ -49,7 +49,7 @@ def polyder(coeffs, order: int = 1) -> tuple[complex, ...]:
 
 def polyval(coeffs, y):
     """Horner evaluation of ascending coefficients at (array of) y."""
-    out = np.zeros_like(np.asarray(y, dtype=complex))
+    out = np.zeros(np.shape(y), dtype=complex)
     for c in reversed(coeffs):
         out = out * y + c
     return out
@@ -344,16 +344,25 @@ def at_differences(fs, x, y, order: int | tuple[int, ...] = 0) -> list:
         EX, EY = _exp_real(rates, x), _exp_real(-rates, y)
     rows, results = zip(EX, EY), []
     for f in fs:
-        outs = [np.zeros((x.size, y.size), dtype=complex) for _ in orders]
+        outs = [None] * len(orders)
         for (rate, poly), (ex, ey) in zip(f.terms, rows):
             derivs = _ladder(poly, top)
-            for out, m in zip(outs, orders):
+            for k, m in enumerate(orders):
                 q = _leibniz(rate, derivs, m)
                 if len(q) == 1:
-                    out += np.multiply.outer(q[0] * ex, ey)
+                    term = np.multiply.outer(q[0] * ex, ey)
                 elif q:
-                    # no n x n buffer is kept across terms or orders: at
-                    # n = 256 that made K slower (the allocator maps fresh pages)
-                    out += polyval(q, np.subtract.outer(x, y)) * np.multiply.outer(ex, ey)
+                    term = polyval(q, np.subtract.outer(x, y)) * np.multiply.outer(ex, ey)
+                else:
+                    continue
+                if outs[k] is None:
+                    # the first term is the table, with no table of zeros
+                    # to add it to; adding 0 keeps what that sum did to a
+                    # zero term's -0.0 parts, which become 0.0
+                    term += 0
+                    outs[k] = term
+                else:
+                    outs[k] += term
+        outs = [np.zeros((x.size, y.size), dtype=complex) if out is None else out for out in outs]
         results.append(outs[0] if single else tuple(outs))
     return results

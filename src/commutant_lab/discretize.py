@@ -178,7 +178,8 @@ def k_reg_values(spec: KernelSpec, x: np.ndarray, y: np.ndarray, samples: np.nda
     rho = [(u * abs(series[0]) / abs(series[j])) ** (1 / j) for j in (last - 1, last) if series[j]]
     Z = np.subtract.outer(x, y)
     near = np.abs(Z) <= min([0.1] + rho)
-    out = samples - np.divide(series[0], Z, out=np.zeros_like(samples), where=~near)
+    out = np.divide(series[0], Z, out=np.zeros_like(samples), where=~near)
+    np.subtract(samples, out, out=out)
     out[near] = polyval(series[1:], Z[near])
     return out
 

@@ -193,35 +193,46 @@ def kernel_matrix(spec: KernelSpec, x, y, order: int | tuple[int, ...] = 0):
     single, orders = _orders(order)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    Z = x[:, None] - y[None, :]
-    centres = [(0.0, spec.series)] + [(z0, spec.local_series[z0]) for z0 in spec.removable_zeros]
-    near, windows = np.zeros(Z.shape, dtype=bool), []
-    for z0, series in centres:
-        dist = np.abs(Z - z0) if z0 else np.abs(Z)  # Z - 0.0 is Z
-        mask = (dist < spec.switch_radius) & ~near
-        near |= mask
-        windows.append((z0, series, mask))
+    near, windows = _windows(spec, x, y)
     need = range(max(orders) + 1)
     nd, dd = at_differences((spec.numerator, spec.denominator), x, y, order=need)
     if max(orders) > 0:
         # the quotient rule divides by powers of D, which may vanish (or be
         # subnormal) inside the windows: those entries are overwritten below
         dd = (np.where(near, 1.0, dd[0]),) + dd[1:]
-    outs = [
-        np.divide(nd[0], dd[0], out=np.zeros(Z.shape, dtype=complex), where=~near)
-        if m == 0
-        else np.where(near, 0j, _ratio_derivative(nd, dd, m))
-        for m in orders
-    ]
-    for z0, series, mask in windows:
+    # the derivatives first, as they read N: k itself is then divided into
+    # N's table in place
+    outs = {m: np.where(near, 0j, _ratio_derivative(nd, dd, m)) for m in set(orders) - {0}}
+    if 0 in orders:
+        outs[0] = np.divide(nd[0], dd[0], out=nd[0], where=~near)
+        outs[0][near] = 0
+    outs = [outs[m] for m in orders]
+    for z0, series, (i, j) in windows:
         pole = spec.singular and z0 == 0.0
-        if pole:
-            mask &= Z != 0
-        if np.any(mask):
-            h = Z[mask].astype(complex) - z0
+        if i.size:
+            h = (x[i] - y[j]).astype(complex) - z0
             for out, m in zip(outs, orders):
-                out[mask] = _laurent_eval(series, h, m) if pole else polyval(polyder(series, m), h)
+                out[i, j] = _laurent_eval(series, h, m) if pole else polyval(polyder(series, m), h)
     return outs[0] if single else tuple(outs)
+
+
+def _windows(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
+    """(near, windows) of ``kernel_matrix`` on z = x_i - y_j: ``near`` marks
+    the entries within ``switch_radius`` of an expansion centre, and each
+    window (z0, series, (i, j)) holds the indices of the entries it takes,
+    those not in an earlier window, less z = 0 exactly at a pole.  The
+    difference matrix is freed on return, before N and D are tabulated."""
+    Z = x[:, None] - y[None, :]
+    centres = [(0.0, spec.series)] + [(z0, spec.local_series[z0]) for z0 in spec.removable_zeros]
+    near, windows = np.zeros(Z.shape, dtype=bool), []
+    for z0, series in centres:
+        # Z - 0.0 is Z
+        mask = ((np.abs(Z - z0) if z0 else np.abs(Z)) < spec.switch_radius) & ~near
+        near |= mask
+        if spec.singular and z0 == 0.0:
+            mask &= Z != 0  # left at 0 for the caller
+        windows.append((z0, series, np.nonzero(mask)))
+    return near, windows
 
 
 def _ratio_derivative(nd, dd, order: int):

@@ -1,8 +1,9 @@
 """Deterministic report serialization through the standard library.
 
 Reports must be byte-identical across runs with the same config and seed
-(on one machine, with a fixed BLAS thread count: matrix values can change
-in their last digits with the thread count).
+(on one machine, with a fixed BLAS thread count, with or without the worker
+thread of ``spectra``: matrix values can change in their last digits with
+the BLAS thread count).
 ``dumps`` is ``json.dumps`` with one hook, ``_plain``, for the values the
 library hands over as they are: complex numbers become ``[re, im]``,
 numpy arrays and scalars become Python lists and numbers, and result

@@ -14,7 +14,11 @@ Only the few values that are read are computed, by one Arnoldi engine
 ``_KRYLOV_N`` rows on, K's m dominant eigenvalues.  Below that size, where
 Python overhead per Krylov step dominates, K's eigenvalues come from a dense
 ``eigvals``.  Every Krylov value must pass an a-posteriori certificate, else
-``EigFailure``.
+``EigFailure``.  From ``_KRYLOV_N`` rows on, K's read runs on one
+long-lived worker thread while L's modes are read on the calling one: K's
+read needs nothing from L, and the inversion of L - sigma I releases the
+GIL.  The results, and the failure raised first (L's), are those of the
+sequential order.
 
 The commutator is read on the grid's orthonormal Legendre columns
 p_0 .. p_{n/2}, with quadrature-weighted (discrete L^2(-1,1)) norms of C p_k,
@@ -28,6 +32,8 @@ and from L's own coefficients.
 
 from __future__ import annotations
 
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +61,12 @@ _START_SEED = 20211
 # Smallest matrix whose K eigenvalues are a Krylov read.  Below it the dense
 # eigvals(K) is faster: on the benchmark draws (BLAS on one thread) the
 # Krylov read loses at n = 96 and wins at n = 128.  L's modes always come
-# from Arnoldi.
+# from Arnoldi.  From it on, K's Krylov read runs on a worker thread while
+# L's modes are read (``_overlapped_reads``).  On the six reference draws of
+# the tests (BLAS on one thread) that takes the two reads from 22.8 to
+# 17.4 ms at n = 256 and from 10.0 to 8.8 ms at n = 128, and from 4.4 to
+# 4.9 ms at n = 64, where the dense read and the hand-off to the thread
+# leave nothing to hide.
 _KRYLOV_N = 128
 
 
@@ -131,7 +142,9 @@ def _graded_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors of a graded H keep residuals up to 1e-10 ||H||.  The
     reflection P = I - 2J/k spreads every entry over the matrix, so there is
     nothing to balance, and it keeps eigenvalues and residual norms."""
-    P = np.eye(H.shape[0]) - 2.0 / H.shape[0]
+    # complex once, where each product would cast it anew: at k = n = 256
+    # those casts were 1 MB each
+    P = (np.eye(H.shape[0]) - 2.0 / H.shape[0]).astype(complex)
     theta, Y = np.linalg.eig(P @ H @ P)
     return theta, P @ Y
 
@@ -227,12 +240,15 @@ def _commutator_columns(K: OperatorMatrix, L: OperatorMatrix, X: np.ndarray, DX:
     by D1; (b - a') l' is only needed on interior rows.  Endpoint rows
     of C X are then not meaningful.
     """
-    Xc = X.astype(complex)  # cast once, not inside each product
+    # X is cast once, not inside each product; the cast is then a work
+    # buffer, and so is K X once its norms are read, since fresh n x n/2
+    # temporaries cost page faults comparable to the products
+    Xc = X.astype(complex)
     KX, LX = K.entries @ Xc, L.entries @ Xc
     KX_norms = _read_norms(K, KX)
     if not K.kernel.singular:
         CX = K.entries @ LX
-        CX -= L.entries @ KX
+        CX -= np.matmul(L.entries, KX, out=Xc)
         return CX, LX, KX_norms
     grid, op = K.grid, L.op
     r, ell = K.kernel.residue(), grid.log_weight[:, None]
@@ -243,14 +259,13 @@ def _commutator_columns(K: OperatorMatrix, L: OperatorMatrix, X: np.ndarray, DX:
     al[1:-1] = 2.0 * a[1:-1] / one_m_x2
     bracket = grid.D1 @ al
     bracket[1:-1] += 2.0 * (b - da)[1:-1] / one_m_x2
-    KX -= r * ell * X  # S X
+    KX -= np.multiply(r * ell, X, out=Xc)  # S X
     CX = K.entries @ LX
-    CX -= L.entries @ KX
-    # S L X = K L X - r l L X; in place, as fresh n x n/2 temporaries cost
-    # page faults comparable to the products
-    log_part = 2.0 * al[:, None] * DX
-    log_part += bracket[:, None] * X
-    log_part += ell * LX
+    CX -= np.matmul(L.entries, KX, out=Xc)
+    # S L X = K L X - r l L X
+    log_part = np.multiply(2.0 * al[:, None], DX, out=Xc)
+    log_part += np.multiply(bracket[:, None], X, out=KX)
+    log_part += np.multiply(ell, LX, out=KX)
     log_part *= r
     CX -= log_part
     return CX, LX, KX_norms
@@ -381,6 +396,71 @@ def _k_dominant(K: np.ndarray, m: int) -> np.ndarray:
     return mu
 
 
+class _Task:
+    """A call handed to the worker thread.  ``done`` is set once it has run;
+    ``result`` waits for that, then returns its value or raises what it
+    raised."""
+
+    def __init__(self, fn, *args) -> None:
+        self.fn, self.args = fn, args
+        self.done = threading.Event()
+        self.value = self.error = None
+
+    def run(self) -> None:
+        try:
+            self.value = self.fn(*self.args)
+        except BaseException as exc:
+            self.error = exc
+        self.done.set()
+
+    def result(self):
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+# the one long-lived worker thread and its queue of tasks
+_TASKS: queue.SimpleQueue = queue.SimpleQueue()
+_WORKER: list[threading.Thread] = []
+
+
+def _submit(fn, *args) -> _Task:
+    """Hand fn(*args) to the worker thread, which is started on first use,
+    and again in a forked child, which inherits no thread."""
+    if not (_WORKER and _WORKER[0].is_alive()):
+        _WORKER[:] = [threading.Thread(target=_serve, name="commutant-lab-worker", daemon=True)]
+        _WORKER[0].start()
+    task = _Task(fn, *args)
+    _TASKS.put(task)
+    return task
+
+
+def _serve() -> None:
+    while True:
+        _TASKS.get().run()
+
+
+def _overlapped_reads(K: OperatorMatrix, L: OperatorMatrix, m: int):
+    """(*_l_modes(L, m), _k_dominant(K.entries, m)), with K's read on the
+    worker thread while L's modes are read on this one.
+
+    K's read uses nothing that L's modes produce, and the inversion of
+    L - sigma I that L's read starts with releases the GIL, so the two
+    overlap on two cores.  The results are those of the sequential order,
+    and so is the failure raised first: L's, then K's.  The worker has no
+    task left when this returns or raises.  The worker takes K's read, not
+    the inversion: on the draws where K's read is the long one (up to k = n
+    vectors) it then also overlaps L's Arnoldi runs.
+    """
+    k_read = _submit(_k_dominant, K.entries, m)
+    try:
+        lam, V, U = _l_modes(L, m)
+    finally:
+        k_read.done.wait()  # whatever L's read raised
+    return lam, V, U, k_read.result()
+
+
 def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> SpectralReport:
     """Find L's leading m modes, project K onto them, cross-check.
 
@@ -400,17 +480,28 @@ def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> Spect
     ``eigvec_cond`` for a single mode.  Pairs of L-eigenvalues closer than
     1e-8 (relative) set the degeneracy flag and are left out of the
     off-diagonal measure.  ``K_eigenvalues_direct`` are K's m dominant
-    eigenvalues (``_k_dominant``), read from K alone.
+    eigenvalues (``_k_dominant``), read from K alone.  From ``_KRYLOV_N``
+    rows on, K's read runs on a worker thread while L's modes are read
+    (``_overlapped_reads``); the report is that of the sequential order.
     """
     if not K.grid.same_as(L.grid):
         raise GridMismatchError("K and L must share a grid")
+    nodes = K.grid.n - 2 if K.kernel.singular else K.grid.n
+    if m > nodes:
+        raise ValueError(f"m = {m} exceeds the {nodes} nodes the modes are normalized over")
+    if K.grid.n < _KRYLOV_N:
+        lam, V, U = _l_modes(L, m)
+        mu_top = _k_dominant(K.entries, m)
+    else:
+        lam, V, U, mu_top = _overlapped_reads(K, L, m)
+    return _project(K, m, lam, V, U, mu_top)
+
+
+def _project(K: OperatorMatrix, m: int, lam, V, U, mu_top) -> SpectralReport:
+    """The report of ``joint_diagonalization`` from L's modes (lam, V, U),
+    which it scales in place, and K's dominant eigenvalues mu_top."""
     rows = slice(1, -1) if K.kernel.singular else slice(None)
     w, wi = K.grid.weights, K.grid.weights[rows]
-    if m > wi.size:
-        raise ValueError(f"m = {m} exceeds the {wi.size} nodes the modes are normalized over")
-    lam, V, U = _l_modes(L, m)
-    mu_top = _k_dominant(K.entries, m)
-
     # in the weighted metric the left mode is W^-1 u, so the condition
     # ||u|| ||v|| / |u^H v| takes sqrt(v^H W v) and sqrt(u^H W^-1 u)
     vw = np.einsum("i,ij->j", w, np.abs(V) ** 2)

@@ -18,6 +18,7 @@ from commutant_lab import (
     collocation_L,
     make_pair,
 )
+from commutant_lab import spectra
 from commutant_lab.coeffs import _ladder, _leibniz, _orders, _two_product, polyder, polyval
 from commutant_lab.kernels import _laurent_eval, _ratio_derivative, kernel_matrix
 from commutant_lab.residuals import Z_EXCLUSION, ResidualReport, chebyshev_points
@@ -183,6 +184,15 @@ def mixed_residual_masked(kernel, opL, opR, ny=41, nz=41):
         n_points=int(mags.size),
         scale=float(np.max(np.abs(k0[keep]))),
     )
+
+
+def joint_diagonalization_sequential(K, L, m):
+    """A reference for ``spectra.joint_diagonalization``: L's modes
+    (``_l_modes``), then K's dominant eigenvalues (``_k_dominant``), then
+    the projection, one after another on the calling thread."""
+    lam, V, U = spectra._l_modes(L, m)
+    mu_top = spectra._k_dominant(K.entries, m)
+    return spectra._project(K, m, lam, V, U, mu_top)
 
 
 def exppoly_derivative_remerging(f, order=1):

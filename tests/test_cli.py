@@ -455,9 +455,11 @@ def run_commands(cfg, root, cold):
     return out
 
 
+# at 256 spectrum reads K on the worker thread, at 48 it has none
+@pytest.mark.parametrize("n", [48, 256])
 @pytest.mark.parametrize("params", [SINC, CASE1], ids=["analytic", "pole"])
-def test_commands_same_bytes_on_cold_and_warm_memo(tmp_path, params):
-    cfg = write_config(tmp_path / "cfg.json", params=params, n=48, m=6)
+def test_commands_same_bytes_on_cold_and_warm_memo(tmp_path, params, n):
+    cfg = write_config(tmp_path / "cfg.json", params=params, n=n, m=6)
     cold = run_commands(cfg, tmp_path / "cold", cold=True)
     main(["spectrum", "--config", cfg, "--out", str(tmp_path / "warmup"), "--quiet"])
     pair, K, L = cli._MEMO["pair"], *cli._MEMO["KL"]
@@ -671,22 +673,28 @@ def test_failed_eig_certificate_still_writes_a_report(tmp_path, monkeypatch, col
     assert cert["mode"] == "L mode 0" and cert["reason"].startswith("L mode 0 ")
 
 
-def test_commands_import_no_scipy(tmp_path):
+@pytest.mark.parametrize("n", [16, 128])
+def test_commands_import_no_scipy(tmp_path, n):
     # numpy is the one runtime dependency; importing scipy.sparse.linalg
-    # alone takes about as long as a whole certify setup
-    cfg = write_config(tmp_path / "cfg.json", params=CASE1, n=16, m=4, count=2)
+    # alone takes about as long as a whole certify setup.  At n = 128
+    # spectrum starts the worker thread, and the process must still exit
+    cfg = write_config(tmp_path / "cfg.json", params=CASE1, n=n, m=4, count=2)
     script = "\n".join(
         [
-            "import json, sys",
+            "import json, sys, threading",
             "from commutant_lab.cli import main",
             f"status = [main([c, '--config', {cfg!r}, '--out', {str(tmp_path)!r} + '/' + c, '--quiet'])"
             f" for c in {sorted(cli.COMMANDS)!r}]",
-            "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))",
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            "print(json.dumps([status, scipy, [t.name for t in threading.enumerate()]]))",
         ]
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    status, scipy_modules = json.loads(run.stdout)
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    status, scipy_modules, threads = json.loads(run.stdout)
     assert len(status) == 6 and all(s in (0, 1) for s in status), status
     assert scipy_modules == []
+    assert ("commutant-lab-worker" in threads) == (n >= 128), threads

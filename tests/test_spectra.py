@@ -34,6 +34,7 @@ from commutant_lab.cli import DEFAULT_TOLERANCES, main
 from commutant_lab.spectra import _commutator_columns
 
 import mutations
+from conftest import joint_diagonalization_sequential
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -427,16 +428,72 @@ def test_joint_diagonalization_is_deterministic():
     assert np.array_equal(a.rayleigh, b.rayleigh)
 
 
-def test_uncertified_modes_raise(sinc_pair, monkeypatch):
-    g = build_grid(32)
+def assert_same_report(a, b):
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+def record_tasks(monkeypatch) -> list:
+    """Record every task handed to the worker thread from here on."""
+    tasks, submit = [], spectra._submit
+
+    def recording(fn, *args):
+        tasks.append(submit(fn, *args))
+        return tasks[-1]
+
+    monkeypatch.setattr(spectra, "_submit", recording)
+    return tasks
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("variant", sorted(REFERENCE_DRAWS))
+def test_joint_diagonalization_equals_the_sequential_reads(variant, n, monkeypatch):
+    # from _KRYLOV_N rows on, K is read on the worker thread while L's
+    # modes are read here; the report is the sequential order's, bit for bit
+    K, L = matrices(REFERENCE_DRAWS[variant], n)
+    tasks = record_tasks(monkeypatch)
+    assert_same_report(joint_diagonalization(K, L, 8), joint_diagonalization_sequential(K, L, 8))
+    assert len(tasks) == (n >= spectra._KRYLOV_N) and all(task.done.is_set() for task in tasks)
+
+
+@pytest.mark.parametrize("n", [32, 128, 256])
+def test_uncertified_modes_raise(sinc_pair, monkeypatch, n):
+    g = build_grid(n)
     K, L = nystrom_K(sinc_pair, g), collocation_L(sinc_pair.op, g)
-    monkeypatch.setattr(spectra, "_BACKWARD_TOL", 1e-30)
-    with pytest.raises(EigFailure, match="backward error"):
-        joint_diagonalization(K, L, 4)
+    fresh = joint_diagonalization_sequential(K, L, 4)
+    tasks = record_tasks(monkeypatch)
+    with monkeypatch.context() as patch:
+        # both reads fail their certificates (K's from _KRYLOV_N rows on):
+        # L's failure is raised, as in the sequential order
+        patch.setattr(spectra, "_BACKWARD_TOL", 1e-30)
+        with pytest.raises(EigFailure, match="backward error") as failure:
+            joint_diagonalization(K, L, 4)
+    assert failure.value.mode.startswith("L mode")
+    assert_same_report(joint_diagonalization(K, L, 4), fresh)
     bad = dataclasses.replace(L, entries=np.full_like(L.entries, np.nan))
-    monkeypatch.undo()
     with pytest.raises(EigFailure):
         joint_diagonalization(K, bad, 4)
+    assert_same_report(joint_diagonalization(K, L, 4), fresh)
+    assert len(tasks) == 4 * (n >= spectra._KRYLOV_N) and all(task.done.is_set() for task in tasks)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_uncertified_k_read_raises_when_l_modes_pass(monkeypatch, n):
+    K, L = matrices(REFERENCE_DRAWS["general-analytic"], n)
+    fresh = joint_diagonalization_sequential(K, L, 8)
+    certify = spectra._certify
+
+    def strict_on_k(what, lam, R, V, scale):
+        certify(what, lam, R, V, scale * 1e-30 if what == "K eigenvalue" else scale)
+
+    tasks = record_tasks(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "_certify", strict_on_k)
+        with pytest.raises(EigFailure, match="backward error") as failure:
+            joint_diagonalization(K, L, 8)
+    assert failure.value.mode.startswith("K eigenvalue")
+    assert_same_report(joint_diagonalization(K, L, 8), fresh)
+    assert len(tasks) == 2 and all(task.done.is_set() for task in tasks)
 
 
 def test_mode_cond_sees_one_ill_conditioned_eigenvalue():
