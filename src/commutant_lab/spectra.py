@@ -420,7 +420,9 @@ class _Task:
         return self.value
 
 
-# the one long-lived worker thread and its queue of tasks
+# the one long-lived worker thread and its queue of tasks; a thread pool
+# from concurrent.futures would import logging with it, about 12 ms and
+# 0.5 MB more for every process that imports the package
 _TASKS: queue.SimpleQueue = queue.SimpleQueue()
 _WORKER: list[threading.Thread] = []
 
