@@ -10,11 +10,13 @@ check: name, value, tolerance, pass).  Commands hand their result objects
 to ``reportio`` as they are; it turns complex numbers, numpy values and
 result dataclasses into JSON.  Identical config + seed produces
 byte-identical files on one machine with a fixed BLAS thread count, with or
-without the worker thread on which ``spectrum`` reads K's eigenvalues from
-n = 128 on; the matrix reports of ``commutator`` and ``spectrum`` can change
-in their last digits with the thread count.  Exit status is 0 iff every check passed its
+without the worker thread on which, from n = 128 on, ``spectrum`` reads K's
+eigenvalues and ``commutator`` forms half its products; the matrix reports
+of ``commutator`` and ``spectrum`` can change in their last digits with the
+thread count.  Exit status is 0 iff every check passed its
 tolerance; a report file that cannot be written is a config error
-(status 2), like an output directory that cannot be created.  A command
+(status 2), like an output directory that cannot be created and an n whose
+matrices do not fit in memory.  A command
 first removes report.json, summary.csv and the tables it can write
 (``TABLES``) from it, so a directory holds one run's files.
 
@@ -461,7 +463,12 @@ def main(argv=None) -> int:
         for name in ("report.json", "summary.csv", *TABLES[args.command]):
             _write(partial(Path.unlink, missing_ok=True), outdir / name)
         summary = reportio.Summary()
-        body = COMMANDS[args.command](cfg, outdir, args.dump, summary)
+        try:
+            body = COMMANDS[args.command](cfg, outdir, args.dump, summary)
+        except MemoryError as exc:
+            # the grid, K and L take O(n^2) memory: an n too large for the machine
+            reason = f"n = {cfg.n} does not fit in memory"
+            raise ConfigError(f"{reason}: {exc}" if str(exc) else reason) from exc
         report = {
             "schema": reportio.SCHEMA_VERSION,
             "version": __version__,

@@ -18,7 +18,11 @@ Python overhead per Krylov step dominates, K's eigenvalues come from a dense
 long-lived worker thread while L's modes are read on the calling one: K's
 read needs nothing from L, and the inversion of L - sigma I releases the
 GIL.  The results, and the failure raised first (L's), are those of the
-sequential order.
+sequential order.  From the same size on, the commutator uses the worker
+too, for one product of each dependent pair (``_products``): K X beside
+L X, then K (L X) beside L (K X).  Every product is the same BLAS call on
+the same operands into an array of the same layout, so every bit is the
+sequential order's.
 
 The commutator is read on the grid's orthonormal Legendre columns
 p_0 .. p_{n/2}, with quadrature-weighted (discrete L^2(-1,1)) norms of C p_k,
@@ -66,7 +70,11 @@ _START_SEED = 20211
 # the tests (BLAS on one thread) that takes the two reads from 22.8 to
 # 17.4 ms at n = 256 and from 10.0 to 8.8 ms at n = 128, and from 4.4 to
 # 4.9 ms at n = 64, where the dense read and the hand-off to the thread
-# leave nothing to hide.
+# leave nothing to hide.  From it on, the commutator's products also run
+# two at a time (``_products``): summed over twelve benchmark draws that
+# takes the commutator from 16.0 to 12.6 ms at n = 128 and from 89 to
+# 63 ms at n = 256, but from 3.3 to 4.1 ms at n = 64, so one size serves
+# both.
 _KRYLOV_N = 128
 
 
@@ -244,11 +252,11 @@ def _commutator_columns(K: OperatorMatrix, L: OperatorMatrix, X: np.ndarray, DX:
     # buffer, and so is K X once its norms are read, since fresh n x n/2
     # temporaries cost page faults comparable to the products
     Xc = X.astype(complex)
-    KX, LX = K.entries @ Xc, L.entries @ Xc
+    KX, LX = _products(K.entries, Xc, L.entries, Xc)
     KX_norms = _read_norms(K, KX)
     if not K.kernel.singular:
-        CX = K.entries @ LX
-        CX -= np.matmul(L.entries, KX, out=Xc)
+        CX, LKX = _products(K.entries, LX, L.entries, KX, out=Xc)
+        CX -= LKX
         return CX, LX, KX_norms
     grid, op = K.grid, L.op
     r, ell = K.kernel.residue(), grid.log_weight[:, None]
@@ -260,8 +268,8 @@ def _commutator_columns(K: OperatorMatrix, L: OperatorMatrix, X: np.ndarray, DX:
     bracket = grid.D1 @ al
     bracket[1:-1] += 2.0 * (b - da)[1:-1] / one_m_x2
     KX -= np.multiply(r * ell, X, out=Xc)  # S X
-    CX = K.entries @ LX
-    CX -= np.matmul(L.entries, KX, out=Xc)
+    CX, LSX = _products(K.entries, LX, L.entries, KX, out=Xc)
+    CX -= LSX
     # S L X = K L X - r l L X
     log_part = np.multiply(2.0 * al[:, None], DX, out=Xc)
     log_part += np.multiply(bracket[:, None], X, out=KX)
@@ -441,6 +449,29 @@ def _submit(fn, *args) -> _Task:
 def _serve() -> None:
     while True:
         _TASKS.get().run()
+
+
+def _products(A: np.ndarray, Y: np.ndarray, B: np.ndarray, Z: np.ndarray, out=None):
+    """(A Y, B Z), with B Z into ``out`` if given, and the failure raised
+    first A Y's, as in that order on one thread.
+
+    From ``_KRYLOV_N`` rows on, A Y runs on the worker thread while B Z runs
+    on this one; the worker has no task left when this returns or raises.
+    A Y goes into a C-order array allocated here: the one the sequential
+    A @ Y returns, so every BLAS call and every bit is the same (an output
+    laid out like an F-order Y is another call to gemm, and moved the last
+    digit of commutator reads), and it keeps the worker's heap from growing.
+    """
+    if A.shape[0] < _KRYLOV_N:
+        return A @ Y, np.matmul(B, Z, out=out)
+    AY = np.empty((A.shape[0], Y.shape[1]), dtype=complex)
+    task = _submit(np.matmul, A, Y, AY)
+    try:
+        BZ = np.matmul(B, Z, out=out)
+    except BaseException:
+        task.result()  # waits; raises A Y's failure, if any, in place of B Z's
+        raise
+    return task.result(), BZ
 
 
 def _overlapped_reads(K: OperatorMatrix, L: OperatorMatrix, m: int):

@@ -195,6 +195,37 @@ def joint_diagonalization_sequential(K, L, m):
     return spectra._project(K, m, lam, V, U, mu_top)
 
 
+def commutator_columns_sequential(K, L, X, DX):
+    """A reference for ``spectra._commutator_columns``: its four products,
+    K X, L X, K (L X) and L (K X) (L (S X) for a pv K), one after another
+    on the calling thread."""
+    Xc = X.astype(complex)
+    KX, LX = K.entries @ Xc, L.entries @ Xc
+    KX_norms = spectra._read_norms(K, KX)
+    if not K.kernel.singular:
+        CX = K.entries @ LX
+        CX -= np.matmul(L.entries, KX, out=Xc)
+        return CX, LX, KX_norms
+    grid, op = K.grid, L.op
+    r, ell = K.kernel.residue(), grid.log_weight[:, None]
+    x = grid.nodes
+    (a, da), b = op.a(x, order=(0, 1)), op.b(x)
+    one_m_x2 = 1.0 - x[1:-1] ** 2
+    al = -np.sign(x) * da
+    al[1:-1] = 2.0 * a[1:-1] / one_m_x2
+    bracket = grid.D1 @ al
+    bracket[1:-1] += 2.0 * (b - da)[1:-1] / one_m_x2
+    KX -= np.multiply(r * ell, X, out=Xc)  # S X
+    CX = K.entries @ LX
+    CX -= np.matmul(L.entries, KX, out=Xc)
+    log_part = np.multiply(2.0 * al[:, None], DX, out=Xc)
+    log_part += np.multiply(bracket[:, None], X, out=KX)
+    log_part += np.multiply(ell, LX, out=KX)
+    log_part *= r
+    CX -= log_part
+    return CX, LX, KX_norms
+
+
 def exppoly_derivative_remerging(f, order=1):
     """A reference for ``ExpPoly.derivative``: every term's P' e^{ry} and
     rP e^{ry} added to the sum built so far, which re-merges it by rate."""

@@ -315,6 +315,27 @@ def test_report_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys, 
     assert capsys.readouterr().err.startswith(f"config error: cannot write {out / blocked}: ")
 
 
+@pytest.mark.parametrize("command", ["commutator", "spectrum"])
+@pytest.mark.parametrize(
+    "message",
+    ["Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) and data type float64", ""],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_is_a_config_error(tmp_path, monkeypatch, capsys, cold_memo, command, message):
+    # an n too large for the machine: one config error line naming n, exit
+    # 2, no traceback; the build raises as numpy would, nothing is allocated
+    def no_memory(n):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "build_grid", no_memory)
+    cfg = write_config(tmp_path / "cfg.json", params=SINC, n=1000000)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    reason = "n = 1000000 does not fit in memory"
+    assert capsys.readouterr().err == f"config error: {reason}{': ' + message if message else ''}\n"
+    assert not (out / "report.json").exists()
+
+
 def test_tables_lists_every_file_a_command_writes(tmp_path, cold_memo):
     cfg = write_config(tmp_path / "cfg.json", params=CASE1, n=16, m=4, count=2)
     for command in cli.COMMANDS:

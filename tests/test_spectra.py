@@ -34,7 +34,7 @@ from commutant_lab.cli import DEFAULT_TOLERANCES, main
 from commutant_lab.spectra import _commutator_columns
 
 import mutations
-from conftest import joint_diagonalization_sequential
+from conftest import commutator_columns_sequential, joint_diagonalization_sequential
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -454,6 +454,74 @@ def test_joint_diagonalization_equals_the_sequential_reads(variant, n, monkeypat
     tasks = record_tasks(monkeypatch)
     assert_same_report(joint_diagonalization(K, L, 8), joint_diagonalization_sequential(K, L, 8))
     assert len(tasks) == (n >= spectra._KRYLOV_N) and all(task.done.is_set() for task in tasks)
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("variant", sorted(REFERENCE_DRAWS))
+def test_commutator_equals_the_sequential_products(variant, n, monkeypatch):
+    # from _KRYLOV_N rows on, K X and then K (L X) run on the worker thread
+    # while L X and L (K X) run here; the columns and the read are the
+    # sequential order's, bit for bit, for X in either memory order
+    K, L = matrices(REFERENCE_DRAWS[variant], n)
+    X, DX = K.grid.legendre, K.grid.dlegendre
+    tasks = record_tasks(monkeypatch)
+    for Y in (X, np.ascontiguousarray(X)):
+        got, expected = _commutator_columns(K, L, Y, DX), commutator_columns_sequential(K, L, Y, DX)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        assert len(tasks) == 2 * (n >= spectra._KRYLOV_N) and all(task.done.is_set() for task in tasks)
+        tasks.clear()
+    read = commutator_norm(K, L)
+    monkeypatch.setattr(spectra, "_commutator_columns", commutator_columns_sequential)
+    assert read == commutator_norm(K, L)
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["K X", "K L X"])
+@pytest.mark.parametrize("variant", ["general-analytic", "case4"])
+def test_failing_worker_product_reaches_the_caller(variant, failing, monkeypatch):
+    # a worker product that runs out of memory: the caller of
+    # commutator_norm gets its error, the worker is left idle, and the next
+    # call reads as if it never happened
+    K, L = matrices(REFERENCE_DRAWS[variant], 256)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "_commutator_columns", commutator_columns_sequential)
+        fresh = commutator_norm(K, L)
+    tasks, submit = [], spectra._submit
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 516 KiB for an array with shape (256, 129) and data type complex128")
+
+    def failing_submit(fn, *args):
+        tasks.append(submit(out_of_memory if len(tasks) == failing else fn, *args))
+        return tasks[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "_submit", failing_submit)
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            commutator_norm(K, L)
+    assert len(tasks) == failing + 1 and all(task.done.is_set() for task in tasks)
+    assert spectra._TASKS.empty()
+    assert commutator_norm(K, L) == fresh
+
+
+def test_products_raise_the_worker_failure_first(monkeypatch):
+    # both products fail: A Y's failure is raised, the one the sequential
+    # order meets first, after the worker has finished
+    n = spectra._KRYLOV_N
+    A, Y = np.eye(n, dtype=complex), np.ones((n, 3), dtype=complex)
+    tasks, submit = [], spectra._submit
+
+    def out_of_memory(*args):
+        raise MemoryError("A Y")
+
+    def failing_submit(fn, *args):
+        tasks.append(submit(out_of_memory, *args))
+        return tasks[-1]
+
+    monkeypatch.setattr(spectra, "_submit", failing_submit)
+    with pytest.raises(MemoryError, match="A Y") as failure:
+        spectra._products(A, Y, A, np.ones((n - 1, 3)))
+    assert isinstance(failure.value.__context__, ValueError)
+    assert len(tasks) == 1 and tasks[0].done.is_set()
 
 
 @pytest.mark.parametrize("n", [32, 128, 256])
