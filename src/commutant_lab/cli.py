@@ -10,10 +10,10 @@ check: name, value, tolerance, pass).  Commands hand their result objects
 to ``reportio`` as they are; it turns complex numbers, numpy values and
 result dataclasses into JSON.  Identical config + seed produces
 byte-identical files on one machine with a fixed BLAS thread count, with or
-without the worker thread on which, from n = 128 on, ``spectrum`` reads K's
-eigenvalues and ``commutator`` forms half its products; the matrix reports
+without the worker thread on which, from n = 128 on, ``spectra._beside``
+runs K's half of ``spectrum`` and ``commutator``; the matrix reports
 of ``commutator`` and ``spectrum`` can change in their last digits with the
-thread count.  Exit status is 0 iff every check passed its
+BLAS thread count.  Exit status is 0 iff every check passed its
 tolerance; a report file that cannot be written is a config error
 (status 2), like an output directory that cannot be created and an n whose
 matrices do not fit in memory.  A command

@@ -2,9 +2,9 @@
 
 Reports must be byte-identical across runs with the same config and seed
 (on one machine, with a fixed BLAS thread count, with or without the worker
-thread of ``spectra``, which makes the calls the calling thread would, into
-arrays of the same layout: matrix values can change in their last digits
-with the BLAS thread count).
+thread of ``spectra._beside``, which makes the calls the calling thread
+would, into arrays of the same layout: matrix values can change in their
+last digits with the BLAS thread count).
 ``dumps`` is ``json.dumps`` with one hook, ``_plain``, for the values the
 library hands over as they are: complex numbers become ``[re, im]``,
 numpy arrays and scalars become Python lists and numbers, and result

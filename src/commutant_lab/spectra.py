@@ -14,15 +14,13 @@ Only the few values that are read are computed, by one Arnoldi engine
 ``_KRYLOV_N`` rows on, K's m dominant eigenvalues.  Below that size, where
 Python overhead per Krylov step dominates, K's eigenvalues come from a dense
 ``eigvals``.  Every Krylov value must pass an a-posteriori certificate, else
-``EigFailure``.  From ``_KRYLOV_N`` rows on, K's read runs on one
-long-lived worker thread while L's modes are read on the calling one: K's
-read needs nothing from L, and the inversion of L - sigma I releases the
-GIL.  The results, and the failure raised first (L's), are those of the
-sequential order.  From the same size on, the commutator uses the worker
-too, for one product of each dependent pair (``_products``): K X beside
-L X, then K (L X) beside L (K X).  Every product is the same BLAS call on
-the same operands into an array of the same layout, so every bit is the
-sequential order's.
+``EigFailure``.  From ``_KRYLOV_N`` rows on, ``_beside`` runs K's half of
+the work on one long-lived worker thread while L's half runs on the calling
+one: K's read beside L's modes (K's read needs nothing from L, and the
+inversion of L - sigma I releases the GIL), then K X beside L X and
+K (L X) beside L (K X) in the commutator.  Each half makes the calls it
+would make alone, into arrays of the same layout, so every bit is the
+sequential order's; the failure raised is L's half's, else K's.
 
 The commutator is read on the grid's orthonormal Legendre columns
 p_0 .. p_{n/2}, with quadrature-weighted (discrete L^2(-1,1)) norms of C p_k,
@@ -65,16 +63,14 @@ _START_SEED = 20211
 # Smallest matrix whose K eigenvalues are a Krylov read.  Below it the dense
 # eigvals(K) is faster: on the benchmark draws (BLAS on one thread) the
 # Krylov read loses at n = 96 and wins at n = 128.  L's modes always come
-# from Arnoldi.  From it on, K's Krylov read runs on a worker thread while
-# L's modes are read (``_overlapped_reads``).  On the six reference draws of
-# the tests (BLAS on one thread) that takes the two reads from 22.8 to
-# 17.4 ms at n = 256 and from 10.0 to 8.8 ms at n = 128, and from 4.4 to
-# 4.9 ms at n = 64, where the dense read and the hand-off to the thread
-# leave nothing to hide.  From it on, the commutator's products also run
-# two at a time (``_products``): summed over twelve benchmark draws that
-# takes the commutator from 16.0 to 12.6 ms at n = 128 and from 89 to
-# 63 ms at n = 256, but from 3.3 to 4.1 ms at n = 64, so one size serves
-# both.
+# from Arnoldi.  From it on, ``_beside`` also runs K's half of the work on
+# the worker thread.  For the two reads, on the six reference draws of the
+# tests (BLAS on one thread), that takes them from 22.8 to 17.4 ms at
+# n = 256 and from 10.0 to 8.8 ms at n = 128, and from 4.4 to 4.9 ms at
+# n = 64, where the dense read and the hand-off to the thread leave nothing
+# to hide.  For the commutator's products, summed over twelve benchmark
+# draws, it takes them from 16.0 to 12.6 ms at n = 128 and from 89 to 63 ms
+# at n = 256, but from 3.3 to 4.1 ms at n = 64, so one size serves both.
 _KRYLOV_N = 128
 
 
@@ -250,16 +246,25 @@ def _commutator_columns(K: OperatorMatrix, L: OperatorMatrix, X: np.ndarray, DX:
     """
     # X is cast once, not inside each product; the cast is then a work
     # buffer, and so is K X once its norms are read, since fresh n x n/2
-    # temporaries cost page faults comparable to the products
+    # temporaries cost page faults comparable to the products.  The K
+    # products run beside the L ones (``_beside``) into C-order arrays made
+    # here: K @ X's layout, so each is the same BLAS call (an F-order output
+    # is another gemm call, and moved last digits), and the worker's heap
+    # does not grow
+    A, B, n = K.entries, L.entries, X.shape[0]
     Xc = X.astype(complex)
-    KX, LX = _products(K.entries, Xc, L.entries, Xc)
+    KX = np.empty(Xc.shape, dtype=complex)
+    LX, _ = _beside(lambda: B @ Xc, lambda: np.matmul(A, Xc, out=KX), n)
     KX_norms = _read_norms(K, KX)
+    if K.kernel.singular:
+        r, ell = K.kernel.residue(), K.grid.log_weight[:, None]
+        KX -= np.multiply(r * ell, X, out=Xc)  # S X
+    CX = np.empty(Xc.shape, dtype=complex)
+    LKX, _ = _beside(lambda: np.matmul(B, KX, out=Xc), lambda: np.matmul(A, LX, out=CX), n)
+    CX -= LKX
     if not K.kernel.singular:
-        CX, LKX = _products(K.entries, LX, L.entries, KX, out=Xc)
-        CX -= LKX
         return CX, LX, KX_norms
     grid, op = K.grid, L.op
-    r, ell = K.kernel.residue(), grid.log_weight[:, None]
     x = grid.nodes
     (a, da), b = op.a(x, order=(0, 1)), op.b(x)
     one_m_x2 = 1.0 - x[1:-1] ** 2
@@ -267,9 +272,6 @@ def _commutator_columns(K: OperatorMatrix, L: OperatorMatrix, X: np.ndarray, DX:
     al[1:-1] = 2.0 * a[1:-1] / one_m_x2
     bracket = grid.D1 @ al
     bracket[1:-1] += 2.0 * (b - da)[1:-1] / one_m_x2
-    KX -= np.multiply(r * ell, X, out=Xc)  # S X
-    CX, LSX = _products(K.entries, LX, L.entries, KX, out=Xc)
-    CX -= LSX
     # S L X = K L X - r l L X
     log_part = np.multiply(2.0 * al[:, None], DX, out=Xc)
     log_part += np.multiply(bracket[:, None], X, out=KX)
@@ -404,94 +406,54 @@ def _k_dominant(K: np.ndarray, m: int) -> np.ndarray:
     return mu
 
 
-class _Task:
-    """A call handed to the worker thread.  ``done`` is set once it has run;
-    ``result`` waits for that, then returns its value or raises what it
-    raised."""
-
-    def __init__(self, fn, *args) -> None:
-        self.fn, self.args = fn, args
-        self.done = threading.Event()
-        self.value = self.error = None
-
-    def run(self) -> None:
-        try:
-            self.value = self.fn(*self.args)
-        except BaseException as exc:
-            self.error = exc
-        self.done.set()
-
-    def result(self):
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
-# the one long-lived worker thread and its queue of tasks; a thread pool
+# the one long-lived worker thread and its queue of calls; a thread pool
 # from concurrent.futures would import logging with it, about 12 ms and
 # 0.5 MB more for every process that imports the package
-_TASKS: queue.SimpleQueue = queue.SimpleQueue()
+_CALLS: queue.SimpleQueue = queue.SimpleQueue()
 _WORKER: list[threading.Thread] = []
 
 
-def _submit(fn, *args) -> _Task:
-    """Hand fn(*args) to the worker thread, which is started on first use,
-    and again in a forked child, which inherits no thread."""
+def _beside(first, second, n: int):
+    """(first(), second()), and the failure raised first's, else second's.
+
+    Below ``_KRYLOV_N`` rows n they run in that order here.  From there on,
+    second runs on the worker thread, started on first use (and again in a
+    forked child, which inherits no thread), while first runs here; the
+    worker is waited for whatever first did, so it has no call left when
+    this returns or raises.
+    """
+    if n < _KRYLOV_N:
+        return first(), second()
     if not (_WORKER and _WORKER[0].is_alive()):
         _WORKER[:] = [threading.Thread(target=_serve, name="commutant-lab-worker", daemon=True)]
         _WORKER[0].start()
-    task = _Task(fn, *args)
-    _TASKS.put(task)
-    return task
+    reply = queue.SimpleQueue()
+    _CALLS.put((second, reply))
+    try:
+        value = first()
+    finally:
+        other, error = reply.get()
+    if error is not None:
+        raise error
+    return value, other
 
 
 def _serve() -> None:
     while True:
-        _TASKS.get().run()
+        _run()
 
 
-def _products(A: np.ndarray, Y: np.ndarray, B: np.ndarray, Z: np.ndarray, out=None):
-    """(A Y, B Z), with B Z into ``out`` if given, and the failure raised
-    first A Y's, as in that order on one thread.
-
-    From ``_KRYLOV_N`` rows on, A Y runs on the worker thread while B Z runs
-    on this one; the worker has no task left when this returns or raises.
-    A Y goes into a C-order array allocated here: the one the sequential
-    A @ Y returns, so every BLAS call and every bit is the same (an output
-    laid out like an F-order Y is another call to gemm, and moved the last
-    digit of commutator reads), and it keeps the worker's heap from growing.
-    """
-    if A.shape[0] < _KRYLOV_N:
-        return A @ Y, np.matmul(B, Z, out=out)
-    AY = np.empty((A.shape[0], Y.shape[1]), dtype=complex)
-    task = _submit(np.matmul, A, Y, AY)
+def _run() -> None:
+    """Run the next queued call and answer (value, None) or (None, what it
+    raised).  The call is dropped before the answer, and the answer with
+    this frame: the worker must not hold a caller's arrays into the next job."""
+    fn, reply = _CALLS.get()
     try:
-        BZ = np.matmul(B, Z, out=out)
-    except BaseException:
-        task.result()  # waits; raises A Y's failure, if any, in place of B Z's
-        raise
-    return task.result(), BZ
-
-
-def _overlapped_reads(K: OperatorMatrix, L: OperatorMatrix, m: int):
-    """(*_l_modes(L, m), _k_dominant(K.entries, m)), with K's read on the
-    worker thread while L's modes are read on this one.
-
-    K's read uses nothing that L's modes produce, and the inversion of
-    L - sigma I that L's read starts with releases the GIL, so the two
-    overlap on two cores.  The results are those of the sequential order,
-    and so is the failure raised first: L's, then K's.  The worker has no
-    task left when this returns or raises.  The worker takes K's read, not
-    the inversion: on the draws where K's read is the long one (up to k = n
-    vectors) it then also overlaps L's Arnoldi runs.
-    """
-    k_read = _submit(_k_dominant, K.entries, m)
-    try:
-        lam, V, U = _l_modes(L, m)
-    finally:
-        k_read.done.wait()  # whatever L's read raised
-    return lam, V, U, k_read.result()
+        answer = fn(), None
+    except BaseException as exc:
+        answer = None, exc
+    del fn
+    reply.put(answer)
 
 
 def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> SpectralReport:
@@ -514,20 +476,17 @@ def joint_diagonalization(K: OperatorMatrix, L: OperatorMatrix, m: int) -> Spect
     1e-8 (relative) set the degeneracy flag and are left out of the
     off-diagonal measure.  ``K_eigenvalues_direct`` are K's m dominant
     eigenvalues (``_k_dominant``), read from K alone.  From ``_KRYLOV_N``
-    rows on, K's read runs on a worker thread while L's modes are read
-    (``_overlapped_reads``); the report is that of the sequential order.
+    rows on, K's read runs on the worker thread while L's modes are read
+    (``_beside``); the report, and the failure raised first (L's), are
+    those of the sequential order.
     """
     if not K.grid.same_as(L.grid):
         raise GridMismatchError("K and L must share a grid")
     nodes = K.grid.n - 2 if K.kernel.singular else K.grid.n
     if m > nodes:
         raise ValueError(f"m = {m} exceeds the {nodes} nodes the modes are normalized over")
-    if K.grid.n < _KRYLOV_N:
-        lam, V, U = _l_modes(L, m)
-        mu_top = _k_dominant(K.entries, m)
-    else:
-        lam, V, U, mu_top = _overlapped_reads(K, L, m)
-    return _project(K, m, lam, V, U, mu_top)
+    modes, mu_top = _beside(lambda: _l_modes(L, m), lambda: _k_dominant(K.entries, m), K.grid.n)
+    return _project(K, m, *modes, mu_top)
 
 
 def _project(K: OperatorMatrix, m: int, lam, V, U, mu_top) -> SpectralReport:

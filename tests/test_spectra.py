@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import importlib.util
 import json
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -433,16 +436,38 @@ def assert_same_report(a, b):
         assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
-def record_tasks(monkeypatch) -> list:
-    """Record every task handed to the worker thread from here on."""
-    tasks, submit = [], spectra._submit
+def record_worker_calls(monkeypatch, failing=None) -> list:
+    """Wrap the second call of every ``_beside`` from here on.  Each is
+    recorded as None until it starts, "running" until it has returned or
+    raised, then True if it ran on the worker thread and False if on this
+    one; the one numbered ``failing`` runs out of memory in place of its
+    work."""
+    calls, beside = [], spectra._beside
 
-    def recording(fn, *args):
-        tasks.append(submit(fn, *args))
-        return tasks[-1]
+    def recording(first, second, n):
+        i = len(calls)
+        calls.append(None)
 
-    monkeypatch.setattr(spectra, "_submit", recording)
-    return tasks
+        def recorded():
+            calls[i] = "running"
+            try:
+                if i == failing:
+                    raise MemoryError("Unable to allocate 516 KiB for an array with shape (256, 129)")
+                return second()
+            finally:
+                calls[i] = threading.current_thread().name == "commutant-lab-worker"
+
+        return beside(first, recorded, n)
+
+    monkeypatch.setattr(spectra, "_beside", recording)
+    return calls
+
+
+def assert_worker_idle(calls, worker_calls):
+    """The worker ran worker_calls of the recorded calls, no recorded call
+    is still running, and none is left queued."""
+    assert "running" not in calls and calls.count(True) == worker_calls
+    assert spectra._CALLS.empty()
 
 
 @pytest.mark.parametrize("n", [64, 128, 256])
@@ -451,9 +476,10 @@ def test_joint_diagonalization_equals_the_sequential_reads(variant, n, monkeypat
     # from _KRYLOV_N rows on, K is read on the worker thread while L's
     # modes are read here; the report is the sequential order's, bit for bit
     K, L = matrices(REFERENCE_DRAWS[variant], n)
-    tasks = record_tasks(monkeypatch)
+    calls = record_worker_calls(monkeypatch)
     assert_same_report(joint_diagonalization(K, L, 8), joint_diagonalization_sequential(K, L, 8))
-    assert len(tasks) == (n >= spectra._KRYLOV_N) and all(task.done.is_set() for task in tasks)
+    assert None not in calls and len(calls) == 1
+    assert_worker_idle(calls, n >= spectra._KRYLOV_N)
 
 
 @pytest.mark.parametrize("n", [64, 128, 256])
@@ -464,12 +490,13 @@ def test_commutator_equals_the_sequential_products(variant, n, monkeypatch):
     # sequential order's, bit for bit, for X in either memory order
     K, L = matrices(REFERENCE_DRAWS[variant], n)
     X, DX = K.grid.legendre, K.grid.dlegendre
-    tasks = record_tasks(monkeypatch)
+    calls = record_worker_calls(monkeypatch)
     for Y in (X, np.ascontiguousarray(X)):
         got, expected = _commutator_columns(K, L, Y, DX), commutator_columns_sequential(K, L, Y, DX)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-        assert len(tasks) == 2 * (n >= spectra._KRYLOV_N) and all(task.done.is_set() for task in tasks)
-        tasks.clear()
+        assert None not in calls and len(calls) == 2
+        assert_worker_idle(calls, 2 * (n >= spectra._KRYLOV_N))
+        calls.clear()
     read = commutator_norm(K, L)
     monkeypatch.setattr(spectra, "_commutator_columns", commutator_columns_sequential)
     assert read == commutator_norm(K, L)
@@ -485,43 +512,48 @@ def test_failing_worker_product_reaches_the_caller(variant, failing, monkeypatch
     with monkeypatch.context() as patch:
         patch.setattr(spectra, "_commutator_columns", commutator_columns_sequential)
         fresh = commutator_norm(K, L)
-    tasks, submit = [], spectra._submit
-
-    def out_of_memory(*args):
-        raise MemoryError("Unable to allocate 516 KiB for an array with shape (256, 129) and data type complex128")
-
-    def failing_submit(fn, *args):
-        tasks.append(submit(out_of_memory if len(tasks) == failing else fn, *args))
-        return tasks[-1]
-
     with monkeypatch.context() as patch:
-        patch.setattr(spectra, "_submit", failing_submit)
+        calls = record_worker_calls(patch, failing)
         with pytest.raises(MemoryError, match="Unable to allocate"):
             commutator_norm(K, L)
-    assert len(tasks) == failing + 1 and all(task.done.is_set() for task in tasks)
-    assert spectra._TASKS.empty()
+    assert len(calls) == failing + 1
+    assert_worker_idle(calls, failing + 1)
     assert commutator_norm(K, L) == fresh
 
 
-def test_products_raise_the_worker_failure_first(monkeypatch):
-    # both products fail: A Y's failure is raised, the one the sequential
-    # order meets first, after the worker has finished
-    n = spectra._KRYLOV_N
-    A, Y = np.eye(n, dtype=complex), np.ones((n, 3), dtype=complex)
-    tasks, submit = [], spectra._submit
+def test_beside_raises_the_calling_thread_failure_first(monkeypatch):
+    # both calls fail: first's failure is raised, after the worker has
+    # finished second from _KRYLOV_N rows on; below, second never runs
+    def first():
+        raise ValueError("first")
 
-    def out_of_memory(*args):
-        raise MemoryError("A Y")
+    def second():
+        raise MemoryError("second")
 
-    def failing_submit(fn, *args):
-        tasks.append(submit(out_of_memory, *args))
-        return tasks[-1]
+    for n in (spectra._KRYLOV_N - 1, spectra._KRYLOV_N):
+        with monkeypatch.context() as patch:
+            calls = record_worker_calls(patch)
+            with pytest.raises(ValueError, match="first") as failure:
+                spectra._beside(first, second, n)
+        assert failure.value.__context__ is None
+        assert calls == ([True] if n >= spectra._KRYLOV_N else [None])
+        assert spectra._CALLS.empty()
+    with pytest.raises(MemoryError, match="second"):
+        spectra._beside(lambda: 0, second, spectra._KRYLOV_N)
+    assert spectra._beside(lambda: 0, lambda: 1, spectra._KRYLOV_N) == (0, 1)
 
-    monkeypatch.setattr(spectra, "_submit", failing_submit)
-    with pytest.raises(MemoryError, match="A Y") as failure:
-        spectra._products(A, Y, A, np.ones((n - 1, 3)))
-    assert isinstance(failure.value.__context__, ValueError)
-    assert len(tasks) == 1 and tasks[0].done.is_set()
+
+def test_the_worker_keeps_nothing_of_a_finished_call():
+    # the worker thread must not hold a caller's arrays into the next job:
+    # once _beside has returned, second's argument is gone without a
+    # collection
+    payload = np.ones(8)
+    alive = weakref.ref(payload)
+    second = functools.partial(np.sum, payload)
+    del payload
+    assert spectra._beside(lambda: 0, second, spectra._KRYLOV_N) == (0, 8.0)
+    del second
+    assert alive() is None
 
 
 @pytest.mark.parametrize("n", [32, 128, 256])
@@ -529,7 +561,7 @@ def test_uncertified_modes_raise(sinc_pair, monkeypatch, n):
     g = build_grid(n)
     K, L = nystrom_K(sinc_pair, g), collocation_L(sinc_pair.op, g)
     fresh = joint_diagonalization_sequential(K, L, 4)
-    tasks = record_tasks(monkeypatch)
+    calls = record_worker_calls(monkeypatch)
     with monkeypatch.context() as patch:
         # both reads fail their certificates (K's from _KRYLOV_N rows on):
         # L's failure is raised, as in the sequential order
@@ -542,7 +574,8 @@ def test_uncertified_modes_raise(sinc_pair, monkeypatch, n):
     with pytest.raises(EigFailure):
         joint_diagonalization(K, bad, 4)
     assert_same_report(joint_diagonalization(K, L, 4), fresh)
-    assert len(tasks) == 4 * (n >= spectra._KRYLOV_N) and all(task.done.is_set() for task in tasks)
+    assert len(calls) == 4
+    assert_worker_idle(calls, 4 * (n >= spectra._KRYLOV_N))
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -554,14 +587,15 @@ def test_uncertified_k_read_raises_when_l_modes_pass(monkeypatch, n):
     def strict_on_k(what, lam, R, V, scale):
         certify(what, lam, R, V, scale * 1e-30 if what == "K eigenvalue" else scale)
 
-    tasks = record_tasks(monkeypatch)
+    calls = record_worker_calls(monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(spectra, "_certify", strict_on_k)
         with pytest.raises(EigFailure, match="backward error") as failure:
             joint_diagonalization(K, L, 8)
     assert failure.value.mode.startswith("K eigenvalue")
     assert_same_report(joint_diagonalization(K, L, 8), fresh)
-    assert len(tasks) == 2 and all(task.done.is_set() for task in tasks)
+    assert len(calls) == 2
+    assert_worker_idle(calls, 2)
 
 
 def test_mode_cond_sees_one_ill_conditioned_eigenvalue():
