@@ -6,7 +6,8 @@ class CommutantError(Exception):
 
 
 class AdmissibilityError(CommutantError):
-    """Parameters would put a non-removable kernel singularity inside [-2, 2]."""
+    """Parameters would put a non-removable kernel singularity inside [-2, 2],
+    or overflow a double while the pair is built."""
 
 
 class DegenerateError(CommutantError):

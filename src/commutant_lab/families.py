@@ -5,8 +5,9 @@ The classified kernels all have the shape
     k(z) = lambda / sinh(lambda z / 2) * (alpha1 sinh(mu z)/mu + alpha2 cosh(mu z)),
 
 with limits substituted when lambda or mu vanish (and Taylor polynomials
-in place of the exponential forms when they are small), together with the
-coefficient triple
+in place of the exponential forms when they are small: one test on
+|lambda/2| decides D and a together, and |mu| decides N's sinh(mu z)/mu),
+together with the coefficient triple
 
     a(y) = (cosh(lambda y) - cosh lambda) / lambda^2,   b = a',
     c(y) = (lambda^2/4 - mu^2) a(y).
@@ -20,9 +21,10 @@ of the general (a, b, nu a).  ``make_pair`` is the one constructor of a
 pair, whatever the variant, and the one judge of its parameters, each
 refusal a ``CommutantError``: the variant's parts refuse lambda in pi*i*Z
 in the general family (left to case1), lambda = 0 in case2 and beta = 0 or
-p'(0) != 0 in case3, make_pair a zero kernel or a zero operator, and
-``build_kernel`` a pole of the kernel inside [-2,2] other than 0, which it
-alone judges, from N and D.
+p'(0) != 0 in case3, make_pair a zero kernel, a zero operator or a value
+that overflows a double while it builds the pair, and ``build_kernel`` a
+pole of the kernel inside [-2,2] other than 0, which it alone judges, from
+N and D.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ from .kernels import KernelSpec, build_kernel
 DEGENERACY_THRESHOLD = 1e-6
 # Below this |rate| the quotients sinh(rate z)/rate and
 # (cosh(rate y) - cosh rate)/rate^2 are built from their Taylor polynomials:
-# the exponential forms cancel to within rounding/|rate|^2.
+# the exponential forms cancel to within rounding/|rate|^2.  One test on
+# |lambda/2| decides the general kernel's D and a together, and |mu|
+# decides N's sinh(mu z)/mu.
 SERIES_RATE = 0.1
 
 
@@ -158,8 +162,11 @@ def classify_trivial(params: FamilyParams) -> bool:
 def _taylor_tail(rate: complex, first: int, scale: complex = 1.0) -> list[complex]:
     """Coefficients of scale * sum_{n = first, first+2, ...} rate^(n-first) x^n / n!.
 
-    Terms stop once they fall below rounding for |x| <= 2, so with
-    |rate| < SERIES_RATE the polynomial is exact to rounding there.
+    Terms stop once they fall below rounding for |x| <= 2, so the
+    polynomial is exact to rounding where |rate x| < 2 SERIES_RATE.  One test
+    on |lambda/2| decides D and a together, and |mu| decides N's
+    sinh(mu z)/mu, so that covers sinh(rate z)/rate for |rate| < SERIES_RATE
+    on |z| <= 2, and a for |lambda| < 2 SERIES_RATE on |y| <= 1.
     """
     coeffs = [0j] * first + [complex(scale / math.factorial(first))]
     n, term = first, coeffs[-1]
@@ -178,42 +185,35 @@ def _sinh_over_rate(rate: complex, scale: complex = 1.0) -> ExpPoly:
     return ExpPoly.polynomial(_taylor_tail(rate, 1, scale))
 
 
-def _general_kernel_parts(lam: complex, mu: complex, a1: complex, a2: complex):
-    """Numerator/denominator of the general kernel, limits substituted."""
-    lam = _effective(lam)
-    mu = _effective(mu)
+def _general_forms(lam: complex, mu: complex, a1: complex, a2: complex):
+    """The general family's (N, D, (a, b, c), nu), limits substituted.
+
+    One test on |lambda/2| decides D and a together: below SERIES_RATE
+    D = sinh(lambda z/2)/(lambda/2), with N carrying lambda/sinh's 2, and
+    a = (cosh(lambda y) - cosh lambda)/lambda^2 are both Taylor polynomials,
+    above it both are exponential sums.  N's sinh(mu z)/mu has its own test
+    on |mu|.
+    """
+    lam, mu = _effective(lam), _effective(mu)
     bracket = _sinh_over_rate(mu, a1) + ExpPoly.cosh(mu, a2)
     if abs(lam / 2.0) < SERIES_RATE:
-        # lambda/sinh(lambda z/2) = 2/(sinh(lambda z/2)/(lambda/2))
-        num = 2.0 * bracket
-        den = _sinh_over_rate(lam / 2.0)
-    else:
-        num = lam * bracket
-        den = ExpPoly.sinh(lam / 2.0)
-    return num, den
-
-
-def _general_coeffs(lam: complex):
-    """(a, b, c-factor-free a) for the general family; c = nu * a."""
-    lam = _effective(lam)
-    if abs(lam) < SERIES_RATE:
+        num, den = 2.0 * bracket, _sinh_over_rate(lam / 2.0)
         # sum_{k>=1} lam^(2k-2) (y^(2k) - 1)/(2k)!; (y^2 - 1)/2 at lam = 0
         coeffs = _taylor_tail(lam, 2)
         coeffs[0] = 0j - sum(coeffs)
         a = ExpPoly.polynomial(coeffs)
     else:
+        num, den = lam * bracket, ExpPoly.sinh(lam / 2.0)
         a = ExpPoly.cosh(lam, 1.0 / lam**2) + ExpPoly.constant(-cmath.cosh(lam) / lam**2)
-    return a, a.derivative()
-
-
-def _general_nu(lam: complex, mu: complex) -> complex:
-    return _effective(lam) ** 2 / 4.0 - _effective(mu) ** 2
+    nu = lam**2 / 4.0 - mu**2
+    return num, den, (a, a.derivative(), nu * a), nu
 
 
 # ---------------------------------------------------------------------------
 # constructors: each variant's parts function validates its parameters and
-# returns (N, D, (a, b, c), nu); make_pair refuses a zero N or (a, b, c)
-# and assembles the pair from them
+# returns (N, D, (a, b, c), nu); make_pair refuses a zero N or (a, b, c),
+# or a value that overflows while it builds them or the kernel, and
+# assembles the pair from them
 
 
 def _general_parts(params: General):
@@ -228,10 +228,7 @@ def _general_parts(params: General):
     s = abs(lam.imag)
     if lam != 0 and abs(lam.real) <= 1e-12 * abs(lam) and abs(s - math.pi * round(s / math.pi)) < 1e-9:
         raise AdmissibilityError("lambda in pi*i*Z excluded for the general family (use case1)")
-    num, den = _general_kernel_parts(params.lam, params.mu, params.alpha1, params.alpha2)
-    a, b = _general_coeffs(params.lam)
-    nu = _general_nu(params.lam, params.mu)
-    return num, den, (a, b, nu * a), nu
+    return _general_forms(lam, params.mu, params.alpha1, params.alpha2)
 
 
 def _case1_kernel(m: int):
@@ -258,11 +255,8 @@ def _case1_parts(params: Case1):
     return (*kernel, _case1_triple(params.alpha, params.beta, nu), nu)
 
 
-def _case2_triple(lam: complex, alpha: complex, beta: complex):
-    if abs(lam) < SERIES_RATE:  # cosh(lam y) - cosh(lam) cancels in exponential form
-        a0 = lam**2 * _general_coeffs(lam)[0]
-    else:
-        a0 = ExpPoly.cosh(lam) + ExpPoly.constant(-cmath.cosh(lam))
+def _case2_triple(lam: complex, a0: ExpPoly, alpha: complex, beta: complex):
+    """Case2's (a, b, c) from a0 = cosh(lambda y) - cosh(lambda)."""
     a0p = a0.derivative()
     a = alpha * a0
     b = alpha * a0p + beta * a0
@@ -279,21 +273,24 @@ def _case2_parts(params: Case2):
         raise DegenerateError("lambda = 0 degenerates 1/sinh(lambda z/2)")
     general = General(lam=lam, mu=0.0, alpha1=0.0, alpha2=1.0)
     if abs(lam / 2.0) < SERIES_RATE:
-        # sinh(lam z/2) cancels in exponential form: the kernel (below
-        # SERIES_RATE a0 too) is the general family's own form, so the closed
-        # form, evaluated where it does not cancel, is compared with it too
-        def a0(y):  # cosh(lam y) - cosh(lam)
+        # sinh(lam z/2) and cosh(lam y) - cosh(lam) cancel in exponential
+        # form: kernel and a0 are the general family's own Taylor forms, so
+        # the closed form, evaluated where it does not cancel, is compared
+        # with the general family too
+        def closed_a0(y):
             return 2.0 * np.sinh(lam * (y + 1.0) / 2.0) * np.sinh(lam * (y - 1.0) / 2.0)
 
-        closed = (a0, lambda y: lam * np.sinh(lam * y), lambda y: lam**2 / 4.0 * a0(y))
+        closed = (closed_a0, lambda y: lam * np.sinh(lam * y), lambda y: lam**2 / 4.0 * closed_a0(y))
         kernel = (np.ones_like, lambda z: np.sinh(lam * z / 2.0))
         _assert_recovery("case2 closed form", kernel, closed, general, lam**2)
-        num, den = ExpPoly.constant(2.0 / lam), _sinh_over_rate(lam / 2.0)
+        _, den, (a, _, _), _ = _general_forms(lam, 0.0, 0.0, 1.0)
+        num, a0 = ExpPoly.constant(2.0 / lam), lam**2 * a
     else:
         num, den = ExpPoly.constant(1.0), ExpPoly.sinh(lam / 2.0)
-    _assert_recovery("case2", (num, den), _case2_triple(lam, 1.0, 0.0), general, lam**2)
+        a0 = ExpPoly.cosh(lam) + ExpPoly.constant(-cmath.cosh(lam))
+    _assert_recovery("case2", (num, den), _case2_triple(lam, a0, 1.0, 0.0), general, lam**2)
     nu = lam**2 / 4.0 if (params.beta == 0 and params.alpha != 0) else None
-    return num, den, _case2_triple(lam, params.alpha, params.beta), nu
+    return num, den, _case2_triple(lam, a0, params.alpha, params.beta), nu
 
 
 def _case34_a(p):
@@ -363,14 +360,17 @@ def make_pair(params: FamilyParams) -> CommutingPair:
     parts = _PARTS.get(type(params))
     if parts is None:
         raise TypeError(f"unknown params variant: {params!r}")
-    num, den, (a, b, c), nu = parts(params)
-    if not num.terms:
-        raise DegenerateError("the parameters give the zero kernel")
-    if not (a.terms or b.terms or c.terms):
-        raise DegenerateError("the parameters give the zero operator")
-    return CommutingPair(
-        kernel=build_kernel(num, den), op=DiffOp(a=a, b=b, c=c), params=params, nu=nu
-    )
+    try:
+        with np.errstate(over="raise"):
+            num, den, (a, b, c), nu = parts(params)
+            if not num.terms:
+                raise DegenerateError("the parameters give the zero kernel")
+            if not (a.terms or b.terms or c.terms):
+                raise DegenerateError("the parameters give the zero operator")
+            kernel = build_kernel(num, den)
+    except (OverflowError, FloatingPointError) as exc:
+        raise AdmissibilityError(f"overflow while building the pair ({exc})") from exc
+    return CommutingPair(kernel=kernel, op=DiffOp(a=a, b=b, c=c), params=params, nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +409,11 @@ def _assert_recovery(case: str, kernel, abc, general: General, factor) -> None:
     |nu|, which grows as m^2 in case1 and as |lambda|^2/4 in case2.
     """
     y, z = _RECOVERY_Y, _RECOVERY_Z
-    (num, den), lam, mu = kernel, general.lam, general.mu
-    num_g, den_g = _general_kernel_parts(lam, mu, general.alpha1, general.alpha2)
+    num, den = kernel
+    num_g, den_g, abc_g, nu = _general_forms(general.lam, general.mu, general.alpha1, general.alpha2)
     _assert_multiples(case, [("kernel", num(z) / den(z), num_g(z) / den_g(z), 1.0)], None)
-    a_g, b_g = _general_coeffs(lam)
-    nu = _general_nu(lam, mu)
     weights = (1.0, 1.0, max(1.0, abs(nu)))
-    rows = zip("abc", (f(y) for f in abc), (a_g(y), b_g(y), nu * a_g(y)), weights)
+    rows = zip("abc", (f(y) for f in abc), (g(y) for g in abc_g), weights)
     _assert_multiples(case, list(rows), factor)
 
 

@@ -53,9 +53,10 @@ SEEDS = (1, 2)
 # workload -> number of jobs per seed
 JOBS = {"certify": 48, "spectral": 24, "sweep": 24}
 # (workload, seed, job) of case2 draws beyond JOBS where case2 is built from
-# the general family's Taylor forms: its kernel for |lambda| < 0.2 (job 111
-# of seed 1 draws |lambda| = 0.18), and a too for |lambda| < 0.1 (job 465 of
-# seed 2 draws 0.065).  Jobs 0-47 draw no case2 lambda that small.
+# the general family's Taylor forms: one test on |lambda/2| decides D and a
+# together (|mu| decides N's sinh(mu z)/mu), so both are Taylor for
+# |lambda| < 0.2 (job 111 of seed 1 draws |lambda| = 0.18, job 465 of seed 2
+# draws 0.065).  Jobs 0-47 draw no case2 lambda that small.
 SMALL_RATE = tuple(
     (w, seed, i) for w in ("certify", "spectral") for seed, i in ((1, 111), (2, 465))
 )

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from commutant_lab import (
+    AdmissibilityError,
     CommutantError,
     build_grid,
     cli,
@@ -441,16 +442,32 @@ def test_inadmissible_params_error_status(tmp_path):
     "params",
     [
         {**SINC, "lambda": [720.0, 0.0], "alpha2": [1.0, 0.0]},
+        {**SINC, "lambda": [800.0, 0.0], "alpha2": [1.0, 0.0]},
         {**SINC, "lambda": [1e308, 0.0], "alpha2": [1.0, 0.0]},
         {"variant": "case2", "lambda": [720.0, 0.0], "alpha": [1.0, 0.0], "beta": [0.0, 0.0]},
+        {"variant": "case2", "lambda": [2037.0, 501.0], "alpha": [1.0, 0.0], "beta": [0.0, 0.0]},
+        {
+            "variant": "case2", "lambda": [702.8088519614869, -255.79027349050224],
+            "alpha": [1.0, 0.0], "beta": [0.0, 0.0],
+        },
     ],
-    ids=["general-720", "general-1e308", "case2-720"],
+    ids=["general-720", "general-800", "general-1e308", "case2-720", "case2-2037+501i", "case2-703-256i"],
 )
-def test_overflowing_lambda_error_status(tmp_path, capsys, command, params):
-    # cosh(lambda) overflows a double: a clean error status, not a traceback
+def test_overflowing_lambda_error_status(tmp_path, capsys, cold_memo, command, params):
+    # cosh(lambda) overflows a double, or (at 703 - 256i) the recovery
+    # check's values do: make_pair refuses the parameters and names the
+    # overflow, pair reports the refusal and verify exits 1 with it
+    with pytest.raises(AdmissibilityError, match=r"^overflow while building the pair \(") as refusal:
+        make_pair(params_from_json(params))
+    reason = str(refusal.value)
     cfg = write_config(tmp_path / "cfg.json", params=params)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
-    assert "error: OverflowError" in capsys.readouterr().err
+    if command == "pair":
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert (report["result"]["admissible"], report["result"]["reason"]) == (False, reason)
+        assert capsys.readouterr().err == ""
+    else:
+        assert capsys.readouterr().err == f"error: AdmissibilityError: {reason}\n"
 
 
 def test_matrix_csv_cell_format(tmp_path):

@@ -243,8 +243,8 @@ _PERTURBATION = ExpPoly.polynomial((0.0, 1e-6))
 _SPECIAL = {
     "case1": Case1(m=1, alpha=0.3 + 0.2j, beta=1.1),
     "case2": Case2(lam=1.0 + 0.8j, alpha=0.5j, beta=0.7),
-    # below SERIES_RATE, and below 2 SERIES_RATE for its kernel, case2 is
-    # built from the general family's Taylor forms
+    # below 2 SERIES_RATE case2's kernel and a are built from the general
+    # family's Taylor forms
     "case2-small": Case2(lam=0.05, alpha=0.5j, beta=0.7),
     "case2-tiny": Case2(lam=1e-5j, alpha=0.5j, beta=0.7),
     "case3": Case3(beta=0.8 - 0.3j, p=(1.0, 0.0, 0.4)),
@@ -290,13 +290,14 @@ def test_case2_recovery_catches_a_perturbed_general_family(monkeypatch, key, wha
     # closed form, evaluated without cancellation, still tells them apart.
     # 1e-6 z^3 in sinh(rate z)/rate is not a multiple of it
     if what == "a":
-        original = families._general_coeffs
+        original = families._general_forms
 
-        def perturbed(lam):
-            a, b = original(lam)
-            return a + _PERTURBATION, b + _PERTURBATION.derivative()
+        def perturbed(*args):
+            num, den, (a, b, c), nu = original(*args)
+            triple = (a + _PERTURBATION, b + _PERTURBATION.derivative(), c + nu * _PERTURBATION)
+            return num, den, triple, nu
 
-        monkeypatch.setattr(families, "_general_coeffs", perturbed)
+        monkeypatch.setattr(families, "_general_forms", perturbed)
     else:
         original = families._sinh_over_rate
 
@@ -306,6 +307,26 @@ def test_case2_recovery_catches_a_perturbed_general_family(monkeypatch, key, wha
         monkeypatch.setattr(families, "_sinh_over_rate", perturbed)
     with pytest.raises(AssertionError, match="recovery check failed for case2"):
         make_pair(_SPECIAL[key])
+
+
+_ONE_FORM = {
+    "general-analytic": lambda lam: General(lam=lam, mu=1.1 - 0.4j, alpha1=0.6 + 0.2j, alpha2=0.0),
+    "general-pole": lambda lam: General(lam=lam, mu=1.1 - 0.4j, alpha1=0.6 + 0.2j, alpha2=-0.5 + 0.3j),
+    "case2": lambda lam: Case2(lam=lam, alpha=0.7, beta=0.3j),
+}
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.11, 0.15, 0.199, 0.201, 0.5])
+@pytest.mark.parametrize("variant", sorted(_ONE_FORM))
+def test_kernel_denominator_and_a_share_one_form(variant, lam):
+    # one test on |lambda/2| builds D = sinh(lambda z/2)/(lambda/2) and
+    # a = (cosh(lambda y) - cosh lambda)/lambda^2 both as Taylor polynomials
+    # (rate-0 terms only) or both as exponential sums: a pair built half in
+    # each form commutes pointwise but not term by term
+    pair = make_pair(_ONE_FORM[variant](lam))
+    taylor_form = abs(lam / 2) < families.SERIES_RATE
+    for f in (pair.kernel.denominator, pair.op.a):
+        assert all(rate == 0 for rate, _ in f.terms) == taylor_form
 
 
 @pytest.mark.parametrize("m", [1000, 10**5])

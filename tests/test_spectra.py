@@ -201,6 +201,22 @@ def test_benchmark_draws_pass_the_commutator_check(n):
     assert len(worst) == 2
 
 
+# pole pairs with 0.1 <= |lambda| < 0.2, where D and a switch form together
+SMALL_RATE_POLES = {
+    "case2": Case2(lam=0.15 * np.exp(-1.2j), alpha=0.7, beta=0.3j),
+    "general": General(lam=0.15 * np.exp(0.7j), mu=1.1 - 0.4j, alpha1=0.6 + 0.2j, alpha2=-0.5 + 0.3j),
+}
+
+
+@pytest.mark.parametrize("n, floor", [(64, 1e-12), (256, 5e-11)])
+@pytest.mark.parametrize("draw", sorted(SMALL_RATE_POLES))
+def test_small_rate_pole_pairs_commute_at_the_floor(draw, n, floor):
+    # built in one form, these read 2.6e-13 - 2.1e-11; with D in Taylor form
+    # and a in exponential form they read 1.4e-11 - 1.7e-9
+    read = commutator_norm(*matrices(SMALL_RATE_POLES[draw], n))[0]
+    assert read <= floor, read
+
+
 @pytest.mark.parametrize("n", mutations.NS)
 @pytest.mark.parametrize("mutation", sorted(mutations.MUTATIONS))
 @pytest.mark.parametrize("path", sorted(mutations.PATHS))
